@@ -75,10 +75,10 @@ class CrashController:
     def armed(self) -> bool:
         """Whether any crash point is currently armed.
 
-        The batched-replay fast chain consults this once per run: with
-        nothing armed, :meth:`probe` can never fire and skipping it is
-        unobservable (occurrence counts are only meaningful to crash
-        harnesses, which always arm first).
+        The fast-chain gate (``SecureMemorySystem.fast_chain_safe``)
+        consults this once per run: with nothing armed, :meth:`probe` can
+        never fire and skipping it is unobservable (occurrence counts are
+        only meaningful to crash harnesses, which always arm first).
         """
         return self._armed_point is not None
 

@@ -575,15 +575,32 @@ class SecureMemorySystem:
     #
     # persist_line_fast/read_line_fast are operation-for-operation twins
     # of persist_line/read_line used by the batched replay loop
-    # (:meth:`repro.sim.engine.CoreEngine.run_batched_replay`) when the
-    # tracer is disabled and no crash point is armed. Under that gate the
-    # only things they skip are unobservable: tracer emissions, crash
-    # probes that cannot fire, the liveness re-check (done once at run
-    # start), the functional read-payload decryption (the replay loop
-    # discards it), and the result-object allocations — both return bare
+    # (:meth:`repro.sim.engine.CoreEngine.run_batched_replay`) and the
+    # multiprogrammed kernel (:class:`repro.sim.multicore.
+    # MulticoreSimulator`) whenever :meth:`fast_chain_safe` holds at run
+    # start. Under that gate the only things they skip are unobservable:
+    # tracer emissions, crash probes that cannot fire, the liveness
+    # re-check, the functional read-payload decryption (the engines
+    # discard it), and the result-object allocations — both return bare
     # floats. Every stat bump, queue/bank/counter mutation, and float
-    # operation matches the regular path; tests/sim/test_batch.py
-    # asserts bit-identical results across schemes and fidelities.
+    # operation matches the regular path; tests/sim/test_batch.py and
+    # tests/sim/test_multicore.py assert bit-identical results across
+    # schemes and fidelities.
+
+    def fast_chain_safe(self) -> bool:
+        """Whether nothing can observe what the fast chain skips.
+
+        True when the system is alive, the tracer is disabled with no
+        sampler attached, and no crash point is armed. Runs evaluate it
+        once, at their start.
+        """
+        tracer = self.tracer
+        return (
+            not self._dead
+            and not tracer.enabled
+            and tracer.sampler is None
+            and not self.crash_ctl.armed
+        )
 
     def persist_line_fast(
         self,

@@ -16,6 +16,7 @@ from repro.core.schemes import EVALUATED_SCHEMES, Scheme
 from repro.experiments.common import Scale, experiment_base_config, get_scale
 from repro.experiments.report import render_table
 from repro.experiments.runner import PointSpec, run_points
+from repro.sim.validation import validate_result
 from repro.workloads.base import WORKLOAD_NAMES
 
 PROGRAM_COUNTS = (1, 4, 8)
@@ -67,6 +68,7 @@ def run(
         baseline = None
         for scheme in EVALUATED_SCHEMES:
             result = next(results)
+            validate_result(result, encrypted=(scheme is not Scheme.UNSEC))
             latency = result.avg_txn_latency_ns
             if baseline is None:
                 baseline = latency

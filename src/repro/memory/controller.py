@@ -181,25 +181,24 @@ class MemoryController:
         ``frfcfs``: earliest feasible start, FIFO tie-break.
         ``fifo``: strict append order (head-of-line blocking).
 
-        Per-bank scan (exact, not heuristic): the reference scan picks
+        Per-bank pick (exact, not heuristic): the reference scan picks
         the lexicographic minimum of ``(start, seq)`` over the queue.
-        Two structural facts shrink the candidate set to the FIFO-first
-        entry of each per-bank data/counter bucket:
+        Every entry is appended through this controller at an
+        ``enq_time`` no later than the clock (``advance_to`` and the
+        make-space loops move the clock to at least the append time, and
+        the clock never goes back), whatever order the cores append in.
+        The ``max(..., enq_time)`` term of the reference start is
+        therefore inert, so:
 
-        * ``clock >= enq_time`` for every queued entry — an entry's
-          ``enq_time`` is the append time, which never exceeds the
-          controller clock at append, and the clock is monotone. The
-          ``max(..., enq_time)`` term of the reference start is therefore
-          inert, so a *data* entry's start depends only on its bank:
-          every entry of a bucket shares one start and the smallest
-          ``seq`` (FIFO-first) wins the tie-break.
-        * A *counter* entry adds ``enq_time + defer``; within a bucket
-          the FIFO-first entry also has the smallest ``enq_time``
-          whenever appends were time-monotone, so it dominates there
-          too. :attr:`WriteQueue.enq_monotone` certifies that
-          precondition (single-core replay always satisfies it); if a
-          multicore interleaving ever violates it, the queue latches the
-          flag and this method falls back to the full-queue scan.
+        * a *data* entry's start depends only on its bank: every entry of
+          a bucket shares one start and the FIFO-first (smallest ``seq``)
+          wins the tie-break;
+        * a *counter* entry's start is ``max(base, enq_time + defer)``
+          over its bank's base start. If the FIFO-first entry is not held
+          back past ``base`` it wins outright (smallest start, smallest
+          ``seq``); otherwise the bucket — a few entries — is walked for
+          its exact argmin, since out-of-order appends can leave a later
+          entry with an earlier ``enq_time``.
         """
         if self._policy == "fifo":
             entry = self.wq.oldest()
@@ -207,9 +206,6 @@ class MemoryController:
                 return None
             return self._entry_start(entry), entry
         wq = self.wq
-        if not wq.enq_monotone:
-            return self._best_candidate_scan()
-
         clock = self.clock
         # Reuse the previous scan while it provably still holds: the
         # queue is unchanged (version match — appends, issues, and CWC
@@ -257,7 +253,8 @@ class MemoryController:
             bus = bus_free_at[bank // banks_per_channel]
             if bus > start:
                 start = bus
-            entry = next(iter(bucket.values()))
+            entries = iter(bucket.values())
+            entry = next(entries)
             if defer:
                 # A counter write is held back for a fixed coalescing
                 # window after its append; afterwards it competes like any
@@ -265,7 +262,17 @@ class MemoryController:
                 # gets its merge window).
                 deferred = entry.enq_time + defer
                 if deferred > start:
-                    start = deferred
+                    # Held back: a later entry appended earlier in time
+                    # may start sooner. Strict < keeps the FIFO tie-break;
+                    # reaching the base start cannot be beaten.
+                    for other in entries:
+                        other_deferred = other.enq_time + defer
+                        if other_deferred < deferred:
+                            entry, deferred = other, other_deferred
+                            if deferred <= start:
+                                break
+                    if deferred > start:
+                        start = deferred
             if (
                 best_entry is None
                 or start < best_start
@@ -275,45 +282,6 @@ class MemoryController:
         if best_entry is None:
             return None
         self._cand_cache = (wq.version, best_start, best_entry)
-        return best_start, best_entry
-
-    def _best_candidate_scan(self) -> Optional[Tuple[float, WQEntry]]:
-        """Full-queue scan with hoisted locals (non-monotone fallback).
-
-        The feasible start of every entry is ``>= self.clock`` (a max
-        over terms that include the clock), and ties break toward the
-        earliest-appended entry (strict ``<`` never replaces an equal
-        best), so the first FIFO entry whose start equals the clock is
-        the exact argmin and the scan stops there.
-        """
-        defer = self._counter_defer_ns if self._policy == "defer-counters" else 0.0
-        clock = self.clock
-        banks = self.banks
-        bus_free_at = self.bus_free_at
-        banks_per_channel = self._banks_per_channel
-        best_start = None
-        best_entry = None
-        for entry in self.wq:
-            bank = entry.bank
-            start = banks[bank].free_at
-            if start < clock:
-                start = clock
-            bus = bus_free_at[bank // banks_per_channel]
-            if bus > start:
-                start = bus
-            enq_time = entry.enq_time
-            if enq_time > start:
-                start = enq_time
-            if defer and entry.is_counter:
-                deferred = enq_time + defer
-                if deferred > start:
-                    start = deferred
-            if best_start is None or start < best_start:
-                best_start, best_entry = start, entry
-                if start <= clock:
-                    break
-        if best_entry is None:
-            return None
         return best_start, best_entry
 
     def _best_candidate_ref(self) -> Optional[Tuple[float, WQEntry]]:

@@ -92,20 +92,12 @@ class WriteQueue:
         #: line -> queued *counter* entries for that line, FIFO order (CWC).
         self._counters_by_line: Dict[int, List[WQEntry]] = {}
         #: bank -> seq-ordered {seq: entry} of queued *data* writes, and the
-        #: same for *counter* writes. The drain scheduler's candidate scan
-        #: only needs the FIFO-first entry of each bucket (see
-        #: ``MemoryController._best_candidate``), so these shrink the scan
-        #: from O(queue) to O(banks).
+        #: same for *counter* writes. The drain scheduler picks per bucket
+        #: (the FIFO-first entry, or a short walk of a held-back counter
+        #: bucket; see ``MemoryController._best_candidate``), so these
+        #: shrink its scan from O(queue) to O(banks).
         self.data_by_bank: Dict[int, Dict[int, WQEntry]] = {}
         self.counters_by_bank: Dict[int, Dict[int, WQEntry]] = {}
-        #: True while every append's ``enq_time`` has been >= the previous
-        #: append's — the precondition for the per-bank candidate scan
-        #: (FIFO-first of a bucket then dominates the rest of the bucket).
-        #: A single violation (possible under multicore interleaving)
-        #: permanently clears it and the controller falls back to the
-        #: full-queue scan.
-        self.enq_monotone = True
-        self._last_enq = float("-inf")
         self._seq = 0
         #: Bumped on every append/removal; the drain scheduler uses it to
         #: reuse its last candidate scan while the queue is unchanged.
@@ -223,9 +215,6 @@ class WriteQueue:
                     return True
         if self.full:
             raise SimulationError("append to full write queue")
-        if entry.enq_time < self._last_enq:
-            self.enq_monotone = False
-        self._last_enq = entry.enq_time
         entry.seq = self._seq
         self._seq += 1
         self.version += 1

@@ -18,6 +18,7 @@ SecureMemorySystem`:
 
 from __future__ import annotations
 
+import functools
 from typing import List, Optional
 
 from repro.cache.hierarchy import CacheHierarchy
@@ -49,6 +50,19 @@ from repro.txn.persist import (
     OP_TXN_END,
     TraceOp,
 )
+
+
+# The observed memory chain as float-returning calls (see bind_memory).
+def _read_observed(system, t: float, line: int, core: int) -> float:
+    return system.read_line(t, line, core=core).finish_time
+
+
+def _persist_observed(
+    system, t: float, line: int, payload=None, core: int = 0, persistent=True
+) -> float:
+    return system.persist_line(
+        t, line, payload=payload, core=core, persistent=persistent
+    ).durable_time
 
 
 class CoreEngine:
@@ -93,6 +107,7 @@ class CoreEngine:
         # binding shadows the class method, so callers pay no dispatch.
         if not config.hot_path:
             self.step = self._step_ref  # type: ignore[method-assign]
+        self.bind_memory(fast=False)
 
     # ------------------------------------------------------------------
 
@@ -100,11 +115,35 @@ class CoreEngine:
         """Toggle transaction-latency recording (off during warmup)."""
         self._measuring = measuring
 
+    def bind_memory(self, fast: bool) -> None:
+        """Route :meth:`step`'s memory calls to the fast or observed chain.
+
+        Both are float-returning callables with the signatures of
+        :meth:`~repro.core.system.SecureMemorySystem.read_line_fast` and
+        ``persist_line_fast``. The observed chain (the default) adapts
+        ``read_line``/``persist_line``, which carry the tracer and crash
+        probes; a run binds the fast chain only while
+        :meth:`~repro.core.system.SecureMemorySystem.fast_chain_safe`
+        holds.
+        """
+        system = self.system
+        if fast:
+            self._read_mem = system.read_line_fast
+            self._persist_mem = system.persist_line_fast
+        else:
+            # Partials over the system, not bound methods of this engine:
+            # an engine holding its own bound method is a reference cycle
+            # that keeps every finished point's whole model alive until a
+            # cyclic garbage collection.
+            self._read_mem = functools.partial(_read_observed, system)
+            self._persist_mem = functools.partial(_persist_observed, system)
+
     def step(self, op: TraceOp) -> None:
         """Execute one trace op, advancing this core's clock.
 
         Fast path: loads/stores drive :meth:`CacheHierarchy.access` (tuple
-        result, no outcome allocation) with timing constants pre-hoisted.
+        result, no outcome allocation) with timing constants pre-hoisted,
+        and memory calls go through the chain :meth:`bind_memory` chose.
         Arithmetic order matches :meth:`_step_ref` operation for operation,
         so clocks — and therefore all stats — are bit-identical.
         """
@@ -119,30 +158,29 @@ class CoreEngine:
             if hit_level is None:
                 # Memory access on the critical path (write-allocate fetch
                 # for stores, demand read for loads).
-                clock = self.system.read_line(clock, line, core=self.core_id).finish_time
+                clock = self._read_mem(clock, line, self.core_id)
             self.clock = clock
             if writebacks:
                 # Dirty last-level evictions: asynchronous from the core's
                 # view (hardware write buffers), so the clock does not chase
                 # them. persistent=False marks them as not-crash-critical
                 # (only the SCA scheme differentiates).
-                persist = self.system.persist_line
+                persist = self._persist_mem
                 core = self.core_id
                 for victim in writebacks:
-                    persist(clock, victim, core=core, persistent=False)
+                    persist(clock, victim, None, core, False)
         elif kind == OP_CLWB:
             clock = self.clock + self._clwb_issue_ns
             self.clock = clock
             line = op[1]
-            payload = op[2] if len(op) > 2 else None
             if self.hierarchy.clwb(line):
-                result = self.system.persist_line(
-                    clock, line, payload=payload, core=self.core_id
+                durable = self._persist_mem(
+                    clock, line, op[2] if len(op) > 2 else None, self.core_id
                 )
                 # Durability is append time (ADR); the core resumes once
                 # the line is accepted into the write queue.
-                if result.durable_time > clock:
-                    self.clock = result.durable_time
+                if durable > clock:
+                    self.clock = durable
         elif kind == OP_FENCE:
             self.clock += self._sfence_ns
         elif kind == OP_TXN_BEGIN:
@@ -416,12 +454,11 @@ class CoreEngine:
         (:meth:`repro.sim.simulator.Simulator.run`) — so results are
         bit-identical to a walked run.
 
-        When the tracer is disabled and no crash point is armed, memory
-        traffic goes through the allocation-free fast chain
+        When :meth:`~repro.core.system.SecureMemorySystem.fast_chain_safe`
+        holds, memory traffic goes through the allocation-free fast chain
         (:meth:`~repro.core.system.SecureMemorySystem.read_line_fast` /
         ``persist_line_fast``), which skips per-op tracer probes, crash
-        probes and result-object construction — all unobservable in that
-        configuration.
+        probes and result-object construction — all unobservable then.
         """
         if chunk < 1:
             raise SimulationError(f"chunk must be >= 1, got {chunk}")
@@ -444,111 +481,58 @@ class CoreEngine:
         tracer = self.tracer
         tracer_enabled = tracer.enabled
         measuring = self._measuring
-        system = self.system
-        fast = (
-            not tracer_enabled
-            and tracer.sampler is None
-            and not system.crash_ctl.armed
-        )
+        self.bind_memory(self.system.fast_chain_safe())
+        read = self._read_mem
+        persist = self._persist_mem
         clock = self.clock
         txn_start = self._txn_start
         start = 0
-        if fast:
-            read_fast = system.read_line_fast
-            persist_fast = system.persist_line_fast
-            while start < n:
-                stop = start + chunk
-                if stop > n:
-                    stop = n
-                for i in range(start, stop):
-                    kind = bkinds[i]
-                    if kind == BK_MEM_HIT:
-                        clock += cpu_op_ns
-                        clock += lats[i]
-                    elif kind == BK_CLWB_DIRTY:
-                        clock += clwb_issue_ns
-                        durable = persist_fast(
-                            clock,
-                            args[i],
-                            None if payloads is None else payloads[i],
-                            core,
-                        )
-                        if durable > clock:
-                            clock = durable
-                    elif kind == BK_MEM_MISS:
-                        clock += cpu_op_ns
-                        clock += lats[i]
-                        clock = read_fast(clock, args[i], core)
-                    elif kind == BK_FENCE:
-                        clock += sfence_ns
-                    elif kind == BK_TXN_BEGIN:
-                        txn_start = clock
-                    elif kind == BK_TXN_END:
-                        if txn_start is not None and measuring:
+        while start < n:
+            stop = start + chunk
+            if stop > n:
+                stop = n
+            for i in range(start, stop):
+                kind = bkinds[i]
+                if kind == BK_MEM_HIT:
+                    clock += cpu_op_ns
+                    clock += lats[i]
+                elif kind == BK_CLWB_DIRTY:
+                    clock += clwb_issue_ns
+                    durable = persist(
+                        clock,
+                        args[i],
+                        None if payloads is None else payloads[i],
+                        core,
+                    )
+                    if durable > clock:
+                        clock = durable
+                elif kind == BK_MEM_MISS:
+                    clock += cpu_op_ns
+                    clock += lats[i]
+                    clock = read(clock, args[i], core)
+                elif kind == BK_FENCE:
+                    clock += sfence_ns
+                elif kind == BK_TXN_BEGIN:
+                    txn_start = clock
+                elif kind == BK_TXN_END:
+                    if txn_start is not None:
+                        if measuring:
                             txn_latencies.append(clock - txn_start)
-                        txn_start = None
-                    elif kind == BK_COMPUTE:
-                        clock += args[i]
-                    elif kind == BK_CLWB_CLEAN:
-                        clock += clwb_issue_ns
-                    else:  # BK_MEM_HIT_WB / BK_MEM_MISS_WB
-                        clock += cpu_op_ns
-                        clock += lats[i]
-                        if kind == BK_MEM_MISS_WB:
-                            clock = read_fast(clock, args[i], core)
-                        for victim in wbs[i]:
-                            persist_fast(clock, victim, None, core, False)
-                self.clock = clock
-                start = stop
-        else:
-            read_line = system.read_line
-            persist = system.persist_line
-            while start < n:
-                stop = start + chunk
-                if stop > n:
-                    stop = n
-                for i in range(start, stop):
-                    kind = bkinds[i]
-                    if kind == BK_MEM_HIT:
-                        clock += cpu_op_ns
-                        clock += lats[i]
-                    elif kind == BK_CLWB_DIRTY:
-                        clock += clwb_issue_ns
-                        result = persist(
-                            clock,
-                            args[i],
-                            payload=None if payloads is None else payloads[i],
-                            core=core,
-                        )
-                        if result.durable_time > clock:
-                            clock = result.durable_time
-                    elif kind == BK_MEM_MISS:
-                        clock += cpu_op_ns
-                        clock += lats[i]
-                        clock = read_line(clock, args[i], core=core).finish_time
-                    elif kind == BK_FENCE:
-                        clock += sfence_ns
-                    elif kind == BK_TXN_BEGIN:
-                        txn_start = clock
-                    elif kind == BK_TXN_END:
-                        if txn_start is not None:
-                            if measuring:
-                                txn_latencies.append(clock - txn_start)
-                            if tracer_enabled:
-                                tracer.txn(txn_start, clock, core)
-                        txn_start = None
-                    elif kind == BK_COMPUTE:
-                        clock += args[i]
-                    elif kind == BK_CLWB_CLEAN:
-                        clock += clwb_issue_ns
-                    else:  # BK_MEM_HIT_WB / BK_MEM_MISS_WB
-                        clock += cpu_op_ns
-                        clock += lats[i]
-                        if kind == BK_MEM_MISS_WB:
-                            clock = read_line(clock, args[i], core=core).finish_time
-                        for victim in wbs[i]:
-                            persist(clock, victim, core=core, persistent=False)
-                self.clock = clock
-                start = stop
+                        if tracer_enabled:
+                            tracer.txn(txn_start, clock, core)
+                    txn_start = None
+                elif kind == BK_COMPUTE:
+                    clock += args[i]
+                elif kind == BK_CLWB_CLEAN:
+                    clock += clwb_issue_ns
+                else:  # BK_MEM_HIT_WB / BK_MEM_MISS_WB
+                    clock += cpu_op_ns
+                    clock += lats[i]
+                    if kind == BK_MEM_MISS_WB:
+                        clock = read(clock, args[i], core)
+                    for victim in wbs[i]:
+                        persist(clock, victim, None, core, False)
+            self.clock = clock
+            start = stop
         self.clock = clock
         self._txn_start = txn_start

@@ -6,12 +6,15 @@ memory, the paper's setup), sharing the L3, the memory controller, the
 write queue, and the counter cache. Cores are interleaved by local time:
 at each step the core with the smallest clock executes its next op, which
 is the standard conservative interleaving for trace-driven multi-core
-simulation.
+simulation. With nothing observing the run (see
+:meth:`~repro.core.system.SecureMemorySystem.fast_chain_safe`), the cores
+drive the shared system through its fast chain.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import heapq
 from typing import List, Optional
 
 from repro.cache.sram import SetAssociativeCache
@@ -57,20 +60,32 @@ class MulticoreSimulator:
             raise ConfigError(
                 f"{self.n_cores} cores but {len(traces)} traces supplied"
             )
+        fast = self.system.fast_chain_safe()
+        for engine in self.engines:
+            engine.bind_memory(fast)
+        steps = [engine.step for engine in self.engines]
         cursors = [0] * self.n_cores
-        remaining = sum(len(t) for t in traces)
-        while remaining:
-            # The core with the smallest local clock (and ops left) steps.
-            best = None
-            for core, engine in enumerate(self.engines):
-                if cursors[core] < len(traces[core]) and (
-                    best is None or engine.clock < self.engines[best].clock
-                ):
-                    best = core
-            engine = self.engines[best]
-            engine.step(traces[best][cursors[best]])
-            cursors[best] += 1
-            remaining -= 1
+        # The core with the smallest local clock (and ops left) steps;
+        # equal clocks go to the lowest core index. Only the stepping
+        # core's clock moves, so a heap keyed (clock, core) keeps the
+        # order with one O(log cores) update per op.
+        ready = [
+            (engine.clock, core)
+            for core, engine in enumerate(self.engines)
+            if traces[core]
+        ]
+        heapq.heapify(ready)
+        while ready:
+            core = ready[0][1]
+            ops = traces[core]
+            cursor = cursors[core]
+            steps[core](ops[cursor])
+            cursor += 1
+            cursors[core] = cursor
+            if cursor < len(ops):
+                heapq.heapreplace(ready, (self.engines[core].clock, core))
+            else:
+                heapq.heappop(ready)
         drain_finish = self.system.drain()
         total = max(max(e.clock for e in self.engines), drain_finish)
         latencies: List[float] = []
@@ -91,6 +106,7 @@ def simulate_multiprogrammed(
     base_config: Optional[SimConfig] = None,
     seed: int = 1,
     fidelity: str = "timing",
+    tracer=None,
 ) -> SimResult:
     """The Figure 14 kernel: N programs on N cores.
 
@@ -104,6 +120,8 @@ def simulate_multiprogrammed(
     ``fidelity`` mirrors :func:`~repro.sim.simulator.simulate_workload`:
     ``"timing"`` (default) skips functional byte work, ``"full"`` carries
     payloads through the crypto path; both produce identical timing/stats.
+    An enabled ``tracer`` observes the run on the regular chain, again
+    with identical timing/stats.
     """
     if isinstance(workload, str):
         if n_programs is None:
@@ -138,5 +156,5 @@ def simulate_multiprogrammed(
             track_payloads=cfg.functional,
         )
         traces.append(trace.ops)
-    sim = MulticoreSimulator(cfg, n_cores=n_programs)
+    sim = MulticoreSimulator(cfg, n_cores=n_programs, tracer=tracer)
     return sim.run(traces)

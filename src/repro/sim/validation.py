@@ -35,15 +35,19 @@ def validate_result(
     result: SimResult,
     encrypted: bool | None = None,
     write_through: bool | None = None,
-    n_banks: int = 8,
+    n_banks: int | None = None,
 ) -> List[str]:
     """Check cross-component invariants; returns the list of checks run.
 
     Raises :class:`ValidationError` naming the first violated invariant.
     ``encrypted``/``write_through`` enable the scheme-specific checks when
-    the caller knows the configuration.
+    the caller knows the configuration. ``n_banks`` defaults to the bank
+    count the memory controller recorded in the run's stats (8 when the
+    stats carry none), so every bank of a wider geometry is checked.
     """
     stats = result.stats
+    if n_banks is None:
+        n_banks = int(stats.get("config", "n_banks", 8))
     checks: List[str] = []
 
     def ensure(condition: bool, name: str, detail: str = "") -> None:

@@ -5,9 +5,9 @@ The load-bearing guarantees:
 * ``jobs=N`` output is **bit-identical** to serial — point for point,
   including every stats counter an experiment's ``render`` might read;
 * results come back in spec order, never completion order;
-* a fixed-seed golden digest pins the fig13 smoke numbers, so neither the
-  runner, the trace cache, nor the write-queue indexing can silently
-  shift results.
+* fixed-seed golden digests pin the fig13 and fig14 smoke numbers, so
+  neither the runner, the trace cache, the write-queue indexing, nor the
+  multicore interleave can silently shift results.
 """
 
 import dataclasses
@@ -17,7 +17,7 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.core.schemes import EVALUATED_SCHEMES, Scheme
-from repro.experiments import fig13
+from repro.experiments import fig13, fig14
 from repro.experiments.common import experiment_base_config, get_scale
 from repro.experiments.runner import (
     PointSpec,
@@ -37,9 +37,29 @@ FIG13_SMOKE_1KB_DIGEST = (
 )
 
 
+#: The same for Figure 14 over a subset that includes 8 programs sharing
+#: the controller (out-of-order write-queue appends):
+#:   PYTHONPATH=src python -c "from tests.experiments.test_runner import \
+#:       _fig14_digest; from repro.experiments import fig14; \
+#:       print(_fig14_digest(fig14.run('smoke', **FIG14_SMOKE_SUBSET)))"
+FIG14_SMOKE_DIGEST = (
+    "c82f817666e95189bc55ed3078878302d4a97400144c79676b682dc6a94fad46"
+)
+FIG14_SMOKE_SUBSET = dict(workloads=("array", "hashtable"), program_counts=(1, 8))
+
+
 def _digest(points) -> str:
     canon = "\n".join(
         f"{p.workload}/{p.request_size}/{p.scheme.value}"
+        f"={p.avg_latency_ns!r}/{p.normalized!r}"
+        for p in points
+    )
+    return hashlib.sha256(canon.encode()).hexdigest()
+
+
+def _fig14_digest(points) -> str:
+    canon = "\n".join(
+        f"{p.workload}/{p.n_programs}/{p.scheme.value}"
         f"={p.avg_latency_ns!r}/{p.normalized!r}"
         for p in points
     )
@@ -161,3 +181,11 @@ class TestFig13Determinism:
         )
         with pytest.raises(ConfigError):
             fig13.run("smoke", request_sizes=(1024,))
+
+
+@pytest.mark.slow
+class TestFig14Determinism:
+    def test_golden(self):
+        points = fig14.run("smoke", **FIG14_SMOKE_SUBSET)
+        assert {p.n_programs for p in points} == {1, 8}
+        assert _fig14_digest(points) == FIG14_SMOKE_DIGEST

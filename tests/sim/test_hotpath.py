@@ -12,9 +12,9 @@ keys. ``hot_path=False`` keeps the reference model. Nothing about the
 * the scheduler's fast candidate scan picks the exact same entry as the
   reference scan under randomized append/read/drain interleavings
   (which also exercises the candidate-cache invalidation rules);
-* a non-monotone append sequence latches ``WriteQueue.enq_monotone``
-  and the scheduler falls back to the full scan — still matching the
-  reference.
+* out-of-order appends from several per-core clocks (the multicore
+  case) still match the reference, including picks where a held-back
+  counter bucket's FIFO-first entry loses to a later one.
 """
 
 import dataclasses
@@ -125,18 +125,68 @@ class TestCandidateScan:
         for _ in range(5):
             _assert_same_candidate(mc)
 
-    def test_non_monotone_appends_latch_fallback(self):
-        mc = _controller()
-        assert mc.wq.enq_monotone
-        # Bypass append_write (whose append times are monotone by
-        # construction) and enqueue out of time order directly.
-        mc.wq.append(WQEntry(line=1, bank=0, row=0, is_counter=False, enq_time=50.0))
-        mc.wq.append(WQEntry(line=2, bank=1, row=0, is_counter=False, enq_time=10.0))
-        mc.wq.append(WQEntry(line=3, bank=1, row=0, is_counter=True, enq_time=60.0))
-        assert not mc.wq.enq_monotone
-        for clock in (0.0, 20.0, 55.0, 80.0):
-            mc.clock = clock
+    @pytest.mark.parametrize("policy", ["defer-counters", "frfcfs"])
+    def test_out_of_order_appends_match_reference(self, policy):
+        """Per-bank pick == reference after every mutation, out of order.
+
+        Several per-core clocks drive the public controller API, so
+        appends arrive out of time order exactly as under multicore
+        interleaving: a later counter entry can then carry an earlier
+        ``enq_time`` than its bucket's FIFO-first entry, and under
+        ``defer-counters`` it can win the pick.
+        """
+        rng = random.Random(2019)
+        cfg = SimConfig(hot_path=True)
+        cfg = dataclasses.replace(
+            cfg, memory=dataclasses.replace(cfg.memory, drain_policy=policy)
+        )
+        mc = MemoryController(cfg, Stats())
+        n_banks = cfg.memory.n_banks
+        clocks = [0.0] * 4
+        enq_times = []
+        non_head_picks = 0
+        for _ in range(1500):
+            core = rng.randrange(len(clocks))
+            clocks[core] += rng.choice((0.0, 3.0, 40.0, 250.0, 900.0))
+            t = clocks[core]
+            action = rng.randrange(5)
+            if action == 0:
+                enq_times.append(mc.append_write(t, rng.randrange(256), core=core))
+            elif action == 1:
+                enq_times.append(
+                    mc.append_write(
+                        t,
+                        4096 + rng.randrange(16),
+                        bank=rng.randrange(n_banks),
+                        row=0,
+                        is_counter=True,
+                        core=core,
+                    )
+                )
+            elif action == 2:
+                line = rng.randrange(256)
+                data = WQEntry(line, line % n_banks, 0, False, 0.0, core=core)
+                counter = WQEntry(
+                    4096 + rng.randrange(16),
+                    rng.randrange(n_banks),
+                    0,
+                    True,
+                    0.0,
+                    core=core,
+                )
+                enq_times.append(mc.append_pair(t, data, counter))
+            elif action == 3:
+                mc.read(t, rng.randrange(256))
+            else:
+                mc.advance_to(t)
             _assert_same_candidate(mc)
-        # The latch is permanent: monotone appends do not clear it.
-        mc.wq.append(WQEntry(line=4, bank=2, row=0, is_counter=False, enq_time=70.0))
-        assert not mc.wq.enq_monotone
+            ref = mc._best_candidate_ref()
+            if ref is not None and ref[1].is_counter:
+                bucket = mc.wq.counters_by_bank[ref[1].bank]
+                non_head_picks += next(iter(bucket.values())) is not ref[1]
+        assert any(b < a for a, b in zip(enq_times, enq_times[1:]))
+        if policy == "defer-counters":
+            # The bucket walk, not just the FIFO-first entry, was needed.
+            assert non_head_picks > 0
+        mc.drain_all()
+        assert len(mc.wq) == 0

@@ -6,7 +6,10 @@ import pytest
 
 from repro.common.config import MemoryConfig, SimConfig
 from repro.common.errors import ConfigError
-from repro.core.schemes import Scheme, scheme_config
+from repro.core.schemes import EVALUATED_SCHEMES, Scheme, scheme_config
+from repro.experiments.common import experiment_base_config, get_scale
+from repro.obs.tracer import Tracer
+from repro.sim.engine import _read_observed
 from repro.sim.multicore import MulticoreSimulator, simulate_multiprogrammed
 from repro.txn.persist import OP_COMPUTE, OP_TXN_BEGIN, OP_TXN_END
 
@@ -29,6 +32,49 @@ def test_interleaves_by_local_time():
     assert sim.engines[0].clock == 1000.0
     assert sim.engines[1].clock == 50.0
     assert result.total_time_ns >= 1000.0
+
+    # Equal clocks: the lowest core index steps first.
+    sim = MulticoreSimulator(make_cfg(), n_cores=3)
+    order = []
+    for engine in sim.engines:
+        engine.step = (
+            lambda op, step=engine.step, core=engine.core_id: (
+                order.append(core),
+                step(op),
+            )
+        )
+    sim.run([[(OP_COMPUTE, 10.0)] * 2] * 2 + [[(OP_COMPUTE, 5.0)] * 2])
+    assert order == [0, 1, 2, 2, 0, 1]
+
+
+@pytest.mark.parametrize("n_programs", [1, 4, 8])
+@pytest.mark.parametrize("scheme", EVALUATED_SCHEMES, ids=lambda s: s.value)
+def test_fast_chain_matches_observed_chain(scheme, n_programs):
+    """The gated fast chain is bit-identical to the traced, observed one."""
+    kwargs = dict(
+        n_programs=n_programs,
+        n_ops=6,
+        request_size=1024,
+        seed=1,
+        base_config=experiment_base_config(get_scale("smoke")),
+    )
+    fast = simulate_multiprogrammed("hashtable", scheme, **kwargs)
+    observed = simulate_multiprogrammed(
+        "hashtable", scheme, tracer=Tracer(), **kwargs
+    )
+    assert fast.total_time_ns == observed.total_time_ns
+    assert fast.txn_latencies == observed.txn_latencies
+    assert fast.stats.snapshot() == observed.stats.snapshot()
+
+
+def test_fast_chain_bound_only_when_unobserved():
+    trace = [(OP_TXN_BEGIN, 1), (OP_COMPUTE, 1.0), (OP_TXN_END, 1)]
+    quiet = MulticoreSimulator(make_cfg(), n_cores=1)
+    quiet.run([list(trace)])
+    assert quiet.engines[0]._read_mem == quiet.system.read_line_fast
+    traced = MulticoreSimulator(make_cfg(), n_cores=1, tracer=Tracer())
+    traced.run([list(trace)])
+    assert traced.engines[0]._read_mem.func is _read_observed
 
 
 def test_txn_latencies_merged_across_cores():

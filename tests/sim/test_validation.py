@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.config import MemoryConfig, SimConfig
 from repro.common.stats import Stats
 from repro.core.schemes import Scheme
 from repro.sim.metrics import SimResult
@@ -85,4 +86,16 @@ def test_negative_latency_detected():
 def test_bank_busy_overflow_detected():
     result = _result_with({("bank.0", "busy_ns"): 5000.0})
     with pytest.raises(ValidationError, match="bank-busy-fits-run"):
+        validate_result(result)
+
+
+def test_bank_busy_checks_every_recorded_bank():
+    """A 16-bank run checks banks 8+ too (the count comes from stats)."""
+    config = SimConfig(memory=MemoryConfig(n_banks=16))
+    result = simulate_workload(
+        "array", Scheme.SUPERMEM, n_ops=10, request_size=512, base_config=config
+    )
+    validate_result(result)
+    result.stats.set("bank.12", "busy_ns", result.total_time_ns + 1000.0)
+    with pytest.raises(ValidationError, match="bank 12"):
         validate_result(result)
