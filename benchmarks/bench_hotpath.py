@@ -1,21 +1,16 @@
-"""Hot-path microbenchmark: per-component ns/op, fast path vs reference.
+"""Hot-path microbenchmark: per-component ns/op.
 
-The hot-path overhaul (see docs/PERFORMANCE.md "Hot path & fidelity
-modes") was profile-guided: a cProfile of the fig13 sweep attributed the
-simulator's wall clock to the crypto pad generation, the per-access cache
-walk, and the memory-controller scheduling scan, and each got a fast
-path that is asserted bit-identical to the straight-line reference
-implementation it replaced. This script measures both sides of each of
-those pairs directly:
+A cProfile of the fig13 sweep attributes the simulator's wall clock to
+the crypto pad generation, the per-access cache walk, and the memory
+system below it. This script measures those components directly:
 
 * ``xor_bytes`` — one 64 B line XOR (int-XOR fast path).
 * ``aes_pad`` / ``prf_pad`` — one counter-mode pad, memoized (warm) and
   uncached (cold).
-* ``cache_access`` — one L1/L2/L3 walk, flattened vs reference.
-* ``engine_step`` — one full trace op through ``CoreEngine.step`` (cache
-  walk + memory system + write queue), production ``hot_path=True`` vs
-  the ``hot_path=False`` reference model, measured over a real workload
-  replay.
+* ``cache_walk`` — one L1/L2/L3 walk through ``CacheHierarchy.access``.
+* ``engine_op`` — one trace op through a whole single-core
+  ``Simulator.run`` (hierarchy recording, then the timing replay over
+  the memory system and write queue), measured over a real workload.
 
 It also runs one simulate_workload under cProfile and reports where the
 cumulative time actually goes per top-level package component — the same
@@ -75,30 +70,16 @@ def bench_cache_walk(results: dict) -> None:
 
     cfg = SimConfig()
     lines = [i * 3 for i in range(512)]
+    access = CacheHierarchy(cfg.l1, cfg.l2, cfg.l3, cfg.timing, Stats()).access
 
-    def hierarchy():
-        return CacheHierarchy(cfg.l1, cfg.l2, cfg.l3, cfg.timing, Stats())
-
-    fast = hierarchy()
-    access = fast.access
-
-    def walk_fast():
+    def walk():
         for line in lines:
             access(line, False)
 
-    results["cache_walk_fast"] = _ns_per_call(walk_fast, 100) / len(lines)
-
-    ref = hierarchy()
-    read_ref = ref.read_ref
-
-    def walk_ref():
-        for line in lines:
-            read_ref(line)
-
-    results["cache_walk_ref"] = _ns_per_call(walk_ref, 100) / len(lines)
+    results["cache_walk"] = _ns_per_call(walk, 100) / len(lines)
 
 
-def bench_engine_step(results: dict, n_ops: int) -> None:
+def bench_engine_op(results: dict, n_ops: int) -> None:
     import dataclasses
 
     from repro.common.config import SimConfig
@@ -106,19 +87,19 @@ def bench_engine_step(results: dict, n_ops: int) -> None:
     from repro.sim.simulator import Simulator
     from repro.sim.trace_cache import cached_generate_trace
 
-    base = scheme_config(Scheme.SUPERMEM, SimConfig())
+    cfg = dataclasses.replace(
+        scheme_config(Scheme.SUPERMEM, SimConfig()), fidelity="timing"
+    )
     trace = cached_generate_trace(
         "btree", n_ops=n_ops, request_size=1024, footprint=1 << 20, seed=1
     )
-    for name, hot in (("engine_step_fast", True), ("engine_step_ref", False)):
-        cfg = dataclasses.replace(base, hot_path=hot, fidelity="timing")
-        best = float("inf")
-        for _ in range(3):
-            sim = Simulator(cfg)
-            started = time.perf_counter()
-            sim.run(trace.ops)
-            best = min(best, time.perf_counter() - started)
-        results[name] = best * 1e9 / len(trace.ops)
+    best = float("inf")
+    for _ in range(3):
+        sim = Simulator(cfg)
+        started = time.perf_counter()
+        sim.run(trace.ops)
+        best = min(best, time.perf_counter() - started)
+    results["engine_op"] = best * 1e9 / len(trace.ops)
     results["engine_trace_ops"] = len(trace.ops)
 
 
@@ -150,7 +131,7 @@ def profile_components(n_ops: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--ops", type=int, default=400, help="trace transactions for engine_step"
+        "--ops", type=int, default=400, help="trace transactions for engine_op"
     )
     parser.add_argument(
         "--json", default=None, metavar="PATH", help="write results as JSON"
@@ -160,22 +141,21 @@ def main(argv=None) -> int:
     results: dict = {}
     bench_crypto(results)
     bench_cache_walk(results)
-    bench_engine_step(results, args.ops)
+    bench_engine_op(results, args.ops)
 
     pairs = (
         ("aes_pad", "aes_pad_uncached", "aes_pad_memo_hit"),
         ("prf_pad", "prf_pad_uncached", "prf_pad_memo_hit"),
-        ("cache_walk", "cache_walk_ref", "cache_walk_fast"),
-        ("engine_step", "engine_step_ref", "engine_step_fast"),
     )
-    print(f"{'component':>16} {'reference':>12} {'fast':>12} {'speedup':>9}")
-    for name, ref_key, fast_key in pairs:
-        ref, fast = results[ref_key], results[fast_key]
+    print(f"{'component':>16} {'uncached':>12} {'memo hit':>12} {'speedup':>9}")
+    for name, cold_key, warm_key in pairs:
+        cold, warm = results[cold_key], results[warm_key]
         print(
-            f"{name:>16} {ref:10.0f}ns {fast:10.0f}ns "
-            f"{ref / fast if fast else 0.0:8.2f}x"
+            f"{name:>16} {cold:10.0f}ns {warm:10.0f}ns "
+            f"{cold / warm if warm else 0.0:8.2f}x"
         )
-    print(f"{'xor_bytes':>16} {'':>12} {results['xor_bytes']:10.0f}ns")
+    for name in ("xor_bytes", "cache_walk", "engine_op"):
+        print(f"{name:>16} {'':>12} {results[name]:10.0f}ns")
 
     components = profile_components(args.ops)
     results["profile_components_s"] = components

@@ -1,10 +1,10 @@
-"""Wall-clock benchmark of the sweep runner (reference vs hot path vs jobs).
+"""Wall-clock benchmark of the sweep runner (fidelity, warm cache, jobs).
 
 Unlike the other files in this directory (pytest-benchmark shape checks of
 *simulated* numbers), this one measures the harness itself: how long the
-standard fig13 sweep takes under the reference timing model, under the
-production hot path at both fidelities, and fanned out over worker
-processes. It writes ``BENCH_SWEEP.json`` — the repo's perf trajectory
+standard fig13 sweep takes at both fidelities, with the trace cache
+warm (with and without a live metrics registry), against a cold and a
+warm outcome store, and fanned out over worker processes. It writes ``BENCH_SWEEP.json`` — the repo's perf trajectory
 record.
 
 Run standalone::
@@ -18,8 +18,8 @@ or through the CLI hook::
 ``--profile`` additionally runs one serial timing-fidelity fig13 sweep
 under :mod:`cProfile` and prints the top 20 functions by cumulative time
 (written to ``--profile-output`` for the CI artifact) — the
-profile-guided half of the hot-path work: optimisations land where this
-table says the time goes.
+profile-guided half of the performance work: optimisations land where
+this table says the time goes.
 """
 
 import argparse

@@ -51,7 +51,7 @@ def demo_overflow() -> None:
     major = system.counters.block(0).major
     print(f"  page re-encryptions: {reenc}; page 0 major counter: {major}")
     ok = all(
-        system.read_line(10**6, line).payload == payload
+        system.functional_read_plaintext(line) == payload
         for line, payload in NEIGHBOURS.items()
     )
     print(f"  all neighbour lines still decrypt correctly: {ok}")

@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_parser = sub.add_parser(
         "bench-sweep",
-        help="time the fig13 sweep serial vs cached vs parallel (BENCH_SWEEP.json)",
+        help="time the fig13 sweep across harness states and --jobs (BENCH_SWEEP.json)",
     )
     bench_parser.add_argument(
         "--scale",

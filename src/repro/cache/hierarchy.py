@@ -22,9 +22,7 @@ The walk runs once per load/store, three lookups deep, so the class is
 latency_ns, writebacks)`` tuple without allocating a result object (the
 write-back list is lazily allocated — the common case is none).
 :meth:`read`/:meth:`write` wrap the same walk in a :class:`ReadOutcome`
-for callers that prefer names; :meth:`read_ref`/:meth:`write_ref` keep the
-original per-level implementation as the differential oracle and slow
-benchmark leg.
+for callers that prefer names.
 """
 
 from __future__ import annotations
@@ -82,8 +80,6 @@ class CacheHierarchy:
     """
 
     __slots__ = (
-        "_timing",
-        "_stats",
         "_vals",
         "l1",
         "l2",
@@ -106,8 +102,6 @@ class CacheHierarchy:
         shared_l3: Optional[SetAssociativeCache] = None,
         name_prefix: str = "",
     ):
-        self._timing = timing
-        self._stats = stats
         self._vals = stats.raw()
         self.l1 = SetAssociativeCache(l1, stats, f"{name_prefix}l1")
         self.l2 = SetAssociativeCache(l2, stats, f"{name_prefix}l2")
@@ -136,10 +130,11 @@ class CacheHierarchy:
     def access(self, line: int, write: bool):
         """Drive one load/store; returns ``(hit_level, latency_ns, wbs)``.
 
-        The flat fast path: identical walk order, fills, evictions, and
-        statistics as :meth:`read_ref`/:meth:`write_ref`, but with level
-        lists in locals, no outcome object, and the write-back list only
-        allocated once a dirty line actually leaves L3.
+        Walks L1→L3, filling on each miss; a hit also fills the closer
+        levels. A dirty victim moves one level down (or out to memory
+        from L3). Level lists live in locals, there is no outcome object,
+        and the write-back list is only allocated once a dirty line
+        actually leaves L3.
         """
         levels = self._levels
         lats = self._latencies_ns
@@ -174,40 +169,6 @@ class CacheHierarchy:
         hit_level, latency, wb = self.access(line, True)
         return ReadOutcome(hit_level, latency, list(wb))
 
-    def read_ref(self, line: int) -> ReadOutcome:
-        """Reference load path (unhoisted walk, per-level outcome)."""
-        return self._access_ref(line, write=False)
-
-    def write_ref(self, line: int) -> ReadOutcome:
-        """Reference store path (unhoisted walk, per-level outcome)."""
-        return self._access_ref(line, write=True)
-
-    def _access_ref(self, line: int, write: bool) -> ReadOutcome:
-        latency = 0.0
-        writebacks: List[int] = []
-        for depth, cache in enumerate(self._levels):
-            latency += self._latencies_ns[depth]
-            hit, evicted = cache.access_ref(line, write=(write and depth == 0))
-            if evicted is not None:
-                self._handle_eviction(depth, evicted, writebacks)
-            if hit:
-                self._fill_above(line, depth, write, writebacks)
-                return ReadOutcome(
-                    hit_level=depth + 1,
-                    latency_ns=latency,
-                    memory_writebacks=writebacks,
-                )
-        return ReadOutcome(hit_level=None, latency_ns=latency, memory_writebacks=writebacks)
-
-    def _fill_above(
-        self, line: int, hit_depth: int, write: bool, writebacks: List[int]
-    ) -> None:
-        """After a hit at ``hit_depth``, install the line in closer levels."""
-        for depth in range(hit_depth - 1, -1, -1):
-            evicted = self._levels[depth].fill(line, dirty=(write and depth == 0))
-            if evicted is not None:
-                self._handle_eviction(depth, evicted, writebacks)
-
     def _push_down(self, depth: int, victim: int, writebacks: List[int]) -> None:
         """Install a known-dirty victim one level down (or emit to memory)."""
         levels = self._levels
@@ -219,18 +180,6 @@ class CacheHierarchy:
             victim = inner.line
         writebacks.append(victim)
         self._vals[self._k_memory_writebacks] += 1
-
-    def _handle_eviction(self, depth: int, evicted, writebacks: List[int]) -> None:
-        """Push a dirty victim down one level (or out to memory from L3)."""
-        if not evicted.dirty:
-            return
-        if depth + 1 < len(self._levels):
-            inner = self._levels[depth + 1].fill(evicted.line, dirty=True)
-            if inner is not None:
-                self._handle_eviction(depth + 1, inner, writebacks)
-        else:
-            writebacks.append(evicted.line)
-            self._stats.inc("hierarchy", "memory_writebacks")
 
     # ------------------------------------------------------------------
     # Persistence instructions

@@ -12,9 +12,7 @@ This class is on the per-op critical path (three lookups per load/store),
 so it is written for speed: ``__slots__`` keeps attribute access on the
 fast path, stat keys are prebuilt tuples bumped directly in the shared
 ``Stats.raw()`` dict, and the evicted-line record is a NamedTuple rather
-than a dataclass. :meth:`access_ref` preserves the straightforward
-implementation as a differential oracle (and as the deliberately unhoisted
-``serial`` benchmark leg — see PERFORMANCE.md).
+than a dataclass.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ class SetAssociativeCache:
     __slots__ = (
         "config",
         "name",
-        "_stats",
         "_vals",
         "_n_sets",
         "_assoc",
@@ -63,7 +60,6 @@ class SetAssociativeCache:
     def __init__(self, config: CacheConfig, stats: Stats, name: str):
         self.config = config
         self.name = name
-        self._stats = stats
         self._vals = stats.raw()
         self._n_sets = config.n_sets
         self._assoc = config.assoc
@@ -131,26 +127,6 @@ class SetAssociativeCache:
         evicted = self._fill(cache_set, line, write)
         return False, evicted
 
-    def access_ref(
-        self, line: int, write: bool
-    ) -> tuple[bool, Optional[EvictedLine]]:
-        """Reference access path: identical semantics, no hoisted lookups.
-
-        Kept as the differential oracle for tests/sim/test_hotpath.py and
-        as the slow leg of the hot-path benchmark ratio.
-        """
-        cache_set = self._set_of(line)
-        self._stats.inc(self.name, "accesses")
-        if line in cache_set:
-            self._stats.inc(self.name, "hits")
-            dirty = cache_set.pop(line) or write
-            cache_set[line] = dirty  # move to MRU
-            return True, None
-
-        self._stats.inc(self.name, "misses")
-        evicted = self._fill_ref(cache_set, line, write)
-        return False, evicted
-
     def _fill(
         self, cache_set: Dict[int, bool], line: int, dirty: bool
     ) -> Optional[EvictedLine]:
@@ -163,20 +139,6 @@ class SetAssociativeCache:
             vals[self._k_evictions] += 1
             if victim_dirty:
                 vals[self._k_dirty_evictions] += 1
-        cache_set[line] = dirty
-        return evicted
-
-    def _fill_ref(
-        self, cache_set: Dict[int, bool], line: int, dirty: bool
-    ) -> Optional[EvictedLine]:
-        evicted = None
-        if len(cache_set) >= self._assoc:
-            victim_line = next(iter(cache_set))  # LRU = oldest insertion
-            victim_dirty = cache_set.pop(victim_line)
-            evicted = EvictedLine(line=victim_line, dirty=victim_dirty)
-            self._stats.inc(self.name, "evictions")
-            if victim_dirty:
-                self._stats.inc(self.name, "dirty_evictions")
         cache_set[line] = dirty
         return evicted
 

@@ -346,20 +346,6 @@ class SimConfig:
     #: ``functional`` off; crash/recovery/Table-1 harnesses force
     #: ``"full"`` because they audit recovered plaintext.
     fidelity: str = "full"
-    #: Select the optimized hot-path implementations (flattened cache
-    #: walk, early-exit drain-candidate scan, pad memo). ``False`` runs
-    #: the retained reference implementations — bit-identical results
-    #: (asserted by ``tests/sim/test_hotpath.py``), used as the
-    #: differential-testing oracle and the ``serial`` benchmark baseline.
-    hot_path: bool = True
-    #: Replay traces through the chunked batched loop
-    #: (:meth:`repro.sim.engine.CoreEngine.run_batched` over the flat op
-    #: arrays of :mod:`repro.sim.batch`) instead of the per-op scalar
-    #: ``step`` dispatch. Bit-identical results (asserted by
-    #: ``tests/sim/test_batch.py``); only effective when ``hot_path`` is
-    #: also on (the reference model is always scalar). ``False`` is the
-    #: ``hotpath`` benchmark leg, isolating the batching win.
-    batched_replay: bool = True
     #: Directory of the cross-process on-disk outcome store
     #: (:mod:`repro.sim.outcome_store`); ``None`` disables the disk tier.
     #: A harness knob, not a model knob: it cannot change simulated

@@ -71,17 +71,6 @@ class CrashController:
     def disarm(self) -> None:
         self._armed_point = None
 
-    @property
-    def armed(self) -> bool:
-        """Whether any crash point is currently armed.
-
-        The fast-chain gate (``SecureMemorySystem.fast_chain_safe``)
-        consults this once per run: with nothing armed, :meth:`probe` can
-        never fire and skipping it is unobservable (occurrence counts are
-        only meaningful to crash harnesses, which always arm first).
-        """
-        return self._armed_point is not None
-
     def probe(self, point: str, detail: str = "") -> None:
         """Called by components at vulnerable points; may raise."""
         self._seen[point] += 1

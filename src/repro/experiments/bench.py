@@ -2,38 +2,27 @@
 
 Times the standard Figure 13 sweep along the repo's perf trajectory and
 writes the measurements to a JSON file (``BENCH_SWEEP.json`` by
-convention). Legs, in execution order:
+convention). Every leg runs the one production execution path; legs
+differ only in harness state. In execution order:
 
-``serial-nocache``
-    The reference timing model (``hot_path=False`` — the straight-line
-    pre-optimisation code paths kept for differential testing) with the
-    trace cache disabled: the pre-runner baseline.
-``serial``
-    The reference model with the trace cache enabled.
 ``full-fidelity``
-    The production hot path at ``fidelity="full"``: payload-tracking
-    traces and the byte-level crypto/NVM functional machinery.
-``timing-fidelity``
-    The production hot path at ``fidelity="timing"`` (the default mode):
-    identical simulated results, no functional byte work. This is the
-    headline serial leg.
-``hotpath``
-    The scalar hot path (``batched_replay=False``) with a warm trace
-    cache — isolates the per-op simulator loop itself. CI asserts this
-    leg is at least 2x faster than the ``serial`` reference leg
+    The production simulator at ``fidelity="full"``: payload-tracking
+    traces and the byte-level crypto/NVM functional machinery, trace
+    cache cold. CI asserts ``timing_vs_full`` >= 1.4
     (``tools/check_bench_ratio.py``).
-``hotpath-metrics``
-    The warm scalar hot path once more with a real in-memory
+``timing-fidelity``
+    The production simulator at ``fidelity="timing"`` (the default
+    mode), trace cache cold: identical simulated results, no functional
+    byte work. This is the headline serial leg.
+``warm``
+    The timing-fidelity sweep again with the trace cache warm from the
+    previous leg: every trace, op array and hierarchy outcome stream is
+    cached, so the leg is the timing replay alone.
+``warm-metrics``
+    ``warm`` once more with a real in-memory
     :class:`~repro.obs.metrics.MetricsRegistry` installed as the runner
     default — pure instrumentation overhead. CI caps the
     ``metrics_overhead`` ratio at 1.05 (metrics cost under 5%).
-``batched-replay``
-    The full production configuration (``batched_replay=True``): chunked
-    array replay plus recorded hierarchy-outcome reuse across the
-    schemes of each cell. Recorded outcome streams from earlier legs are
-    dropped first, so this leg honestly pays its own one-recording-in-
-    six-schemes cost. CI asserts ``batched_vs_hotpath`` >= 1.3
-    (``tools/check_bench_ratio.py``).
 ``shared-record``
     A *cold* fleet member against an (empty) on-disk outcome store
     (:mod:`repro.sim.outcome_store`): process cache cleared, one
@@ -83,33 +72,26 @@ def _timed_sweep(
     scale: str,
     request_sizes: Sequence[int],
     jobs: int,
-    cache_enabled: bool,
     journal: Optional[str] = None,
     fidelity: str = "timing",
-    base_config=None,
     clear_cache: bool = True,
     metrics: bool = False,
-    drop_outcomes: bool = False,
 ) -> Tuple[float, int, Optional[Dict[str, object]]]:
     """One fig13 sweep; returns (wall s, number of points, runner accounting).
 
-    ``metrics=True`` installs a real in-memory
-    :class:`~repro.obs.metrics.MetricsRegistry` (no JSONL stream) as the
-    runner default for the duration of the sweep — the ``hotpath-metrics``
-    leg, measuring pure instrumentation overhead against ``hotpath``.
-    ``drop_outcomes=True`` clears recorded hierarchy outcome streams
-    (keeping traces/arrays warm) so the ``batched-replay`` leg records
-    its own.
+    ``clear_cache=False`` keeps the process trace cache (traces, op
+    arrays, outcome streams) from the previous leg. ``metrics=True``
+    installs a real in-memory :class:`~repro.obs.metrics.MetricsRegistry`
+    (no JSONL stream) as the runner default for the duration of the
+    sweep — the ``warm-metrics`` leg, measuring pure instrumentation
+    overhead against ``warm``.
     """
     from repro.experiments import fig13, runner
     from repro.obs.metrics import NULL_METRICS, MetricsRegistry
     from repro.sim import trace_cache
 
-    trace_cache.configure(cache_enabled)
     if clear_cache:
         trace_cache.clear()
-    if drop_outcomes:
-        trace_cache.clear_outcomes()
     if metrics:
         runner.set_default_metrics(MetricsRegistry())
     try:
@@ -120,33 +102,13 @@ def _timed_sweep(
             jobs=jobs,
             journal=journal,
             fidelity=fidelity,
-            base_config=base_config,
         )
         wall = time.perf_counter() - started
     finally:
-        trace_cache.configure(True)
         if metrics:
             runner.set_default_metrics(NULL_METRICS)
     report = runner.last_report()
     return wall, len(points), report.to_dict() if report is not None else None
-
-
-def _reference_config(scale: str):
-    """The ``hot_path=False`` base config for the reference-model legs."""
-    from repro.experiments.common import experiment_base_config, get_scale
-
-    return dataclasses.replace(
-        experiment_base_config(get_scale(scale)), hot_path=False
-    )
-
-
-def _scalar_config(scale: str):
-    """The scalar hot path (``batched_replay=False``) for the hotpath legs."""
-    from repro.experiments.common import experiment_base_config, get_scale
-
-    return dataclasses.replace(
-        experiment_base_config(get_scale(scale)), batched_replay=False
-    )
 
 
 def _store_config(scale: str, store_dir: str):
@@ -250,8 +212,8 @@ def run_sweep_benchmark(
     outcome_store: Optional[str] = None,
 ) -> Dict[str, object]:
     """Benchmark the fig13 sweep across the legs described in the module
-    docstring: reference model (cold/cached), production full/timing
-    fidelity, warm hot path, parallel, and journal resume.
+    docstring: full/timing fidelity, warm with and without metrics, the
+    outcome store cold and warm, parallel, and journal resume.
 
     Returns the payload written to ``output`` (pass ``None`` to skip the
     file). Simulated results are identical across the runs — only
@@ -265,25 +227,19 @@ def run_sweep_benchmark(
     def record(
         name: str,
         n_jobs: int,
-        cache_enabled: bool,
         journal: Optional[str] = None,
         fidelity: str = "timing",
-        base_config=None,
         clear_cache: bool = True,
         metrics: bool = False,
-        drop_outcomes: bool = False,
     ) -> float:
         wall, n_points, runner_accounting = _timed_sweep(
             scale,
             request_sizes,
             n_jobs,
-            cache_enabled,
             journal=journal,
             fidelity=fidelity,
-            base_config=base_config,
             clear_cache=clear_cache,
             metrics=metrics,
-            drop_outcomes=drop_outcomes,
         )
         runs.append(
             {
@@ -297,36 +253,15 @@ def run_sweep_benchmark(
         )
         return wall
 
-    reference = _reference_config(scale)
     with tempfile.TemporaryDirectory(prefix="bench-sweep-") as tmp:
         journal = os.path.join(tmp, "sweep-journal.jsonl")
-        serial_nocache = record(
-            "serial-nocache", 1, False, base_config=reference
-        )
-        serial = record("serial", 1, True, base_config=reference)
-        full_fidelity = record("full-fidelity", 1, True, fidelity="full")
-        timing_fidelity = record("timing-fidelity", 1, True)
-        # The scalar hot path (batched replay off) with the trace cache
-        # warm from the previous leg: the per-op simulator loop alone.
-        scalar = _scalar_config(scale)
-        hotpath = record(
-            "hotpath", 1, True, base_config=scalar, clear_cache=False
-        )
-        # hotpath again with a live in-memory metrics registry: the
+        full_fidelity = record("full-fidelity", 1, fidelity="full")
+        timing_fidelity = record("timing-fidelity", 1)
+        # The same production sweep with every trace and outcome stream
+        # warm, bare and then with a live in-memory metrics registry: the
         # instrumentation overhead CI caps at 5% (check_bench_ratio.py).
-        hotpath_metrics = record(
-            "hotpath-metrics",
-            1,
-            True,
-            base_config=scalar,
-            clear_cache=False,
-            metrics=True,
-        )
-        # The production batched replay, paying its own outcome-recording
-        # cost (recordings from earlier legs dropped, traces kept warm).
-        batched = record(
-            "batched-replay", 1, True, clear_cache=False, drop_outcomes=True
-        )
+        warm = record("warm", 1, clear_cache=False)
+        warm_metrics = record("warm-metrics", 1, clear_cache=False, metrics=True)
         # The cross-process outcome store, on the single-scheme subset
         # (one SuperMem point per cell — the recording owner's share of
         # a fleet sweep): a cold member generates, records, and writes
@@ -362,8 +297,8 @@ def run_sweep_benchmark(
                 "runner": store_acct,
             }
         )
-        parallel = record("parallel", jobs, True, journal=journal)
-        resume = record("resume", jobs, True, journal=journal)
+        parallel = record("parallel", jobs, journal=journal)
+        resume = record("resume", jobs, journal=journal)
         _timed_recovery_sweep(scale, jobs, runs)
         _timed_channels_sweep(scale, jobs, runs)
 
@@ -371,22 +306,10 @@ def run_sweep_benchmark(
         "benchmark": "fig13-sweep",
         "runs": runs,
         "speedup": {
-            # Trace memoization alone (reference model, cold vs warm
-            # generation).
-            "trace_cache": round(serial_nocache / serial, 3) if serial else 0.0,
-            # The flattened hot path vs the reference model, trace cache
-            # warm/enabled on both sides. CI enforces >= 2.0
-            # (tools/check_bench_ratio.py).
-            "hotpath_vs_serial": round(serial / hotpath, 3) if hotpath else 0.0,
-            # Instrumented sweep vs the bare hot path (>1 = overhead).
-            # CI enforces <= 1.05 (tools/check_bench_ratio.py CEILINGS).
-            "metrics_overhead": (
-                round(hotpath_metrics / hotpath, 3) if hotpath else 0.0
-            ),
-            # Batched array replay + hierarchy outcome reuse vs the
-            # scalar hot path, trace cache warm on both sides. CI
-            # enforces >= 1.3 (tools/check_bench_ratio.py).
-            "batched_vs_hotpath": round(hotpath / batched, 3) if batched else 0.0,
+            # Instrumented warm sweep vs the bare warm sweep (>1 =
+            # overhead). CI enforces <= 1.05 (tools/check_bench_ratio.py
+            # CEILINGS).
+            "metrics_overhead": round(warm_metrics / warm, 3) if warm else 0.0,
             # A warm fleet member (store hits only) vs a cold one
             # (generate + record + store writes). CI enforces >= 1.15
             # (tools/check_bench_ratio.py).
@@ -394,7 +317,8 @@ def run_sweep_benchmark(
                 round(shared_record / shared_outcomes, 3) if shared_outcomes else 0.0
             ),
             # Timing-only fidelity vs the full functional byte path on
-            # the same production simulator.
+            # the same production simulator. CI enforces >= 1.4
+            # (tools/check_bench_ratio.py).
             "timing_vs_full": (
                 round(full_fidelity / timing_fidelity, 3) if timing_fidelity else 0.0
             ),
@@ -404,9 +328,6 @@ def run_sweep_benchmark(
             ),
             # Journal resume vs re-simulating (the crash-recovery payoff).
             "resume_vs_parallel": round(parallel / resume, 3) if resume else 0.0,
-            # The whole trajectory: pre-runner reference baseline vs the
-            # parallel production harness.
-            "total": round(serial_nocache / parallel, 3) if parallel else 0.0,
         },
         "host_cpus": os.cpu_count(),
     }
@@ -438,15 +359,12 @@ def format_summary(payload: Dict[str, object]) -> str:
         lines.append(line)
     speedup = payload["speedup"]  # type: ignore[index]
     lines.append(
-        f"{'speedup':>16}: trace-cache {speedup['trace_cache']}x, "
-        f"hotpath {speedup['hotpath_vs_serial']}x, "
-        f"batched {speedup.get('batched_vs_hotpath', 0.0)}x, "
-        f"shared-store {speedup.get('shared_vs_record', 0.0)}x, "
-        f"metrics-overhead {speedup.get('metrics_overhead', 0.0)}x, "
+        f"{'speedup':>16}: "
         f"timing-vs-full {speedup['timing_vs_full']}x, "
+        f"shared-store {speedup['shared_vs_record']}x, "
+        f"metrics-overhead {speedup['metrics_overhead']}x, "
         f"parallel {speedup['parallel_vs_serial']}x, "
-        f"resume {speedup['resume_vs_parallel']}x, "
-        f"total {speedup['total']}x "
+        f"resume {speedup['resume_vs_parallel']}x "
         f"({payload['host_cpus']} host CPUs)"
     )
     return "\n".join(lines)

@@ -82,8 +82,7 @@ def run(
     ``fidelity`` selects the simulation fidelity for every point
     (``"timing"`` — the default, functional byte work skipped — or
     ``"full"``); both produce bit-identical results. ``base_config``
-    overrides the scale's default :class:`SimConfig` (used by the
-    benchmark harness to time the ``hot_path=False`` reference model).
+    overrides the scale's default :class:`SimConfig`.
     """
     if EVALUATED_SCHEMES[0] is not Scheme.UNSEC:
         # The first scheme of each cell is the normalization baseline; a

@@ -15,6 +15,7 @@ from repro.core.schemes import Scheme
 from repro.experiments.common import Scale, experiment_base_config, get_scale
 from repro.experiments.report import render_table
 from repro.experiments.runner import PointSpec, run_points
+from repro.sim.validation import validate_result
 from repro.workloads.base import WORKLOAD_NAMES
 
 QUEUE_LENGTHS = (8, 16, 32, 64, 128)
@@ -61,6 +62,8 @@ def run(
     for workload, entries in cells:
         wt = next(results)
         sm = next(results)
+        validate_result(wt, encrypted=True)
+        validate_result(sm, encrypted=True)
         reduced = 0.0
         if wt.counter_writes:
             reduced = sm.coalesced_counter_writes / wt.counter_writes

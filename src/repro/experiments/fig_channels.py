@@ -28,6 +28,7 @@ from repro.core.schemes import Scheme
 from repro.experiments.common import Scale, experiment_base_config, get_scale
 from repro.experiments.report import render_table
 from repro.experiments.runner import PointSpec, run_points
+from repro.sim.validation import validate_result
 from repro.workloads.base import WORKLOAD_NAMES
 
 #: Channel counts swept (n_banks stays 8: every count divides it).
@@ -94,6 +95,7 @@ def run(
     for workload, n_channels in cells:
         for scheme in SCHEMES:
             result = next(results)
+            validate_result(result, encrypted=True)
             latency = result.avg_txn_latency_ns
             key = (workload, scheme)
             if key not in base_latency:

@@ -43,11 +43,13 @@ from repro.sim.metrics import SimResult
 
 #: Bump when a model change intentionally shifts simulation results —
 #: this (with ``repro.__version__``) invalidates every existing journal.
-#: v2: PointSpec grew ``fidelity`` and SimConfig grew ``fidelity``/
-#: ``hot_path``, changing every spec's asdict() shape.
-#: v3: SimConfig grew ``batched_replay``, changing the asdict() shape
+#: v2: PointSpec grew ``fidelity`` and SimConfig grew ``fidelity`` plus
+#: a hot-path switch, changing every spec's asdict() shape.
+#: v3: SimConfig grew a batched-replay switch, changing the asdict() shape
 #: again (results are bit-identical; the shape alone invalidates).
-JOURNAL_SALT = "supermem-journal-v3"
+#: v4: SimConfig lost both switches (one execution path); results are
+#: bit-identical, the asdict() shape changed.
+JOURNAL_SALT = "supermem-journal-v4"
 
 
 def _jsonify(obj: object) -> object:

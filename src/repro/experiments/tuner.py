@@ -1,8 +1,8 @@
 """Design-space auto-tuner: an ArchGym-style search loop over SimConfig.
 
-The simulator is fast (hot path + batched replay), parallel and resumable
-(supervised runner pool + content-digest journal), and carries a validated
-closed-form surrogate. This module turns that substrate into a *search*
+The simulator is fast (recorded cache walks replayed per scheme),
+parallel and resumable (supervised runner pool + content-digest
+journal), and carries a validated closed-form surrogate. This module turns that substrate into a *search*
 subsystem: a gym-like explore loop that optimizes a fitness over a typed
 space of :class:`~repro.common.config.SimConfig` knobs, per workload mix.
 

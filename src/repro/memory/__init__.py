@@ -17,7 +17,7 @@ This package models the memory side of the paper's evaluation platform:
 """
 
 from repro.memory.bank import Bank, RankState
-from repro.memory.controller import MemoryController, ReadResult
+from repro.memory.controller import MemoryController
 from repro.memory.layout import (
     CounterPlacement,
     SameBankLayout,
@@ -32,7 +32,6 @@ __all__ = [
     "Bank",
     "RankState",
     "MemoryController",
-    "ReadResult",
     "CounterPlacement",
     "SameBankLayout",
     "SingleBankLayout",

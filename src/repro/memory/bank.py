@@ -58,13 +58,9 @@ class Bank:
         rank: RankState,
         stats: Stats,
         tracer=NULL_TRACER,
-        hot_path: bool = True,
     ):
         self.index = index
-        self._timing = timing
-        self._config = config
         self._rank = rank
-        self._stats = stats
         self._tracer = tracer
         #: Time at which the current operation (if any) completes.
         self.free_at: float = 0.0
@@ -73,10 +69,9 @@ class Bank:
         #: Completion time of the most recent write (for tWTR).
         self.last_write_end: float = 0.0
         # Service routines run once per drained write / demand read, so
-        # the derived-per-call values are hoisted once here: the namespace
-        # string (an f-string property in the reference path), the
+        # the derived-per-call values are hoisted once here: the
         # TimingConfig-derived service latencies (properties computing
-        # sums/divisions), and prebuilt Stats.raw() keys.
+        # sums/divisions) and prebuilt Stats.raw() keys.
         self._vals = stats.raw()
         ns = f"bank.{index}"
         self._k_writes = (ns, "writes")
@@ -90,14 +85,6 @@ class Bank:
         self._twtr_ns = timing.twtr_ns
         self._enforce_twtr = config.enforce_twtr
         self._row_buffer = config.row_buffer
-        if not hot_path:
-            # Reference-mode contrast leg: per-call property walks.
-            self.service_write = self._service_write_ref  # type: ignore[method-assign]
-            self.service_read = self._service_read_ref  # type: ignore[method-assign]
-
-    @property
-    def _ns(self) -> str:
-        return f"bank.{self.index}"
 
     def earliest_start(self, now: float) -> float:
         """Earliest time a new request could begin on this bank."""
@@ -155,44 +142,6 @@ class Bank:
             self.open_row = row
         vals[self._k_reads] += 1
         vals[self._k_busy_ns] += end - start
-        if self._tracer.enabled:
-            self._tracer.bank_busy(start, end, self.index, "read", row_hit=hit)
-        return end, hit
-
-    def _service_write_ref(self, start: float) -> float:
-        """Reference write service: identical timing, per-call lookups."""
-        start = max(start, self.free_at)
-        start = self._rank.activate(start)
-        end = start + self._timing.write_service_ns
-        self.free_at = end
-        self.last_write_end = end
-        self.open_row = None
-        self._stats.inc(self._ns, "writes")
-        self._stats.inc(self._ns, "busy_ns", end - start)
-        if self._tracer.enabled:
-            self._tracer.bank_busy(start, end, self.index, "write")
-        return end
-
-    def _service_read_ref(self, start: float, row: int) -> Tuple[float, bool]:
-        """Reference read service: identical timing, per-call lookups."""
-        start = max(start, self.free_at)
-        if self._config.enforce_twtr and start < self.last_write_end + self._timing.twtr_ns:
-            if self.last_write_end > 0:
-                start = max(start, self.last_write_end + self._timing.twtr_ns)
-        hit = self._config.row_buffer and self.open_row == row
-        if hit:
-            duration = self._timing.read_hit_service_ns
-            self._stats.inc(self._ns, "row_hits")
-        else:
-            start = self._rank.activate(start)
-            duration = self._timing.read_service_ns
-            self._stats.inc(self._ns, "row_misses")
-        end = start + duration
-        self.free_at = end
-        if self._config.row_buffer:
-            self.open_row = row
-        self._stats.inc(self._ns, "reads")
-        self._stats.inc(self._ns, "busy_ns", end - start)
         if self._tracer.enabled:
             self._tracer.bank_busy(start, end, self.index, "read", row_hit=hit)
         return end, hit

@@ -23,7 +23,6 @@ counter appends; XBank changes which bank each counter write occupies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.common.address import AddressMap
@@ -34,16 +33,6 @@ from repro.memory.bank import Bank, RankState
 from repro.memory.nvm import NVMStore
 from repro.memory.write_queue import WQEntry, WriteQueue
 from repro.obs.tracer import NULL_TRACER
-
-
-@dataclass(frozen=True)
-class ReadResult:
-    """Outcome of a demand read at the controller."""
-
-    finish_time: float
-    #: "wq" when forwarded from the write queue, else "bank".
-    source: str
-    row_hit: bool = False
 
 
 class MemoryController:
@@ -58,7 +47,6 @@ class MemoryController:
     ):
         self.config = config
         self.amap: AddressMap = config.address_map()
-        self.timing = config.timing
         self._stats = stats
         self._tracer = tracer
         self.nvm = nvm if nvm is not None else NVMStore(stats)
@@ -71,7 +59,6 @@ class MemoryController:
                 self.rank,
                 stats,
                 tracer=tracer,
-                hot_path=config.hot_path,
             )
             for i in range(config.memory.n_banks)
         ]
@@ -138,11 +125,9 @@ class MemoryController:
                 / (2.0 * config.memory.n_banks)
             )
         self._counter_defer_ns = defer
-        # Hot-path hoists: the drain scheduler's candidate scan runs once
-        # per issued write over the whole queue, so per-call property and
-        # attribute walks dominate the profile. Prebuilt stat keys and a
-        # cached bus latency remove them; hot_path=False restores the
-        # reference scan as the differential oracle / slow benchmark leg.
+        # Hoists: the drain scheduler runs once per issued write and the
+        # append/read paths once per request, so prebuilt stat keys and a
+        # cached bus latency replace per-call property and stats walks.
         self._vals = stats.raw()
         self._k_issued = ("wq", "issued")
         self._k_counter_issued = ("wq", "counter_issued")
@@ -156,9 +141,6 @@ class MemoryController:
         # Memoized result of the last candidate scan, as a
         # ``(wq.version, start, entry)`` triple; see _best_candidate.
         self._cand_cache: Optional[Tuple[int, float, WQEntry]] = None
-        if not config.hot_path:
-            self._best_candidate = self._best_candidate_ref  # type: ignore[method-assign]
-            self._issue = self._issue_ref  # type: ignore[method-assign]
 
     # ------------------------------------------------------------------
     # Drain engine
@@ -181,14 +163,15 @@ class MemoryController:
         ``frfcfs``: earliest feasible start, FIFO tie-break.
         ``fifo``: strict append order (head-of-line blocking).
 
-        Per-bank pick (exact, not heuristic): the reference scan picks
-        the lexicographic minimum of ``(start, seq)`` over the queue.
+        Per-bank pick (exact, not heuristic): a naive full-queue scan
+        picks the lexicographic minimum of ``(start, seq)``, where
+        ``start = max(clock, bank free, bus free, enq_time)`` (raised to
+        ``enq_time + defer`` for a counter under ``defer-counters``).
         Every entry is appended through this controller at an
         ``enq_time`` no later than the clock (``advance_to`` and the
         make-space loops move the clock to at least the append time, and
         the clock never goes back), whatever order the cores append in.
-        The ``max(..., enq_time)`` term of the reference start is
-        therefore inert, so:
+        The ``enq_time`` term of that start is therefore inert, so:
 
         * a *data* entry's start depends only on its bank: every entry of
           a bucket shares one start and the FIFO-first (smallest ``seq``)
@@ -284,27 +267,6 @@ class MemoryController:
         self._cand_cache = (wq.version, best_start, best_entry)
         return best_start, best_entry
 
-    def _best_candidate_ref(self) -> Optional[Tuple[float, WQEntry]]:
-        """Reference candidate scan: full-queue walk, per-entry max()."""
-        if self._policy == "fifo":
-            entry = self.wq.oldest()
-            if entry is None:
-                return None
-            return self._entry_start(entry), entry
-
-        defer = self._counter_defer_ns if self._policy == "defer-counters" else 0.0
-        best_start = None
-        best_entry = None
-        for entry in self.wq:
-            start = self._entry_start(entry)
-            if entry.is_counter and defer:
-                start = max(start, entry.enq_time + defer)
-            if best_start is None or start < best_start:
-                best_start, best_entry = start, entry
-        if best_entry is None:
-            return None
-        return best_start, best_entry
-
     def _issue(self, entry: WQEntry, start: float) -> float:
         """Send one queued write to its bank; returns completion time."""
         self.wq.remove(entry)
@@ -324,45 +286,38 @@ class MemoryController:
             vals[self._k_data_issued] += 1
         return end
 
-    def _issue_ref(self, entry: WQEntry, start: float) -> float:
-        """Reference issue path: per-call property and stats walks."""
-        self.wq.remove(entry)
-        self.bus_free_at[self._channel_of(entry.bank)] = start + self.timing.bus_ns
-        end = self.banks[entry.bank].service_write(start)
-        self.nvm.write_line(entry.line, entry.payload)
-        if self._tracer.enabled:
-            self._tracer.wq_issue(
-                start, entry.line, entry.bank, entry.is_counter, len(self.wq)
-            )
-        self._stats.inc("wq", "issued")
-        if entry.is_counter:
-            self._stats.inc("wq", "counter_issued")
-        else:
-            self._stats.inc("wq", "data_issued")
-        return end
-
-    def _drain_engaged(self) -> bool:
-        """Hysteresis: engage at the high watermark, release at the low."""
-        occupancy = len(self.wq)
-        if self._draining:
-            if occupancy <= self.low_watermark:
-                self._draining = False
-        elif occupancy >= self.high_watermark:
-            self._draining = True
-        return self._draining
-
     def advance_to(self, t: float) -> None:
         """Simulate the background drain up to time ``t``.
 
-        The loop is :meth:`_drain_engaged` unrolled inline (identical
-        hysteresis semantics, state written back on exit) — this runs
-        once per persisted line, before the scheduler has even decided
-        whether anything can issue.
+        Hysteresis: the drain engages when the queue reaches the high
+        watermark and releases at the low one. This runs once per
+        request, so the two no-drain cases return in O(1) first: the
+        drain is disengaged below the high watermark, or it is engaged
+        above the low watermark but the memoized candidate (still valid:
+        version match, clock not past it) cannot start by ``t``. Either
+        way the loop below would break at once, changing only the clock.
         """
         wq = self.wq
+        draining = self._draining
+        if not draining:
+            if len(wq) < self.high_watermark:
+                if t > self.clock:
+                    self.clock = t
+                return
+        else:
+            cached = self._cand_cache
+            if (
+                cached is not None
+                and cached[1] > t
+                and cached[0] == wq.version
+                and self.clock <= cached[1]
+                and len(wq) > self.low_watermark
+            ):
+                if t > self.clock:
+                    self.clock = t
+                return
         low = self.low_watermark
         high = self.high_watermark
-        draining = self._draining
         best_candidate = self._best_candidate
         issue = self._issue
         while True:
@@ -407,10 +362,13 @@ class MemoryController:
     # Append path (persistence domain entry)
     # ------------------------------------------------------------------
 
-    def _make_space(self, t: float, slots: int, core: int = 0) -> float:
+    def _make_space(self, t: float, slots: int, core: int) -> float:
         """Drain until ``slots`` queue slots are free; returns stall end."""
+        wq = self.wq
+        if wq.has_space(slots):
+            return t
         append_time = t
-        while not self.wq.has_space(slots):
+        while not wq.has_space(slots):
             candidate = self._best_candidate()
             if candidate is None:  # pragma: no cover - full queue has entries
                 raise SimulationError("full write queue with no candidate")
@@ -418,7 +376,8 @@ class MemoryController:
             self._issue(entry, start)
             if start > self.clock:
                 self.clock = start
-            append_time = max(append_time, start)
+            if start > append_time:
+                append_time = start
         if append_time > t:
             self._vals[self._k_full_stalls] += 1
             self._vals[self._k_stall_ns] += append_time - t
@@ -442,21 +401,25 @@ class MemoryController:
         writes pass their explicit placement from the layout.
         """
         self.advance_to(t)
-        self._tracer.sample_tick(t)
-        slots = 0 if (is_counter and self.wq.would_coalesce(line)) else 1
-        append_time = self._make_space(t, slots, core=core) if slots else t
-        entry = WQEntry(
-            line=line,
-            bank=self.amap.bank_of_line(line) if bank is None else bank,
-            row=self.amap.row_of_line(line) if row is None else row,
-            is_counter=is_counter,
-            enq_time=append_time,
-            payload=payload,
-            core=core,
+        tracer = self._tracer
+        if tracer.enabled:
+            tracer.sample_tick(t)
+        wq = self.wq
+        slots = 0 if (is_counter and wq.would_coalesce(line)) else 1
+        append_time = self._make_space(t, slots, core) if slots else t
+        wq.append(
+            WQEntry(
+                line=line,
+                bank=self.amap.bank_of_line(line) if bank is None else bank,
+                row=self.amap.row_of_line(line) if row is None else row,
+                is_counter=is_counter,
+                enq_time=append_time,
+                payload=payload,
+                core=core,
+            )
         )
-        self.wq.append(entry)
-        if self._tracer.enabled:
-            self._tracer.wq_append(append_time, line, is_counter, len(self.wq))
+        if tracer.enabled:
+            tracer.wq_append(append_time, line, is_counter, len(wq))
         return append_time
 
     def append_pair(
@@ -469,148 +432,17 @@ class MemoryController:
 
         Both entries enter the queue at the same instant, so the ADR
         domain always holds either both or neither — the crash-consistency
-        invariant of Section 3.2. Returns the append time.
+        invariant of Section 3.2. Returns the append time. A full-queue
+        stall is charged to ``data.core``.
         """
         self.advance_to(t)
-        self._tracer.sample_tick(t)
+        tracer = self._tracer
+        if tracer.enabled:
+            tracer.sample_tick(t)
+        wq = self.wq
         # Re-evaluate coalescibility every time we drain: issuing entries
         # to make space can consume the very counter entry the new counter
         # write would have coalesced with.
-        append_time = t
-        while True:
-            coalesces = self.wq.would_coalesce(counter.line)
-            if self.wq.has_space(1 if coalesces else 2):
-                break
-            candidate = self._best_candidate()
-            if candidate is None:  # pragma: no cover - full queue has entries
-                raise SimulationError("full write queue with no candidate")
-            start, entry = candidate
-            self._issue(entry, start)
-            if start > self.clock:
-                self.clock = start
-            append_time = max(append_time, start)
-        if append_time > t:
-            self._vals[self._k_full_stalls] += 1
-            self._vals[self._k_stall_ns] += append_time - t
-            if self._tracer.enabled:
-                self._tracer.wq_stall(t, append_time - t, data.core)
-        data.enq_time = append_time
-        counter.enq_time = append_time
-        if coalesces:
-            # Counter first: its append frees the slot the data needs.
-            self.wq.append(counter)
-            self.wq.append(data)
-        else:
-            self.wq.append(data)
-            self.wq.append(counter)
-        if self._tracer.enabled:
-            occupancy = len(self.wq)
-            self._tracer.wq_append(append_time, data.line, False, occupancy)
-            self._tracer.wq_append(append_time, counter.line, True, occupancy)
-        self._vals[self._k_pair_appends] += 1
-        return append_time
-
-    # ------------------------------------------------------------------
-    # Fast chain (batched replay, tracer disabled, nothing armed)
-    # ------------------------------------------------------------------
-    #
-    # Allocation-free twins of append_write/append_pair/read used by
-    # :meth:`repro.sim.engine.CoreEngine.run_batched_replay` through
-    # :class:`~repro.core.system.SecureMemorySystem`'s fast persist/read.
-    # They skip exactly the operations that are unobservable when the
-    # tracer is disabled (``sample_tick``, ``wq_append``/``wq_stall``
-    # emissions) and return bare floats instead of result objects.
-    # Every queue/bank/stat mutation is identical to the regular methods
-    # — differential-tested bit-for-bit by tests/sim/test_batch.py.
-
-    def _advance_fast(self, t: float) -> None:
-        """:meth:`advance_to` with the common no-drain case inlined.
-
-        When the drain is disengaged and the queue is below the high
-        watermark, :meth:`advance_to`'s loop breaks on its first
-        iteration having changed nothing but the clock — so do just
-        that without the call and loop setup. Likewise when the drain
-        *is* engaged but the memoized candidate (still valid: version
-        match, clock not past it) cannot start by ``t`` and the queue is
-        above the low watermark: advance_to would probe once and break
-        with no state change beyond the clock.
-        """
-        if not self._draining and len(self.wq) < self.high_watermark:
-            if t > self.clock:
-                self.clock = t
-            return
-        cached = self._cand_cache
-        if (
-            self._draining
-            and cached is not None
-            and cached[1] > t
-            and cached[0] == self.wq.version
-            and self.clock <= cached[1]
-            and len(self.wq) > self.low_watermark
-        ):
-            if t > self.clock:
-                self.clock = t
-            return
-        self.advance_to(t)
-
-    def append_write_fast(
-        self,
-        t: float,
-        line: int,
-        bank: int,
-        row: int,
-        is_counter: bool,
-        payload: Optional[bytes],
-        core: int,
-    ) -> float:
-        """:meth:`append_write` minus tracer probes; returns append time.
-
-        ``bank``/``row`` are required (the callers always have them),
-        saving the per-call None checks.
-        """
-        self._advance_fast(t)
-        slots = 0 if (is_counter and self.wq.would_coalesce(line)) else 1
-        append_time = self._make_space_fast(t, slots, core) if slots else t
-        self.wq.append(
-            WQEntry(
-                line=line,
-                bank=bank,
-                row=row,
-                is_counter=is_counter,
-                enq_time=append_time,
-                payload=payload,
-                core=core,
-            )
-        )
-        return append_time
-
-    def _make_space_fast(self, t: float, slots: int, core: int) -> float:
-        """:meth:`_make_space` minus the tracer stall emission."""
-        wq = self.wq
-        if wq.has_space(slots):
-            return t
-        append_time = t
-        while not wq.has_space(slots):
-            candidate = self._best_candidate()
-            if candidate is None:  # pragma: no cover - full queue has entries
-                raise SimulationError("full write queue with no candidate")
-            start, entry = candidate
-            self._issue(entry, start)
-            if start > self.clock:
-                self.clock = start
-            if start > append_time:
-                append_time = start
-        if append_time > t:
-            self._vals[self._k_full_stalls] += 1
-            self._vals[self._k_stall_ns] += append_time - t
-        return append_time
-
-    def append_pair_fast(
-        self, t: float, data: WQEntry, counter: WQEntry
-    ) -> float:
-        """:meth:`append_pair` minus tracer probes; returns append time."""
-        self._advance_fast(t)
-        wq = self.wq
         append_time = t
         while True:
             coalesces = wq.would_coalesce(counter.line)
@@ -628,40 +460,23 @@ class MemoryController:
         if append_time > t:
             self._vals[self._k_full_stalls] += 1
             self._vals[self._k_stall_ns] += append_time - t
+            if tracer.enabled:
+                tracer.wq_stall(t, append_time - t, data.core)
         data.enq_time = append_time
         counter.enq_time = append_time
         if coalesces:
+            # Counter first: its append frees the slot the data needs.
             wq.append(counter)
             wq.append(data)
         else:
             wq.append(data)
             wq.append(counter)
+        if tracer.enabled:
+            occupancy = len(wq)
+            tracer.wq_append(append_time, data.line, False, occupancy)
+            tracer.wq_append(append_time, counter.line, True, occupancy)
         self._vals[self._k_pair_appends] += 1
         return append_time
-
-    def read_fast(
-        self,
-        t: float,
-        line: int,
-        bank: Optional[int] = None,
-        row: Optional[int] = None,
-    ) -> float:
-        """:meth:`read` minus tracer probes; returns the finish time."""
-        self._advance_fast(t)
-        if self.wq.find_line(line) is not None:
-            self._vals[self._k_read_forwards] += 1
-            return t + self._bus_ns
-        bank_index = self.amap.bank_of_line(line) if bank is None else bank
-        row_id = self.amap.row_of_line(line) if row is None else row
-        channel = bank_index // self._banks_per_channel
-        start = self.bus_free_at[channel]
-        if t > start:
-            start = t
-        self.bus_free_at[channel] = start + self._bus_ns
-        end, _ = self.banks[bank_index].service_read(start, row_id)
-        self._cand_cache = None
-        self._vals[self._k_mc_reads] += 1
-        return end
 
     # ------------------------------------------------------------------
     # Read path
@@ -673,24 +488,33 @@ class MemoryController:
         line: int,
         bank: Optional[int] = None,
         row: Optional[int] = None,
-    ) -> ReadResult:
-        """Service a demand read at time ``t``."""
+    ) -> float:
+        """Service a demand read at time ``t``; returns its finish time."""
         self.advance_to(t)
-        self._tracer.sample_tick(t)
+        if self._tracer.enabled:
+            self._tracer.sample_tick(t)
         if self.wq.find_line(line) is not None:
             self._vals[self._k_read_forwards] += 1
-            return ReadResult(finish_time=t + self._bus_ns, source="wq")
+            return t + self._bus_ns
         bank_index = self.amap.bank_of_line(line) if bank is None else bank
         row_id = self.amap.row_of_line(line) if row is None else row
         channel = bank_index // self._banks_per_channel
-        start = max(t, self.bus_free_at[channel])
+        start = self.bus_free_at[channel]
+        if t > start:
+            start = t
         self.bus_free_at[channel] = start + self._bus_ns
-        end, hit = self.banks[bank_index].service_read(start, row_id)
+        end, _ = self.banks[bank_index].service_read(start, row_id)
         # The read moved bank/bus availability without touching the
         # queue, so the memoized candidate scan no longer holds.
         self._cand_cache = None
         self._vals[self._k_mc_reads] += 1
-        return ReadResult(finish_time=end, source="bank", row_hit=hit)
+        return end
+
+    # Names bench/layers.py (the benchmark's per-layer table) still lists;
+    # it is their only reader, and they go when that table drops them.
+    append_write_fast = append_write
+    append_pair_fast = append_pair
+    read_fast = read
 
     def read_payload(self, line: int) -> bytes:
         """Functional read: current durable-or-queued image of ``line``.

@@ -1,13 +1,14 @@
-"""Flat op arrays for batched trace replay.
+"""Flat op arrays and recorded hierarchy outcomes for trace replay.
 
 A generated trace is a list of small tuples — friendly to build, hostile
 to replay: every op pays tuple indexing, a bound-method call, and a
-``len(op) > 2`` payload probe inside :meth:`~repro.sim.engine.CoreEngine
-.step`. This module decodes a trace *once* into parallel flat arrays —
-one ``bytes`` of op kinds plus one list of per-op arguments (line index,
-compute nanoseconds, or transaction id) and an optional payload list —
-that :meth:`~repro.sim.engine.CoreEngine.run_batched` consumes in chunks
-with every per-op attribute lookup hoisted out of the inner loop.
+``len(op) > 2`` payload probe. This module decodes a trace *once* into
+parallel flat arrays — one ``bytes`` of op kinds plus one list of per-op
+arguments (line index, compute nanoseconds, or transaction id) and an
+optional payload list — that the single-core engine loops
+(:meth:`~repro.sim.engine.CoreEngine.run_batched_record`, then
+:meth:`~repro.sim.engine.CoreEngine.run_batched_replay`) consume with
+every per-op attribute lookup hoisted out of the inner loop.
 
 The decode is cached alongside the trace by :mod:`repro.sim.trace_cache`
 (one decode per process per trace, like trace generation itself), so a
@@ -17,8 +18,9 @@ replays the same arrays six times.
 Decoding is purely structural — no timing state — so sharing
 :class:`TraceArrays` across simulator instances is as sound as sharing
 the trace tuples themselves. Replay through the arrays is **bit-identical**
-to the scalar path (``tests/sim/test_batch.py`` differential-tests it
-across schemes, fidelities, and chunk sizes).
+to the per-op :meth:`~repro.sim.engine.CoreEngine.step` loop
+(``tests/sim/test_batch.py`` differential-tests it across schemes,
+fidelities, and warm-up).
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class TraceArrays:
     ``payloads``
         ``None`` for timing traces; for functional traces a list of
         length ``n`` holding each clwb's payload (or ``None``), exactly
-        what the scalar ``op[2] if len(op) > 2 else None`` probe yields.
+        what the per-op ``op[2] if len(op) > 2 else None`` probe yields.
     """
 
     __slots__ = ("kinds", "args", "payloads", "n")
@@ -165,7 +167,8 @@ def build_arrays(ops: Sequence[TraceOp]) -> TraceArrays:
     """Decode one op sequence into :class:`TraceArrays`.
 
     Unknown opcodes raise :class:`~repro.common.errors.SimulationError`
-    here — at decode time — mirroring the scalar path's per-op check.
+    here — at decode time — mirroring :meth:`~repro.sim.engine.CoreEngine
+    .step`'s per-op check.
     """
     n = len(ops)
     kinds = bytearray(n)

@@ -6,9 +6,9 @@ memory, the paper's setup), sharing the L3, the memory controller, the
 write queue, and the counter cache. Cores are interleaved by local time:
 at each step the core with the smallest clock executes its next op, which
 is the standard conservative interleaving for trace-driven multi-core
-simulation. With nothing observing the run (see
-:meth:`~repro.core.system.SecureMemorySystem.fast_chain_safe`), the cores
-drive the shared system through its fast chain.
+simulation. The shared L3 makes each core's cache walk depend on that
+interleaving, so cores run :meth:`~repro.sim.engine.CoreEngine.step` op
+by op rather than the single-core record-then-replay split.
 """
 
 from __future__ import annotations
@@ -60,9 +60,6 @@ class MulticoreSimulator:
             raise ConfigError(
                 f"{self.n_cores} cores but {len(traces)} traces supplied"
             )
-        fast = self.system.fast_chain_safe()
-        for engine in self.engines:
-            engine.bind_memory(fast)
         steps = [engine.step for engine in self.engines]
         cursors = [0] * self.n_cores
         # The core with the smallest local clock (and ops left) steps;
@@ -120,8 +117,8 @@ def simulate_multiprogrammed(
     ``fidelity`` mirrors :func:`~repro.sim.simulator.simulate_workload`:
     ``"timing"`` (default) skips functional byte work, ``"full"`` carries
     payloads through the crypto path; both produce identical timing/stats.
-    An enabled ``tracer`` observes the run on the regular chain, again
-    with identical timing/stats.
+    An enabled ``tracer`` observes the run without changing its
+    timing/stats.
     """
     if isinstance(workload, str):
         if n_programs is None:

@@ -58,6 +58,9 @@ class Simulator:
         self.engine = CoreEngine(
             0, config, self.system, self.stats, tracer=self.tracer
         )
+        #: The outcome stream the last :meth:`run` recorded (None when it
+        #: was handed one).
+        self.recorded_outcomes: Optional[ReplayOutcomes] = None
 
     def run(
         self,
@@ -66,73 +69,33 @@ class Simulator:
         arrays: Optional[TraceArrays] = None,
         warmup_arrays: Optional[TraceArrays] = None,
         outcomes: Optional[ReplayOutcomes] = None,
-        record_outcomes: bool = False,
     ) -> SimResult:
         """Replay ``warmup_ops`` (unmeasured) then ``ops`` (measured).
 
-        With the production configuration (``hot_path`` and
-        ``batched_replay`` both on) the replay runs through the chunked
-        batched loop (:meth:`CoreEngine.run_batched`); pre-decoded
-        ``arrays``/``warmup_arrays`` (from :mod:`repro.sim.trace_cache`)
-        skip the decode pass, otherwise the op lists are decoded here.
-
-        ``outcomes`` (a recorded hierarchy outcome stream for exactly
-        these arrays under this cache geometry) skips the cache walk
-        entirely (:meth:`CoreEngine.run_batched_replay`); alternatively
-        ``record_outcomes`` captures such a stream during this run into
-        :attr:`recorded_outcomes` for later replays.
-        :func:`simulate_workload` orchestrates both against the trace
-        cache. Results are bit-identical in every mode.
+        Pre-decoded ``arrays``/``warmup_arrays`` (from
+        :mod:`repro.sim.trace_cache`) skip the decode pass, otherwise the
+        op lists are decoded here. ``outcomes`` is a recorded hierarchy
+        outcome stream for exactly these arrays under this cache
+        geometry; without one, this run first walks the hierarchy to
+        record it (kept in :attr:`recorded_outcomes`). Either way the
+        timing model is :meth:`CoreEngine.run_batched_replay`.
+        :func:`simulate_workload` fetches and stores streams through the
+        trace cache.
         """
-        self.recorded_outcomes: Optional[ReplayOutcomes] = None
-        if self.config.hot_path and self.config.batched_replay:
-            if arrays is None:
-                arrays = build_arrays(
-                    ops if isinstance(ops, (list, tuple)) else list(ops)
-                )
-            if warmup_arrays is None:
-                warmup = (
-                    warmup_ops
-                    if isinstance(warmup_ops, (list, tuple))
-                    else list(warmup_ops)
-                )
-                warmup_arrays = build_arrays(warmup) if warmup else None
-            n_warm = warmup_arrays.n if warmup_arrays is not None else 0
-            if outcomes is not None:
-                self._run_replay(arrays, warmup_arrays, n_warm, outcomes)
-            elif record_outcomes:
-                self._run_recording(arrays, warmup_arrays, n_warm)
-            else:
-                if n_warm:
-                    self.engine.set_measuring(False)
-                    self.engine.run_batched(warmup_arrays)
-                    self.engine.set_measuring(True)
-                    self._reset_warmup_stats()
-                self.engine.run_batched(arrays)
-        else:
-            warmup = list(warmup_ops)
-            if warmup:
-                self.engine.set_measuring(False)
-                self.engine.run(warmup)
-                self.engine.set_measuring(True)
-                self._reset_warmup_stats()
-            self.engine.run(ops)
-        drain_finish = self.system.drain()
-        total = max(self.engine.clock, drain_finish)
-        return SimResult(
-            total_time_ns=total,
-            txn_latencies=self.engine.txn_latencies,
-            stats=self.stats,
-        )
-
-    def _run_replay(
-        self,
-        arrays: TraceArrays,
-        warmup_arrays: Optional[TraceArrays],
-        n_warm: int,
-        outcomes: ReplayOutcomes,
-    ) -> None:
-        """Replay through a recorded hierarchy outcome stream."""
+        if arrays is None:
+            arrays = build_arrays(ops if isinstance(ops, (list, tuple)) else list(ops))
+        if warmup_arrays is None:
+            warmup = (
+                warmup_ops
+                if isinstance(warmup_ops, (list, tuple))
+                else list(warmup_ops)
+            )
+            warmup_arrays = build_arrays(warmup) if warmup else None
+        n_warm = warmup_arrays.n if warmup_arrays is not None else 0
+        self.recorded_outcomes = None
+        walked = outcomes is None
+        if walked:
+            outcomes = self.recorded_outcomes = self._record(arrays, warmup_arrays)
         recorded_warm = (
             0 if outcomes.warmup is None else len(outcomes.warmup.kinds)
         )
@@ -142,53 +105,61 @@ class Simulator:
                 f"({recorded_warm}/{len(outcomes.main.kinds)} recorded vs "
                 f"{n_warm}/{arrays.n} ops)"
             )
+        engine = self.engine
         if n_warm:
-            self.engine.set_measuring(False)
-            self.engine.run_batched_replay(warmup_arrays, outcomes.warmup)
-            self.engine.set_measuring(True)
+            engine.set_measuring(False)
+            engine.run_batched_replay(warmup_arrays, outcomes.warmup)
+            engine.set_measuring(True)
             self._reset_warmup_stats()
-        self.engine.run_batched_replay(arrays, outcomes.main)
-        # The recorded cache-stat delta replaces the per-access bumps the
-        # skipped walk would have made (warmup included: warmup resets
-        # never touch the hierarchy namespaces).
-        vals = self.stats.raw()
-        for key, delta in outcomes.stat_delta:
-            vals[key] += delta
+        engine.run_batched_replay(arrays, outcomes.main)
+        if not walked:
+            # The recorded cache-stat delta stands in for the per-access
+            # bumps of the walk that ran elsewhere (warmup included:
+            # warmup resets never touch the hierarchy namespaces).
+            vals = self.stats.raw()
+            for key, delta in outcomes.stat_delta:
+                vals[key] += delta
+        drain_finish = self.system.drain()
+        total = max(engine.clock, drain_finish)
+        return SimResult(
+            total_time_ns=total,
+            txn_latencies=engine.txn_latencies,
+            stats=self.stats,
+        )
 
-    def _run_recording(
+    def _record(
         self,
         arrays: TraceArrays,
-        warmup_arrays: Optional[TraceArrays],
-        n_warm: int,
-    ) -> None:
-        """Run batched while recording the hierarchy outcome stream."""
+        warmup_arrays: Optional[TraceArrays] = None,
+    ) -> ReplayOutcomes:
+        """Walk this simulator's cache hierarchy over the warmup and the
+        measured arrays, returning the recorded outcome stream."""
         raw = self.stats.raw()
         namespaces = HIERARCHY_STAT_NAMESPACES
         base = {
             key: value for key, value in raw.items() if key[0] in namespaces
         }
-        warm_segment = None
-        if n_warm:
+        record = self.engine.run_batched_record
+
+        def segment(seg_arrays: TraceArrays) -> OutcomeSegment:
             kinds: bytearray = bytearray()
             lats: list = []
             wbs: dict = {}
-            self.engine.set_measuring(False)
-            self.engine.run_batched_record(warmup_arrays, kinds, lats, wbs)
-            self.engine.set_measuring(True)
-            self._reset_warmup_stats()
-            warm_segment = OutcomeSegment(bytes(kinds), lats, wbs)
-        kinds = bytearray()
-        lats = []
-        wbs = {}
-        self.engine.run_batched_record(arrays, kinds, lats, wbs)
+            record(seg_arrays, kinds, lats, wbs)
+            return OutcomeSegment(bytes(kinds), lats, wbs)
+
+        warm = (
+            segment(warmup_arrays)
+            if warmup_arrays is not None and warmup_arrays.n
+            else None
+        )
+        main = segment(arrays)
         delta = tuple(
             (key, value - base.get(key, 0.0))
             for key, value in raw.items()
             if key[0] in namespaces and value != base.get(key, 0.0)
         )
-        self.recorded_outcomes = ReplayOutcomes(
-            OutcomeSegment(bytes(kinds), lats, wbs), warm_segment, delta
-        )
+        return ReplayOutcomes(main, warm, delta)
 
     def _reset_warmup_stats(self) -> None:
         # Warmup traffic warms caches but should not pollute traffic
@@ -246,24 +217,21 @@ def simulate_workload(
         track_payloads=cfg.functional,
     )
     sim = Simulator(cfg, counter_organization=counter_organization, tracer=tracer)
-    arrays = warmup = outcomes = cache_sig = None
-    if cfg.hot_path and cfg.batched_replay:
-        # One decode per process: the arrays live on the cached trace.
-        arrays = trace_arrays(trace)
-        warmup = warmup_trace_arrays(trace) if trace.warmup_ops else None
-        # One cache walk per (trace, cache geometry): the first scheme of
-        # a sweep records the hierarchy outcome stream, the rest replay it
-        # (the walk is scheme-independent — see repro.sim.batch).
-        cache_sig = (cfg.l1, cfg.l2, cfg.l3, cfg.timing)
-        outcomes = trace_outcomes(trace, cache_sig)
+    # One decode per process: the arrays live on the cached trace.
+    arrays = trace_arrays(trace)
+    warmup = warmup_trace_arrays(trace) if trace.warmup_ops else None
+    # One cache walk per (trace, cache geometry): the first scheme of a
+    # sweep records the hierarchy outcome stream, the rest replay it (the
+    # walk is scheme-independent — see repro.sim.batch).
+    cache_sig = (cfg.l1, cfg.l2, cfg.l3, cfg.timing)
+    outcomes = trace_outcomes(trace, cache_sig)
     result = sim.run(
         trace.ops,
         warmup_ops=trace.warmup_ops,
         arrays=arrays,
         warmup_arrays=warmup,
         outcomes=outcomes,
-        record_outcomes=cache_sig is not None and outcomes is None,
     )
-    if outcomes is None and sim.recorded_outcomes is not None:
+    if outcomes is None:
         store_trace_outcomes(trace, cache_sig, sim.recorded_outcomes)
     return result

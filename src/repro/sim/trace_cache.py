@@ -64,8 +64,7 @@ def configure(enabled: bool) -> None:
     While disabled, *every* cache layer is bypassed: traces are
     regenerated per call, replay arrays are rebuilt per run without being
     attached to the trace, and recorded outcome streams are neither
-    reused nor retained — the disabled path is truly uncached (the
-    ``serial-nocache`` benchmark baseline relies on this).
+    reused nor retained — the disabled path is truly uncached.
     """
     global _enabled
     _enabled = enabled
@@ -123,9 +122,8 @@ def clear() -> None:
 def clear_outcomes() -> None:
     """Drop recorded hierarchy outcome streams, keeping traces/arrays.
 
-    Used by the benchmark's ``batched-replay`` leg so it pays its own
-    recording cost (one walk per trace per geometry) instead of reusing
-    recordings a previous leg made.
+    The next run of each trace records its walk again (one walk per
+    trace per geometry).
     """
     global _outcome_hits, _outcome_misses
     for trace in _cache.values():

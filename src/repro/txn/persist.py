@@ -287,11 +287,11 @@ class DirectDomain(MemoryDomain):
             if line not in self._dirty:
                 continue  # clean line: clwb is a no-op at memory
             payload = bytes(self._volatile[line])
-            result = self.system.persist_line(
+            durable = self.system.persist_line(
                 self.now, line, payload=payload, core=self.core
             )
             self._dirty.discard(line)
-            self.now = max(self.now, result.durable_time) + 1.0
+            self.now = max(self.now, durable) + 1.0
             self.flushed_shadow[line] = payload
 
     def sfence(self) -> None:

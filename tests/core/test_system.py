@@ -95,8 +95,7 @@ class TestWriteThroughPath:
     def test_functional_read_roundtrip(self):
         sys = make_system(Scheme.SUPERMEM)
         sys.persist_line(0.0, line=0, payload=LINE_BYTES)
-        result = sys.read_line(100.0, line=0)
-        assert result.payload == LINE_BYTES
+        assert sys.functional_read_plaintext(0) == LINE_BYTES
 
     def test_rewrite_uses_fresh_counter(self):
         sys = make_system(Scheme.SUPERMEM)
@@ -108,8 +107,7 @@ class TestWriteThroughPath:
 
     def test_never_written_line_reads_zero(self):
         sys = make_system(Scheme.SUPERMEM)
-        result = sys.read_line(0.0, line=100)
-        assert result.payload == bytes(64)
+        assert sys.functional_read_plaintext(100) == bytes(64)
 
     def test_counter_writes_go_to_xbank(self):
         sys = make_system(Scheme.SUPERMEM)
@@ -155,8 +153,7 @@ class TestWriteBackPath:
     def test_functional_roundtrip(self):
         sys = make_system(Scheme.WB_IDEAL)
         sys.persist_line(0.0, line=0, payload=LINE_BYTES)
-        result = sys.read_line(100.0, line=0)
-        assert result.payload == LINE_BYTES
+        assert sys.functional_read_plaintext(0) == LINE_BYTES
 
     def test_dirty_eviction_emits_counter_write(self):
         # Counter cache with 2 lines only: third distinct page evicts.
@@ -184,20 +181,20 @@ class TestReadPath:
     def test_counter_cache_hit_after_write(self):
         sys = make_system(Scheme.SUPERMEM)
         sys.persist_line(0.0, line=0, payload=LINE_BYTES)
-        result = sys.read_line(10_000.0, line=1)  # same page counter
-        assert result.counter_cache_hit is True
+        sys.read_line(10_000.0, line=1)  # same page counter
+        assert sys.stats.get("cc", "read_accesses") == 1
+        assert sys.stats.get("cc", "read_hits") == 1
 
     def test_counter_cache_miss_on_cold_page(self):
         sys = make_system(Scheme.SUPERMEM)
-        result = sys.read_line(0.0, line=0)
-        assert result.counter_cache_hit is False
+        sys.read_line(0.0, line=0)
+        assert sys.stats.get("cc", "read_accesses") == 1
+        assert sys.stats.get("cc", "read_hits") == 0
 
     def test_miss_costs_more_than_hit(self):
         sys = make_system(Scheme.SUPERMEM)
-        cold = sys.read_line(0.0, line=0)
-        cold_latency = cold.finish_time - 0.0
-        warm = sys.read_line(10_000.0, line=2)
-        warm_latency = warm.finish_time - 10_000.0
+        cold_latency = sys.read_line(0.0, line=0) - 0.0
+        warm_latency = sys.read_line(10_000.0, line=2) - 10_000.0
         assert warm_latency < cold_latency
 
     def test_unsec_read_has_no_counter_machinery(self):

@@ -54,14 +54,14 @@ class TestReadPathDetails:
         # Saturate bank 0 so the write stays queued, then read it back.
         for i in range(6):
             sys.persist_line(0.0, i, payload=bytes([i + 1]) * 64)
-        result = sys.read_line(0.0, 5)
-        assert result.payload == bytes([6]) * 64
+        assert sys.controller.wq.find_line(5) is not None
+        assert sys.functional_read_plaintext(5) == bytes([6]) * 64
 
     def test_read_after_drain_still_decrypts(self):
         sys = make_system()
         sys.persist_line(0.0, 0, payload=PAYLOAD)
         sys.drain()
-        assert sys.read_line(10**6, 0).payload == PAYLOAD
+        assert sys.functional_read_plaintext(0) == PAYLOAD
 
     def test_wb_read_miss_evicting_dirty_counter_writes_back(self):
         base = SimConfig(
@@ -93,7 +93,7 @@ class TestMonolithicEndToEnd:
         for i in range(20):
             sys.persist_line(float(i), i, payload=bytes([i + 1]) * 64)
         for i in range(20):
-            assert sys.read_line(10**6, i).payload == bytes([i + 1]) * 64
+            assert sys.functional_read_plaintext(i) == bytes([i + 1]) * 64
 
     def test_no_overflow_ever(self):
         base = scheme_config(
@@ -122,8 +122,8 @@ class TestReencryptionUnderWriteBack:
         for i in range(128):
             sys.persist_line(float(i), 0, payload=PAYLOAD)
         assert sys.stats.get("secmem", "page_reencryptions") == 1
-        assert sys.read_line(10**6, 0).payload == PAYLOAD
-        assert sys.read_line(10**6, 1).payload == PAYLOAD
+        assert sys.functional_read_plaintext(0) == PAYLOAD
+        assert sys.functional_read_plaintext(1) == PAYLOAD
 
 
 class TestStatsHygiene:

@@ -1,9 +1,9 @@
 """Differential suite for the timed integrity-tree machinery.
 
 Drives :class:`CoalescedTreeModel` (node-cached, Freij-style coalesced
-walk) and :class:`NaiveTreeReference` (retained full-path-update oracle)
-over identical randomized write/read sequences and asserts they are
-functionally indistinguishable — same roots after every update, same
+walk) and :class:`NaiveTreeReference` (full-path-update oracle), both in
+:mod:`tests.crypto.tree_models`, over identical randomized write/read
+sequences and asserts they are functionally indistinguishable — same roots after every update, same
 verify outcomes on every probe — while the coalesced walk never performs
 more hash work than the naive one. Geometry (node numbering, NVM
 placement, bank striping) is unit-tested alongside.
@@ -15,12 +15,8 @@ import pytest
 
 from repro.common.config import CacheConfig, MemoryConfig, SimConfig
 from repro.common.errors import ConfigError
-from repro.crypto.tree_timed import (
-    CoalescedTreeModel,
-    NaiveTreeReference,
-    NODES_PER_LINE,
-    TreeGeometry,
-)
+from repro.crypto.tree_timed import NODES_PER_LINE, TreeGeometry
+from tests.crypto.tree_models import CoalescedTreeModel, NaiveTreeReference
 
 #: A deliberately tiny node cache: forces evictions and writebacks so the
 #: differential run exercises the miss/victim paths, not just warm hits.

@@ -49,12 +49,12 @@ def test_reads_on_different_channels_avoid_bus_serialisation():
     single = make_mc(n_channels=1, bus_ns=40.0)
     r1 = single.read(0.0, line=0)  # bank 0
     r2 = single.read(0.0, line=4 * 64)  # bank 4, same channel
-    assert r2.finish_time == pytest.approx(r1.finish_time + 40.0)
+    assert r2 == pytest.approx(r1 + 40.0)
 
     dual = make_mc(n_channels=2, bus_ns=40.0)
     r1 = dual.read(0.0, line=0)  # bank 0 -> channel 0
     r2 = dual.read(0.0, line=4 * 64)  # bank 4 -> channel 1
-    assert r2.finish_time == pytest.approx(r1.finish_time)
+    assert r2 == pytest.approx(r1)
 
 
 def test_writes_track_per_channel_bus():

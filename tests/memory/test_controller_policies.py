@@ -100,13 +100,13 @@ def test_read_waits_for_inflight_write_on_same_bank():
     mc, _ = make_mc(write_queue_entries=4, wq_high_watermark=1, wq_low_watermark=0)
     mc.append_write(0.0, line=0)
     mc.advance_to(1.0)  # write issued, bank 0 busy until ~WS
-    result = mc.read(2.0, line=32)  # same page 0 -> bank 0, not in WQ
-    assert result.finish_time > WS
+    finish = mc.read(2.0, line=32)  # same page 0 -> bank 0, not in WQ
+    assert finish > WS
 
 
 def test_read_on_other_bank_unaffected_by_inflight_write():
     mc, _ = make_mc(write_queue_entries=4, wq_high_watermark=1, wq_low_watermark=0)
     mc.append_write(0.0, line=0)
     mc.advance_to(1.0)
-    result = mc.read(5.0, line=2 * 64)  # bank 2
-    assert result.finish_time < 0.5 * WS
+    finish = mc.read(5.0, line=2 * 64)  # bank 2
+    assert finish < 0.5 * WS

@@ -1,15 +1,18 @@
-"""Batched trace replay: bit-identity with the scalar hot path.
+"""Single-core replay: bit-identity with the per-op engine loop.
 
-``SimConfig.batched_replay`` routes production runs through flat op
-arrays (:mod:`repro.sim.batch`), chunked replay loops
-(:meth:`~repro.sim.engine.CoreEngine.run_batched`), and — within a
-sweep — recorded hierarchy outcome streams that skip the scheme-
-independent CPU cache walk entirely. None of that may change a single
-simulated number: these tests differential-compare the batched path
-against the scalar reference (``batched_replay=False``) on total time,
-every transaction latency, and every stats counter, across schemes,
-fidelities, chunk sizes (including 1 and larger than the trace), and
-record-vs-replay modes.
+Single-core runs split each trace in two passes: a hierarchy-only pass
+records the CPU cache walk's outcomes
+(:meth:`~repro.sim.engine.CoreEngine.run_batched_record`), and the timing
+replay (:meth:`~repro.sim.engine.CoreEngine.run_batched_replay`) drives
+the memory system from that recording. Within a sweep the recording is
+reused across schemes, so later schemes skip the walk entirely. None of
+that may change a single simulated number: these tests compare
+:meth:`~repro.sim.simulator.Simulator.run` against the per-op oracle —
+:meth:`~repro.sim.engine.CoreEngine.run` over the op tuples on a fresh
+:class:`~repro.sim.simulator.Simulator`, which interleaves the walk with
+the memory calls — on total time, every transaction latency, and every
+stats counter, across schemes, fidelities, warm-up, and record-vs-replay
+modes.
 """
 
 import dataclasses
@@ -18,15 +21,15 @@ import pytest
 
 from repro.common.config import SimConfig
 from repro.common.errors import SimulationError
-from repro.core.schemes import EVALUATED_SCHEMES, Scheme
+from repro.core.schemes import EVALUATED_SCHEMES, Scheme, scheme_config
 from repro.sim import trace_cache
 from repro.sim.batch import OutcomeSegment, ReplayOutcomes, build_arrays
+from repro.sim.multicore import simulate_multiprogrammed
 from repro.sim.simulator import Simulator, simulate_workload
 from repro.txn.persist import OP_CLWB, OP_FENCE, OP_STORE
 from repro.workloads.generator import generate_trace
 
-SCALAR = dataclasses.replace(SimConfig(), hot_path=True, batched_replay=False)
-BATCHED = dataclasses.replace(SimConfig(), hot_path=True, batched_replay=True)
+POINT = dict(n_ops=60, request_size=1024, footprint=1 << 18, seed=3, warmup_ops=8)
 
 
 def _snapshot(result):
@@ -37,14 +40,34 @@ def _snapshot(result):
     )
 
 
-def _point(base, workload, scheme, fidelity="timing", **kw):
-    kw.setdefault("n_ops", 60)
-    kw.setdefault("request_size", 1024)
-    kw.setdefault("footprint", 1 << 18)
-    kw.setdefault("seed", 3)
-    kw.setdefault("warmup_ops", 8)
-    return simulate_workload(
-        workload, scheme, base_config=base, fidelity=fidelity, **kw
+def _point(workload, scheme, fidelity="timing", **kw):
+    """One production point through :func:`simulate_workload`."""
+    kw = {**POINT, **kw}
+    return _snapshot(
+        simulate_workload(
+            workload, scheme, base_config=SimConfig(), fidelity=fidelity, **kw
+        )
+    )
+
+
+def _oracle(workload, scheme, fidelity="timing", **kw):
+    """The same point through the per-op loop: ``CoreEngine.run``."""
+    kw = {**POINT, **kw}
+    cfg = dataclasses.replace(scheme_config(scheme, SimConfig()), fidelity=fidelity)
+    trace = generate_trace(workload, track_payloads=cfg.functional, **kw)
+    sim = Simulator(cfg)
+    engine = sim.engine
+    if trace.warmup_ops:
+        engine.set_measuring(False)
+        engine.run(trace.warmup_ops)
+        engine.set_measuring(True)
+        sim._reset_warmup_stats()
+    engine.run(trace.ops)
+    total = max(engine.clock, sim.system.drain())
+    return (
+        total,
+        tuple(engine.txn_latencies),
+        tuple(sorted(sim.stats.raw().items())),
     )
 
 
@@ -78,45 +101,32 @@ class TestBuildArrays:
 class TestBitIdentity:
     @pytest.mark.parametrize("scheme", EVALUATED_SCHEMES)
     def test_schemes_timing(self, scheme):
-        # Fresh cache per scheme: each run exercises recording mode.
-        scalar = _point(SCALAR, "btree", scheme)
-        batched = _point(BATCHED, "btree", scheme)
-        assert _snapshot(scalar) == _snapshot(batched)
+        # Fresh cache per scheme: each run records its own walk.
+        assert _point("btree", scheme) == _oracle("btree", scheme)
 
     @pytest.mark.parametrize("workload", ["array", "queue", "hashtable"])
     def test_workloads_full_fidelity(self, workload):
         scheme = Scheme.SUPERMEM
-        scalar = _point(SCALAR, workload, scheme, fidelity="full")
-        batched = _point(BATCHED, workload, scheme, fidelity="full")
-        assert _snapshot(scalar) == _snapshot(batched)
+        assert _point(workload, scheme, fidelity="full") == _oracle(
+            workload, scheme, fidelity="full"
+        )
+
+    @pytest.mark.parametrize("warmup_ops", [0, 8])
+    @pytest.mark.parametrize("fidelity", ["timing", "full"])
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    def test_every_scheme_fidelity_and_warmup(self, scheme, fidelity, warmup_ops):
+        kw = dict(n_ops=30, warmup_ops=warmup_ops)
+        assert _point("queue", scheme, fidelity, **kw) == _oracle(
+            "queue", scheme, fidelity, **kw
+        )
 
     def test_sweep_replays_recorded_outcomes(self):
         # Six schemes over one cached trace: one recording, five replays,
-        # all bit-identical to the scalar reference.
+        # all bit-identical to the per-op oracle.
         for scheme in EVALUATED_SCHEMES:
-            scalar = _point(SCALAR, "rbtree", scheme)
-            batched = _point(BATCHED, "rbtree", scheme)
-            assert _snapshot(scalar) == _snapshot(batched), scheme
+            assert _point("rbtree", scheme) == _oracle("rbtree", scheme), scheme
         hits, misses = trace_cache.outcome_stats()
         assert (hits, misses) == (len(EVALUATED_SCHEMES) - 1, 1)
-
-    @pytest.mark.parametrize("chunk", [1, 7, 64, 100000])
-    def test_chunk_sizes(self, chunk):
-        # Chunking is pure loop blocking: chunk=1 and chunk >> n_ops must
-        # both reproduce the scalar numbers exactly.
-        trace = generate_trace("queue", n_ops=40, request_size=1024,
-                               footprint=1 << 18, seed=5)
-        arrays = build_arrays(trace.ops)
-        ref = Simulator(SCALAR)
-        expected = _snapshot(ref.run(trace.ops))
-
-        sim = Simulator(BATCHED)
-        sim.engine.run_batched(arrays, chunk=chunk)
-        drain = sim.system.drain()
-        total = max(sim.engine.clock, drain)
-        got = (total, tuple(sim.engine.txn_latencies),
-               tuple(sorted(sim.stats.raw().items())))
-        assert got == expected
 
 
 class TestOutcomeReplayGuards:
@@ -130,7 +140,7 @@ class TestOutcomeReplayGuards:
             (),
         )
         with pytest.raises(SimulationError):
-            Simulator(BATCHED).run(trace.ops, arrays=arrays, outcomes=bogus)
+            Simulator(SimConfig()).run(trace.ops, arrays=arrays, outcomes=bogus)
 
     def test_segment_length_checked_by_engine(self):
         trace = generate_trace("array", n_ops=10, request_size=256,
@@ -138,31 +148,35 @@ class TestOutcomeReplayGuards:
         arrays = build_arrays(trace.ops)
         short = OutcomeSegment(b"\x00", [0.0], {})
         with pytest.raises(SimulationError):
-            Simulator(BATCHED).engine.run_batched_replay(arrays, short)
+            Simulator(SimConfig()).engine.run_batched_replay(arrays, short)
 
 
 class TestCacheCounters:
+    KW = dict(n_ops=20, request_size=256, footprint=1 << 18, seed=1, warmup_ops=0)
+
     def test_array_and_outcome_stats_count(self):
-        kw = dict(n_ops=20, request_size=256, footprint=1 << 18, seed=1)
-        _point(BATCHED, "array", Scheme.UNSEC, warmup_ops=0, **kw)
+        _point("array", Scheme.UNSEC, **self.KW)
         assert trace_cache.array_stats() == (0, 1)
         assert trace_cache.outcome_stats() == (0, 1)
-        _point(BATCHED, "array", Scheme.SUPERMEM, warmup_ops=0, **kw)
+        _point("array", Scheme.SUPERMEM, **self.KW)
         assert trace_cache.array_stats() == (1, 1)
         assert trace_cache.outcome_stats() == (1, 1)
 
     def test_clear_outcomes_keeps_arrays(self):
-        kw = dict(n_ops=20, request_size=256, footprint=1 << 18, seed=1)
-        _point(BATCHED, "array", Scheme.UNSEC, warmup_ops=0, **kw)
+        _point("array", Scheme.UNSEC, **self.KW)
         trace_cache.clear_outcomes()
         assert trace_cache.outcome_stats() == (0, 0)
-        _point(BATCHED, "array", Scheme.UNSEC, warmup_ops=0, **kw)
+        _point("array", Scheme.UNSEC, **self.KW)
         # Arrays survived (hit); the outcome stream had to be re-recorded.
         assert trace_cache.array_stats()[0] >= 1
         assert trace_cache.outcome_stats() == (0, 1)
 
     def test_scalar_config_bypasses_batch_caches(self):
-        _point(SCALAR, "array", Scheme.UNSEC, n_ops=20, request_size=256,
-               footprint=1 << 18, seed=1, warmup_ops=0)
+        # The per-op step loop (the multiprogrammed kernel: a shared L3
+        # makes the walk timing-dependent) neither decodes arrays nor
+        # records outcome streams.
+        simulate_multiprogrammed(
+            "array", Scheme.UNSEC, n_programs=2, n_ops=20, request_size=256, seed=1
+        )
         assert trace_cache.array_stats() == (0, 0)
         assert trace_cache.outcome_stats() == (0, 0)

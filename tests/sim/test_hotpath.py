@@ -1,19 +1,21 @@
-"""Hot-path equivalence: the flattened fast paths are bit-identical.
+"""Drain-scheduler equivalence: the per-bank candidate scan is exact.
 
-``hot_path=True`` (production) replaces the straight-line reference
-implementations with hoisted/indexed fast paths — the per-bank candidate
-scan with its memoized result, the flattened cache walk, prebuilt stat
-keys. ``hot_path=False`` keeps the reference model. Nothing about the
-*model* may differ, so:
+The production scheduler
+(:meth:`~repro.memory.controller.MemoryController._best_candidate`)
+picks the next write from per-bank buckets with a memoized result. A
+naive full-queue scan (:func:`naive_best_candidate`, kept here as the
+differential oracle) computes every entry's start and takes the
+``(start, seq)`` minimum. Nothing about the *model* may differ, so:
 
-* full simulations agree on every latency and every stats counter,
-  including a WT 4096 B point that keeps the write queue at capacity
-  (the regime that exercises the per-bank scan and make-space loops);
-* the scheduler's fast candidate scan picks the exact same entry as the
-  reference scan under randomized append/read/drain interleavings
-  (which also exercises the candidate-cache invalidation rules);
+* full simulations agree on every latency and every stats counter with
+  runs whose scheduler is swapped for the naive scan, including a WT
+  4096 B point that keeps the write queue at capacity (the regime that
+  exercises the per-bank scan and make-space loops);
+* the per-bank scan picks the exact same entry as the naive scan under
+  randomized append/read/drain interleavings (which also exercises the
+  candidate-cache invalidation rules);
 * out-of-order appends from several per-core clocks (the multicore
-  case) still match the reference, including picks where a held-back
+  case) still match the naive scan, including picks where a held-back
   counter bucket's FIFO-first entry loses to a later one.
 """
 
@@ -28,13 +30,31 @@ from repro.core.schemes import Scheme
 from repro.experiments.common import experiment_base_config, get_scale
 from repro.memory.controller import MemoryController
 from repro.memory.write_queue import WQEntry
+from repro.sim import trace_cache
 from repro.sim.simulator import simulate_workload
 
 
-def _run(workload, scheme, size, hot):
-    base = dataclasses.replace(
-        experiment_base_config(get_scale("smoke")), hot_path=hot
-    )
+def naive_best_candidate(mc):
+    """Full-queue walk: every entry's start, strict-< FIFO tie-break."""
+    if mc._policy == "fifo":
+        entry = mc.wq.oldest()
+        return None if entry is None else (mc._entry_start(entry), entry)
+    defer = mc._counter_defer_ns if mc._policy == "defer-counters" else 0.0
+    best_start = None
+    best_entry = None
+    for entry in mc.wq:
+        start = mc._entry_start(entry)
+        if entry.is_counter and defer:
+            start = max(start, entry.enq_time + defer)
+        if best_start is None or start < best_start:
+            best_start, best_entry = start, entry
+    if best_entry is None:
+        return None
+    return best_start, best_entry
+
+
+def _run(workload, scheme, size):
+    trace_cache.clear()
     return simulate_workload(
         workload,
         scheme,
@@ -42,7 +62,7 @@ def _run(workload, scheme, size, hot):
         request_size=size,
         footprint=1 << 20,
         seed=1,
-        base_config=base,
+        base_config=experiment_base_config(get_scale("smoke")),
     )
 
 
@@ -54,7 +74,7 @@ class TestSimulationEquivalence:
             ("btree", Scheme.SUPERMEM, 1024),
             ("queue", Scheme.UNSEC, 256),
             ("btree", Scheme.SCA, 1024),
-            # Integrity tree: the walk helpers have their own fast twins.
+            # Integrity tree: node fetches and write-backs join the queue.
             ("array", Scheme.SUPERMEM_BMT, 256),
             ("btree", Scheme.SUPERMEM_BMT, 1024),
             # Large requests keep the write queue saturated: the per-bank
@@ -65,21 +85,22 @@ class TestSimulationEquivalence:
             ("queue", Scheme.SUPERMEM_BMT, 4096),
         ],
     )
-    def test_hot_matches_reference(self, workload, scheme, size):
-        fast = _run(workload, scheme, size, hot=True)
-        ref = _run(workload, scheme, size, hot=False)
+    def test_hot_matches_reference(self, workload, scheme, size, monkeypatch):
+        fast = _run(workload, scheme, size)
+        monkeypatch.setattr(MemoryController, "_best_candidate", naive_best_candidate)
+        ref = _run(workload, scheme, size)
         assert fast.total_time_ns == ref.total_time_ns
         assert fast.txn_latencies == ref.txn_latencies
         assert fast.stats.snapshot() == ref.stats.snapshot()
 
 
 def _controller():
-    return MemoryController(SimConfig(hot_path=True), Stats())
+    return MemoryController(SimConfig(), Stats())
 
 
 def _assert_same_candidate(mc):
     fast = mc._best_candidate()
-    ref = mc._best_candidate_ref()
+    ref = naive_best_candidate(mc)
     if ref is None:
         assert fast is None
     else:
@@ -90,7 +111,7 @@ def _assert_same_candidate(mc):
 
 class TestCandidateScan:
     def test_randomized_interleaving_matches_reference(self):
-        """Fast scan == reference scan after every mutation.
+        """Per-bank scan == naive scan after every mutation.
 
         Mutations cover all the candidate-cache invalidation paths:
         appends (queue version), issues via advance_to (version + bank/
@@ -118,7 +139,7 @@ class TestCandidateScan:
         assert len(mc.wq) == 0
 
     def test_repeated_probe_uses_consistent_candidate(self):
-        """Back-to-back scans (cache hit path) stay equal to reference."""
+        """Back-to-back scans (cache hit path) stay equal to the naive scan."""
         mc = _controller()
         for line in range(6):
             mc.append_write(float(line), line)
@@ -127,7 +148,7 @@ class TestCandidateScan:
 
     @pytest.mark.parametrize("policy", ["defer-counters", "frfcfs"])
     def test_out_of_order_appends_match_reference(self, policy):
-        """Per-bank pick == reference after every mutation, out of order.
+        """Per-bank pick == naive scan after every mutation, out of order.
 
         Several per-core clocks drive the public controller API, so
         appends arrive out of time order exactly as under multicore
@@ -136,7 +157,7 @@ class TestCandidateScan:
         ``defer-counters`` it can win the pick.
         """
         rng = random.Random(2019)
-        cfg = SimConfig(hot_path=True)
+        cfg = SimConfig()
         cfg = dataclasses.replace(
             cfg, memory=dataclasses.replace(cfg.memory, drain_policy=policy)
         )
@@ -180,7 +201,7 @@ class TestCandidateScan:
             else:
                 mc.advance_to(t)
             _assert_same_candidate(mc)
-            ref = mc._best_candidate_ref()
+            ref = naive_best_candidate(mc)
             if ref is not None and ref[1].is_counter:
                 bucket = mc.wq.counters_by_bank[ref[1].bank]
                 non_head_picks += next(iter(bucket.values())) is not ref[1]

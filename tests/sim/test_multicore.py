@@ -9,7 +9,7 @@ from repro.common.errors import ConfigError
 from repro.core.schemes import EVALUATED_SCHEMES, Scheme, scheme_config
 from repro.experiments.common import experiment_base_config, get_scale
 from repro.obs.tracer import Tracer
-from repro.sim.engine import _read_observed
+from repro.sim.engine import CoreEngine
 from repro.sim.multicore import MulticoreSimulator, simulate_multiprogrammed
 from repro.txn.persist import OP_COMPUTE, OP_TXN_BEGIN, OP_TXN_END
 
@@ -50,7 +50,7 @@ def test_interleaves_by_local_time():
 @pytest.mark.parametrize("n_programs", [1, 4, 8])
 @pytest.mark.parametrize("scheme", EVALUATED_SCHEMES, ids=lambda s: s.value)
 def test_fast_chain_matches_observed_chain(scheme, n_programs):
-    """The gated fast chain is bit-identical to the traced, observed one."""
+    """An untraced run is bit-identical to a traced, sampled one."""
     kwargs = dict(
         n_programs=n_programs,
         n_ops=6,
@@ -58,23 +58,45 @@ def test_fast_chain_matches_observed_chain(scheme, n_programs):
         seed=1,
         base_config=experiment_base_config(get_scale("smoke")),
     )
-    fast = simulate_multiprogrammed("hashtable", scheme, **kwargs)
-    observed = simulate_multiprogrammed(
-        "hashtable", scheme, tracer=Tracer(), **kwargs
+    untraced = simulate_multiprogrammed("hashtable", scheme, **kwargs)
+    tracer = Tracer(sample_interval_ns=500.0)
+    traced = simulate_multiprogrammed("hashtable", scheme, tracer=tracer, **kwargs)
+    assert untraced.total_time_ns == traced.total_time_ns
+    assert untraced.txn_latencies == traced.txn_latencies
+    assert untraced.stats.snapshot() == traced.stats.snapshot()
+    assert tracer.events
+
+
+@pytest.mark.parametrize("scheme", EVALUATED_SCHEMES, ids=lambda s: s.value)
+def test_full_stalls_charged_to_the_stepping_core(scheme, monkeypatch):
+    """Every write-queue-full stall names the core whose op stalled."""
+    tracer = Tracer()
+    stalls = []
+    step = CoreEngine.step
+
+    def recording_step(engine, op):
+        seen = len(tracer.events)
+        step(engine, op)
+        stalls.extend(
+            (engine.core_id, event.args["core"])
+            for event in tracer.events[seen:]
+            if event.name == "full_stall"
+        )
+
+    monkeypatch.setattr(CoreEngine, "step", recording_step)
+    result = simulate_multiprogrammed(
+        "array",
+        scheme,
+        n_programs=4,
+        n_ops=8,
+        request_size=4096,
+        seed=1,
+        base_config=experiment_base_config(get_scale("smoke")),
+        tracer=tracer,
     )
-    assert fast.total_time_ns == observed.total_time_ns
-    assert fast.txn_latencies == observed.txn_latencies
-    assert fast.stats.snapshot() == observed.stats.snapshot()
-
-
-def test_fast_chain_bound_only_when_unobserved():
-    trace = [(OP_TXN_BEGIN, 1), (OP_COMPUTE, 1.0), (OP_TXN_END, 1)]
-    quiet = MulticoreSimulator(make_cfg(), n_cores=1)
-    quiet.run([list(trace)])
-    assert quiet.engines[0]._read_mem == quiet.system.read_line_fast
-    traced = MulticoreSimulator(make_cfg(), n_cores=1, tracer=Tracer())
-    traced.run([list(trace)])
-    assert traced.engines[0]._read_mem.func is _read_observed
+    assert len(stalls) == result.stats.get("wq", "full_stalls") > 0
+    assert {core for core, _ in stalls} == {0, 1, 2, 3}
+    assert all(stepping == charged for stepping, charged in stalls)
 
 
 def test_txn_latencies_merged_across_cores():

@@ -28,7 +28,10 @@ silently:
   must name a knob that exists in ``SEARCH_SPACE``;
 * every field of every configuration dataclass (``SimConfig`` and its
   sub-configs) must be named in backticks in ``docs/CONFIG.md`` — a new
-  knob (``fidelity``, ``hot_path``, ...) cannot land undocumented;
+  knob (``fidelity``, ``outcome_store``, ...) cannot land undocumented,
+  and every backticked name in the first column of a CONFIG.md field
+  table must be a field of its dataclass, so a deleted knob cannot
+  linger in the docs;
 * every CI-ratcheted bench-sweep ratio (``tools/check_bench_ratio.py``
   FLOORS/CEILINGS) and every benchmark leg name must appear in
   ``docs/PERFORMANCE.md`` — a new ratchet or leg cannot land without its
@@ -211,6 +214,34 @@ class TestConfigDoc:
             "add each field name in backticks with a one-line meaning"
         )
 
+    def test_documented_fields_exist(self):
+        """The reverse direction: every backticked name in the first
+        column of a CONFIG.md field table must be a field of the
+        dataclass its ``## `Class` `` section documents."""
+        import dataclasses
+
+        from repro.common import config as config_module
+
+        text = (DOCS / "CONFIG.md").read_text(encoding="utf-8")
+        sections = re.split(r"^## (.*)$", text, flags=re.M)
+        unknown = []
+        checked = 0
+        for heading, body in zip(sections[1::2], sections[2::2]):
+            match = re.fullmatch(r"`(\w+)`", heading.strip())
+            if match is None:
+                continue
+            cls = getattr(config_module, match.group(1))
+            fields = {field.name for field in dataclasses.fields(cls)}
+            for first_cell in re.findall(r"^\|([^|]*)\|", body, re.M):
+                for name in re.findall(r"`([^`]+)`", first_cell):
+                    checked += 1
+                    if name not in fields:
+                        unknown.append(f"{match.group(1)}.{name}")
+        assert checked >= 40, "CONFIG.md field tables not found"
+        assert not unknown, (
+            f"docs/CONFIG.md documents fields that do not exist: {unknown}"
+        )
+
     def test_fidelity_modes_are_documented(self):
         """The two fidelity values and the forcing rule must be stated."""
         text = (DOCS / "CONFIG.md").read_text(encoding="utf-8")
@@ -251,7 +282,7 @@ class TestPerformanceDoc:
             r'record\(\s*\n?\s*"([a-z0-9-]+)"',
             inspect.getsource(run_sweep_benchmark),
         )
-        assert "batched-replay" in legs and "hotpath" in legs, legs
+        assert "warm" in legs and "warm-metrics" in legs, legs
         missing = [leg for leg in legs if f"`{leg}`" not in perf_text]
         assert not missing, (
             f"bench legs undocumented in docs/PERFORMANCE.md: {missing}"

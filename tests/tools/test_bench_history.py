@@ -27,8 +27,8 @@ def _bench_payload(**speedup):
     return {
         "speedup": speedup,
         "runs": [
-            {"name": "serial", "wall_s": 2.0, "scale": "smoke"},
-            {"name": "hotpath", "wall_s": 0.5, "scale": "smoke"},
+            {"name": "full-fidelity", "wall_s": 2.0, "scale": "smoke"},
+            {"name": "timing-fidelity", "wall_s": 0.5, "scale": "smoke"},
         ],
         "host_cpus": 8,
     }
@@ -40,19 +40,19 @@ class TestLoadHistory:
 
     def test_torn_and_blank_lines_tolerated(self, mod, tmp_path):
         path = tmp_path / "h.jsonl"
-        path.write_text('{"speedup": {"total": 3.0}}\n\n{"spee\n[1,2]\n')
+        path.write_text('{"speedup": {"timing_vs_full": 3.0}}\n\n{"spee\n[1,2]\n')
         records = mod.load_history(str(path))
         assert len(records) == 1  # torn line and non-dict dropped
-        assert records[0]["speedup"]["total"] == 3.0
+        assert records[0]["speedup"]["timing_vs_full"] == 3.0
 
 
 class TestRecordFromBench:
     def test_distills_speedup_walls_and_host(self, mod, tmp_path):
         path = tmp_path / "BENCH_SWEEP.json"
-        path.write_text(json.dumps(_bench_payload(total=3.0)))
+        path.write_text(json.dumps(_bench_payload(timing_vs_full=3.0)))
         record = mod.record_from_bench(str(path))
-        assert record["speedup"] == {"total": 3.0}
-        assert record["wall_s"] == {"serial": 2.0, "hotpath": 0.5}
+        assert record["speedup"] == {"timing_vs_full": 3.0}
+        assert record["wall_s"] == {"full-fidelity": 2.0, "timing-fidelity": 0.5}
         assert record["scale"] == "smoke"
         assert record["host_cpus"] == 8
         assert record["ts"] > 0
@@ -60,14 +60,14 @@ class TestRecordFromBench:
 
 class TestFindRegressions:
     def test_short_history_never_flags(self, mod):
-        history = [_record(total=3.0)]
-        assert mod.find_regressions(history, _record(total=0.1)) == []
+        history = [_record(timing_vs_full=3.0)]
+        assert mod.find_regressions(history, _record(timing_vs_full=0.1)) == []
 
     def test_drop_in_higher_is_better_ratio_is_flagged(self, mod):
-        history = [_record(hotpath_vs_serial=4.0) for _ in range(3)]
-        flags = mod.find_regressions(history, _record(hotpath_vs_serial=2.0))
+        history = [_record(shared_vs_record=4.0) for _ in range(3)]
+        flags = mod.find_regressions(history, _record(shared_vs_record=2.0))
         assert len(flags) == 1
-        assert "hotpath_vs_serial" in flags[0]
+        assert "shared_vs_record" in flags[0]
         assert "below" in flags[0]
 
     def test_rise_in_overhead_ratio_is_flagged(self, mod):
@@ -78,34 +78,35 @@ class TestFindRegressions:
         assert "above" in flags[0]
 
     def test_good_directions_are_not_flagged(self, mod):
-        history = [_record(hotpath_vs_serial=4.0, metrics_overhead=1.0)] * 3
-        current = _record(hotpath_vs_serial=8.0, metrics_overhead=0.5)
+        history = [_record(shared_vs_record=4.0, metrics_overhead=1.0)] * 3
+        current = _record(shared_vs_record=8.0, metrics_overhead=0.5)
         assert mod.find_regressions(history, current) == []
 
     def test_within_tolerance_is_not_flagged(self, mod):
-        history = [_record(total=3.0)] * 3
-        assert mod.find_regressions(history, _record(total=2.5)) == []
+        history = [_record(timing_vs_full=3.0)] * 3
+        assert mod.find_regressions(history, _record(timing_vs_full=2.5)) == []
         assert mod.find_regressions(
-            history, _record(total=2.5), tolerance=0.10
+            history, _record(timing_vs_full=2.5), tolerance=0.10
         ) != []
 
     def test_window_limits_the_trailing_median(self, mod):
         # Old fast runs age out of the window; the recent median rules.
-        history = [_record(total=9.0)] * 5 + [_record(total=2.0)] * 3
-        assert mod.find_regressions(history, _record(total=2.0), window=3) == []
-        assert mod.find_regressions(history, _record(total=2.0), window=8) != []
+        fast, slow = _record(timing_vs_full=9.0), _record(timing_vs_full=2.0)
+        history = [fast] * 5 + [slow] * 3
+        assert mod.find_regressions(history, slow, window=3) == []
+        assert mod.find_regressions(history, slow, window=8) != []
 
     def test_new_key_without_prior_samples_is_skipped(self, mod):
-        history = [_record(total=3.0)] * 3
+        history = [_record(timing_vs_full=3.0)] * 3
         assert mod.find_regressions(
-            history, _record(total=3.0, metrics_overhead=9.9)
+            history, _record(timing_vs_full=3.0, metrics_overhead=9.9)
         ) == []
 
 
 class TestCli:
     def test_append_and_report(self, mod, tmp_path, capsys):
         bench = tmp_path / "BENCH_SWEEP.json"
-        bench.write_text(json.dumps(_bench_payload(total=3.0)))
+        bench.write_text(json.dumps(_bench_payload(timing_vs_full=3.0)))
         history = tmp_path / "h.jsonl"
         for _ in range(3):
             assert mod.main([str(bench), "--history", str(history)]) == 0
@@ -116,15 +117,15 @@ class TestCli:
         assert mod.main(["--report", "--history", str(history)]) == 0
         report = capsys.readouterr().out
         assert "last 3 of 3 run(s)" in report
-        assert "total" in report
+        assert "timing_vs_full" in report
 
     def test_strict_fails_on_drift(self, mod, tmp_path, capsys):
         history = tmp_path / "h.jsonl"
         with open(history, "w") as fh:
             for _ in range(3):
-                fh.write(json.dumps(_record(total=4.0)) + "\n")
+                fh.write(json.dumps(_record(timing_vs_full=4.0)) + "\n")
         bench = tmp_path / "BENCH_SWEEP.json"
-        bench.write_text(json.dumps(_bench_payload(total=1.0)))
+        bench.write_text(json.dumps(_bench_payload(timing_vs_full=1.0)))
         assert mod.main([str(bench), "--history", str(history)]) == 0  # advisory
         assert "DRIFT" in capsys.readouterr().err
         assert (

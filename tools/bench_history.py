@@ -33,14 +33,10 @@ from typing import Dict, List, Optional
 #: Ratios where bigger is better; anything else in the speedup block is
 #: treated as an overhead ratio (smaller is better), e.g. metrics_overhead.
 HIGHER_IS_BETTER = (
-    "trace_cache",
-    "hotpath_vs_serial",
-    "batched_vs_hotpath",
     "shared_vs_record",
     "timing_vs_full",
     "parallel_vs_serial",
     "resume_vs_parallel",
-    "total",
 )
 
 

@@ -3,22 +3,17 @@
 
 CI runs ``python -m repro bench-sweep`` and then this checker, which
 fails the build when a recorded speedup ratio falls below its floor.
-Ratios compare two legs of the *same* run on the *same* machine, so the
-check is robust to absolute runner speed (hosted CI machines vary a lot)
-while still catching a real regression: if the flattened hot path stops
-being meaningfully faster than the ``hot_path=False`` reference model,
-someone pessimised the production simulator loop.
+Ratios compare two production legs of the *same* run on the *same*
+machine, so the check is robust to absolute runner speed (hosted CI
+machines vary a lot) while still catching a real regression in the
+harness state each pair isolates.
 
 Current floors:
 
-* ``hotpath_vs_serial >= 2.0`` — the warm-cache scalar hot path must
-  stay at least 2x faster than the reference timing model (the measured
-  ratio at introduction was well above 4x, so this trips on regression,
-  not noise).
-* ``batched_vs_hotpath >= 1.3`` — the production batched replay
-  (flat-array chunks + recorded hierarchy-outcome reuse across a sweep's
-  schemes) must stay at least 1.3x faster than the scalar hot path
-  (measured ~1.45x at introduction).
+* ``timing_vs_full >= 1.4`` — the timing-fidelity sweep must stay at
+  least 1.4x faster than the same sweep at full fidelity (measured
+  ~1.87x on a 2-CPU host at introduction): functional byte work must
+  stay off the timing-only path.
 * ``shared_vs_record >= 1.15`` — a warm fleet member reading every trace
   and recording from the on-disk outcome store (the ``shared-outcomes``
   leg) must stay at least 1.15x faster than a cold member that
@@ -26,9 +21,9 @@ Current floors:
 
 Current ceilings:
 
-* ``metrics_overhead <= 1.05`` — running the sweep with a real
-  in-memory metrics registry (the ``hotpath-metrics`` leg) must cost at
-  most 5% over the bare warm hot path: the instrumented runner stays
+* ``metrics_overhead <= 1.05`` — running the warm sweep with a real
+  in-memory metrics registry (the ``warm-metrics`` leg) must cost at
+  most 5% over the bare ``warm`` leg: the instrumented runner stays
   effectively free, and the NULL_METRICS default stays exactly free.
 
 Usage::
@@ -43,8 +38,7 @@ import sys
 
 #: speedup-key -> minimum acceptable ratio.
 FLOORS = {
-    "hotpath_vs_serial": 2.0,
-    "batched_vs_hotpath": 1.3,
+    "timing_vs_full": 1.4,
     "shared_vs_record": 1.15,
 }
 
@@ -84,8 +78,8 @@ def check(path: str) -> int:
             failures += 1
     if failures:
         print(
-            f"ERROR: {failures} speedup floor(s) violated — the production "
-            "hot path regressed relative to the reference model",
+            f"ERROR: {failures} speedup ratio(s) out of bounds — a "
+            "production leg regressed relative to its pair",
             file=sys.stderr,
         )
         return 1
