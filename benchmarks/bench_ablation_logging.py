@@ -12,9 +12,7 @@ import dataclasses
 
 from repro.common.config import MemoryConfig, SimConfig
 from repro.core.schemes import Scheme, scheme_config
-from repro.core.system import SecureMemorySystem
-from repro.sim.engine import CoreEngine
-from repro.common.stats import Stats
+from repro.sim.simulator import Simulator
 from repro.txn.log import LogRegion
 from repro.txn.persist import TraceDomain
 from repro.txn.transaction import TransactionManager
@@ -37,12 +35,9 @@ def run_mode(mode: str):
         scheme_config(Scheme.SUPERMEM, SimConfig(memory=MemoryConfig(capacity=8 << 20))),
         functional=False,
     )
-    stats = Stats()
-    system = SecureMemorySystem(cfg, stats=stats)
-    engine = CoreEngine(0, cfg, system, stats)
-    engine.run(ops)
-    system.drain()
-    avg_latency = sum(engine.txn_latencies) / len(engine.txn_latencies)
+    result = Simulator(cfg).run(ops)
+    avg_latency = sum(result.txn_latencies) / len(result.txn_latencies)
+    stats = result.stats
     writes = stats.get("wq", "appends") - stats.get("wq", "cwc_coalesced")
     return avg_latency, int(writes)
 

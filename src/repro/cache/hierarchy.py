@@ -13,9 +13,13 @@ mostly-inclusive write-back, write-allocate hierarchy:
   paper uses for persistence);
 * ``clflush`` additionally invalidates.
 
-For the multi-core experiments, each core owns a private
-:class:`CacheHierarchy` for L1/L2 while L3 is shared — see
-:mod:`repro.sim.multicore`, which passes a shared L3 instance in.
+For the multi-core experiments, each core owns a private L1/L2 while L3
+is shared. A core's L1/L2 state never depends on the L3 (victims only
+move down, and the refills after an L3 hit land on lines the miss-fill
+already put at MRU), so :mod:`repro.sim.multicore` records each core's
+private walk once with an :class:`L3EventSink` in the L3's place and
+applies the recorded L3 events to the real shared L3 as the cores
+interleave.
 
 The walk runs once per load/store, three lookups deep, so the class is
 ``__slots__``-ed and :meth:`access` returns a plain ``(hit_level,
@@ -36,6 +40,23 @@ from repro.cache.sram import SetAssociativeCache
 #: Shared empty write-back container returned by the fast walk when no
 #: dirty line left the last level — callers only iterate it, never mutate.
 _EMPTY_WB: Tuple[int, ...] = ()
+
+
+def walk_latencies_ns(
+    l1: CacheConfig, l2: CacheConfig, l3: CacheConfig, timing: TimingConfig
+) -> Tuple[float, ...]:
+    """SRAM latency of a walk that stops at L1, at L2, or at L3 (hit or miss).
+
+    Running sums of the per-level lookup latencies, added in walk order:
+    the exact floats :meth:`CacheHierarchy.access` charges, and the ones
+    the replay of a recorded private walk charges by its op codes.
+    """
+    total = 0.0
+    sums = []
+    for level in (l1, l2, l3):
+        total += timing.cycles_to_ns(level.latency_cycles)
+        sums.append(total)
+    return tuple(sums)
 
 
 class ReadOutcome(NamedTuple):
@@ -72,8 +93,9 @@ class CacheHierarchy:
     stats:
         Shared statistics registry (namespaces ``l1``/``l2``/``l3``).
     shared_l3:
-        Optional pre-built L3 shared among cores; when given, ``l3`` config
-        is ignored.
+        Optional pre-built L3 shared among cores (or an
+        :class:`L3EventSink`); when given, ``l3`` config is ignored and
+        the L3 latency is the installed cache's.
     name_prefix:
         Prepended to stat namespaces so per-core caches stay separable
         (e.g. ``"core0."``).
@@ -85,7 +107,7 @@ class CacheHierarchy:
         "l2",
         "l3",
         "_levels",
-        "_latencies_ns",
+        "_walk_ns",
         "_k_memory_writebacks",
         "_k_clwb",
         "_k_clwb_dirty",
@@ -113,11 +135,7 @@ class CacheHierarchy:
             else SetAssociativeCache(l3, stats, "l3")
         )
         self._levels = [self.l1, self.l2, self.l3]
-        self._latencies_ns = [
-            timing.cycles_to_ns(l1.latency_cycles),
-            timing.cycles_to_ns(l2.latency_cycles),
-            timing.cycles_to_ns(shared_l3.config.latency_cycles if shared_l3 else l3.latency_cycles),
-        ]
+        self._walk_ns = walk_latencies_ns(l1, l2, self.l3.config, timing)
         self._k_memory_writebacks = ("hierarchy", "memory_writebacks")
         self._k_clwb = ("hierarchy", "clwb")
         self._k_clwb_dirty = ("hierarchy", "clwb_dirty")
@@ -137,11 +155,8 @@ class CacheHierarchy:
         actually leaves L3.
         """
         levels = self._levels
-        lats = self._latencies_ns
-        latency = 0.0
         wb: Optional[List[int]] = None
         for depth in range(3):
-            latency += lats[depth]
             hit, evicted = levels[depth].access(line, write and depth == 0)
             if evicted is not None and evicted.dirty:
                 if wb is None:
@@ -154,10 +169,14 @@ class CacheHierarchy:
                         if wb is None:
                             wb = []
                         self._push_down(d, ev.line, wb)
-                return depth + 1, latency, (wb if wb is not None else _EMPTY_WB)
+                return (
+                    depth + 1,
+                    self._walk_ns[depth],
+                    wb if wb is not None else _EMPTY_WB,
+                )
         # Missed everywhere: the access() calls above already filled each
         # level (miss-fill), so only the outcome remains to be reported.
-        return None, latency, (wb if wb is not None else _EMPTY_WB)
+        return None, self._walk_ns[2], (wb if wb is not None else _EMPTY_WB)
 
     def read(self, line: int) -> ReadOutcome:
         """Drive a load; fill upper levels on lower-level hits."""
@@ -220,4 +239,31 @@ class CacheHierarchy:
     @property
     def total_sram_latency_ns(self) -> float:
         """Latency of missing all the way through (L1+L2+L3 lookups)."""
-        return sum(self._latencies_ns)
+        return self._walk_ns[2]
+
+
+class L3EventSink:
+    """Stands in for the shared L3 while one core's private walk is recorded.
+
+    Every lookup misses, so the walk reports an L2 miss as a miss, and
+    every dirty line the private levels push down is appended, in order,
+    to ``pushed``. The recorder drains ``pushed`` after each op; the
+    replay later looks the line up in, and pushes those lines into, the
+    real shared L3. ``clean`` reports no L3 copy: the replay cleans the
+    real one.
+    """
+
+    __slots__ = ("config", "pushed")
+
+    def __init__(self, config: CacheConfig):
+        self.config = config
+        self.pushed: List[int] = []
+
+    def access(self, line: int, write: bool):
+        return False, None
+
+    def fill(self, line: int, dirty: bool = False) -> None:
+        self.pushed.append(line)
+
+    def clean(self, line: int) -> bool:
+        return False

@@ -1,26 +1,27 @@
-"""Flat op arrays and recorded hierarchy outcomes for trace replay.
+"""Flat op arrays and recorded cache-walk outcomes for trace replay.
 
 A generated trace is a list of small tuples — friendly to build, hostile
 to replay: every op pays tuple indexing, a bound-method call, and a
 ``len(op) > 2`` payload probe. This module decodes a trace *once* into
 parallel flat arrays — one ``bytes`` of op kinds plus one list of per-op
 arguments (line index, compute nanoseconds, or transaction id) and an
-optional payload list — that the single-core engine loops
-(:meth:`~repro.sim.engine.CoreEngine.run_batched_record`, then
-:meth:`~repro.sim.engine.CoreEngine.run_batched_replay`) consume with
+optional payload list — that the two passes (a recorder,
+:meth:`~repro.sim.engine.CoreEngine.run_batched_record` single-core or
+:func:`~repro.sim.multicore.record_private_walk` multicore, then the
+timing loop :meth:`~repro.sim.engine.CoreEngine.replay`) consume with
 every per-op attribute lookup hoisted out of the inner loop.
 
 The decode is cached alongside the trace by :mod:`repro.sim.trace_cache`
 (one decode per process per trace, like trace generation itself), so a
-six-scheme sweep over one (workload, size, seed) point decodes once and
-replays the same arrays six times.
+seven-scheme sweep over one (workload, size, seed) point decodes once and
+replays the same arrays seven times.
 
 Decoding is purely structural — no timing state — so sharing
 :class:`TraceArrays` across simulator instances is as sound as sharing
 the trace tuples themselves. Replay through the arrays is **bit-identical**
-to the per-op :meth:`~repro.sim.engine.CoreEngine.step` loop
-(``tests/sim/test_batch.py`` differential-tests it across schemes,
-fidelities, and warm-up).
+to walking the hierarchy op by op next to the memory calls (the per-op
+oracle in ``tests/sim/engine_oracle.py``; ``tests/sim/test_batch.py`` and
+``tests/sim/test_multicore_differential.py`` compare them).
 """
 
 from __future__ import annotations
@@ -89,18 +90,18 @@ class TraceArrays:
 # ----------------------------------------------------------------------
 #
 # The CPU cache walk (:meth:`repro.cache.hierarchy.CacheHierarchy.access`
-# / ``clwb``) is a pure function of the op sequence and the cache
-# geometry: SRAM hit/miss decisions, fills, evictions and dirty bits
-# never depend on memory-system timing, and the six schemes of a sweep
+# / ``clwb``) of one core is a pure function of the op sequence and the
+# cache geometry: SRAM hit/miss decisions, fills, evictions and dirty bits
+# never depend on memory-system timing, and the seven schemes of a sweep
 # share one cache geometry. A sweep therefore replays the *same* walk
-# once per scheme. Recording the walk's outcomes once — per-op resolved
-# kind, SRAM latency, write-back victims, plus the total cache-stat
-# delta — lets every subsequent replay of the same (trace, geometry)
-# skip the walk entirely and charge the recorded outcomes, which is
-# bit-identical by construction (asserted by tests/sim/test_batch.py).
+# once per scheme. Recording the walk's outcomes once lets every replay of
+# the same (trace, geometry) skip the walk and charge the recorded
+# outcomes, which is bit-identical by construction.
 #
-# Resolved per-op kinds consumed by the replay loops (ordered so the
-# common cases compare first):
+# Single-core, the whole L1/L2/L3 walk is recorded: per-op resolved kind,
+# SRAM latency, write-back victims, plus the total cache-stat delta.
+# Resolved kinds (``BK_*``; also the on-disk outcome-store format),
+# ordered so the common cases compare first:
 BK_MEM_HIT = 0  #: load/store, SRAM hit, no memory write-back
 BK_CLWB_DIRTY = 1  #: clwb of a dirty line (persist required)
 BK_MEM_MISS = 2  #: load/store, missed all levels, no write-back
@@ -112,24 +113,48 @@ BK_CLWB_CLEAN = 7  #: clwb of a clean/absent line (no memory traffic)
 BK_MEM_HIT_WB = 8  #: hit that pushed dirty victim(s) out of the LLC
 BK_MEM_MISS_WB = 9  #: miss that pushed dirty victim(s) out of the LLC
 
+#: Codes of the ops no cache walk sees, in both kinds of recording.
+BK_OF_OP = {
+    OP_FENCE: BK_FENCE,
+    OP_TXN_BEGIN: BK_TXN_BEGIN,
+    OP_TXN_END: BK_TXN_END,
+    OP_COMPUTE: BK_COMPUTE,
+}
+#
+# Multicore, the L3 is shared and its state depends on how the cores
+# interleave, so only a core's private L1/L2 walk is recorded, with the
+# L3 an event sink (:class:`repro.cache.hierarchy.L3EventSink`). Private
+# kinds (``PK_*``) name the L1/L2 outcome and the L3 events the replay
+# must apply live; the SRAM latency is implied by the kind (one of three
+# sums), so the recording keeps no per-op floats. Fences, compute and txn
+# markers keep their ``BK_*`` codes. Private walks stay in process.
+PK_L1_HIT = 10  #: load/store, L1 hit (latency L1)
+PK_L2_HIT = 11  #: load/store, L2 hit, nothing pushed into the L3 (L1+L2)
+PK_L3_LOOKUP = 12  #: load/store missed L1/L2: look it up in the L3 (L1+L2+L3)
+PK_CLWB_DIRTY = 13  #: clwb with a dirty private copy: clean the L3, persist
+PK_CLWB = 14  #: clwb with no dirty private copy: persist iff the L3's was
+PK_L2_HIT_PUSH = 15  #: L2 hit that pushed dirty line(s) into the L3
+PK_L3_LOOKUP_PUSH = 16  #: L3 lookup after pushing dirty line(s) into it
+
 
 class OutcomeSegment:
     """The recorded hierarchy outcomes of one op segment.
 
     ``kinds``
-        ``bytes`` of resolved ``BK_*`` codes, index-aligned with the
-        segment's :class:`TraceArrays`.
+        ``bytes`` of ``BK_*`` (single-core) or ``PK_*`` (private walk)
+        codes, index-aligned with the segment's :class:`TraceArrays`.
     ``lats``
         Per-op SRAM walk latency (meaningful for loads/stores; 0.0
-        elsewhere).
+        elsewhere); ``None`` for a private walk, whose kinds imply it.
     ``wbs``
-        Sparse map ``op index -> tuple of victim lines`` for the rare
-        ``*_WB`` ops.
+        Sparse map ``op index -> tuple of lines`` the op pushed out of the
+        recorded levels: the memory write-backs of the rare ``BK_*_WB``
+        ops, or the dirty lines a ``PK_*_PUSH`` op pushed into the L3.
     """
 
     __slots__ = ("kinds", "lats", "wbs")
 
-    def __init__(self, kinds: bytes, lats: List[float], wbs: dict):
+    def __init__(self, kinds: bytes, lats: Optional[List[float]], wbs: dict):
         self.kinds = kinds
         self.lats = lats
         self.wbs = wbs
@@ -141,8 +166,10 @@ class ReplayOutcomes:
     ``stat_delta`` is the exact delta the hierarchy applied to the cache
     stat namespaces (``l1``/``l2``/``l3``/``hierarchy``) over the whole
     run (warmup + measured); replays apply it in one shot instead of
-    bumping per access. Keyed per cache geometry by
-    :func:`repro.sim.trace_cache.trace_outcomes`.
+    bumping per access. A private walk's delta covers only what its
+    L1/L2 decided; the L3 counters, memory write-backs and L3-only dirty
+    clwbs are counted as the replay applies the L3 events. Keyed per
+    cache geometry by :func:`repro.sim.trace_cache.trace_outcomes`.
     """
 
     __slots__ = ("main", "warmup", "stat_delta")
@@ -167,8 +194,7 @@ def build_arrays(ops: Sequence[TraceOp]) -> TraceArrays:
     """Decode one op sequence into :class:`TraceArrays`.
 
     Unknown opcodes raise :class:`~repro.common.errors.SimulationError`
-    here — at decode time — mirroring :meth:`~repro.sim.engine.CoreEngine
-    .step`'s per-op check.
+    here — at decode time — so the replay loops never see one.
     """
     n = len(ops)
     kinds = bytearray(n)

@@ -1,30 +1,42 @@
-"""The per-core trace replay engine.
+"""The per-core timing loop.
 
-One :class:`CoreEngine` owns a core's clock and private cache hierarchy and
-replays trace ops against the shared :class:`~repro.core.system.
-SecureMemorySystem`:
+One :class:`CoreEngine` owns a core's clock and replays its trace against
+the shared :class:`~repro.core.system.SecureMemorySystem` in two passes
+over the decoded op arrays (:mod:`repro.sim.batch`):
 
-* **loads/stores** walk the hierarchy; misses become memory reads (with
-  the counter-cache/OTP overlap inside the system); dirty last-level
-  evictions become memory writes through the full encryption path —
-  fire-and-forget from the core's perspective, like a hardware write
-  buffer;
-* **clwb** flushes a dirty line into the persistence domain; the core
-  waits for the *append* (durability under ADR), which is where full-
-  write-queue stalls — the paper's central bottleneck — surface;
-* **sfence** adds the fence cost (appends are already ordered here);
-* **txn markers** delimit per-transaction latency measurement.
+* :meth:`CoreEngine.run_batched_record` walks the CPU cache hierarchy
+  alone — no clock, no memory calls — and records each op's outcome;
+* :meth:`CoreEngine.replay`, the one per-op timing loop, charges the
+  recorded SRAM latencies and drives the memory system:
+
+  - **loads/stores** that miss become memory reads (with the
+    counter-cache/OTP overlap inside the system); dirty last-level
+    evictions become memory writes through the full encryption path —
+    fire-and-forget from the core's perspective, like a hardware write
+    buffer;
+  - **clwb** flushes a dirty line into the persistence domain; the core
+    waits for the *append* (durability under ADR), which is where full-
+    write-queue stalls — the paper's central bottleneck — surface;
+  - **sfence** adds the fence cost (appends are already ordered here);
+  - **txn markers** delimit per-transaction latency measurement.
+
+A single-core recording resolves the whole walk, and
+:meth:`CoreEngine.run_batched_replay` replays it in one go. A multicore
+recording (:func:`repro.sim.multicore.record_private_walk`) covers only
+the core's private L1/L2; the replay applies its L3 events to the shared
+L3 as it goes and hands control back to the interleave
+(:mod:`repro.sim.multicore`) whenever such an op must wait for another
+core.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional
 
-from repro.cache.hierarchy import CacheHierarchy
-from repro.cache.sram import SetAssociativeCache
+from repro.cache.hierarchy import CacheHierarchy, walk_latencies_ns
 from repro.common.config import SimConfig
 from repro.common.errors import SimulationError
-from repro.common.stats import Stats
 from repro.core.system import SecureMemorySystem
 from repro.obs.tracer import NULL_TRACER
 from repro.sim.batch import (
@@ -38,54 +50,39 @@ from repro.sim.batch import (
     BK_MEM_MISS_WB,
     BK_TXN_BEGIN,
     BK_TXN_END,
+    BK_OF_OP,
+    PK_CLWB,
+    PK_CLWB_DIRTY,
+    PK_L1_HIT,
+    PK_L2_HIT,
+    PK_L2_HIT_PUSH,
+    PK_L3_LOOKUP,
+    PK_L3_LOOKUP_PUSH,
+    OutcomeSegment,
 )
-from repro.txn.persist import (
-    OP_CLWB,
-    OP_COMPUTE,
-    OP_FENCE,
-    OP_LOAD,
-    OP_STORE,
-    OP_TXN_BEGIN,
-    OP_TXN_END,
-    TraceOp,
-)
-
-#: Resolved outcome codes of the ops the hierarchy never sees.
-_BK_OF_OP = {
-    OP_FENCE: BK_FENCE,
-    OP_TXN_BEGIN: BK_TXN_BEGIN,
-    OP_TXN_END: BK_TXN_END,
-    OP_COMPUTE: BK_COMPUTE,
-}
+from repro.txn.persist import OP_CLWB, OP_STORE
 
 
 class CoreEngine:
-    """Replays one op stream on one core."""
+    """One core's clock, transaction timer and timing loop.
+
+    ``hierarchy`` is the cache walk :meth:`run_batched_record` records;
+    an engine that only replays (a multicore core) has none.
+    """
 
     def __init__(
         self,
         core_id: int,
         config: SimConfig,
         system: SecureMemorySystem,
-        stats: Stats,
-        shared_l3: Optional[SetAssociativeCache] = None,
+        hierarchy: Optional[CacheHierarchy] = None,
         tracer=NULL_TRACER,
     ):
         self.core_id = core_id
         self.config = config
         self.system = system
-        self.stats = stats
+        self.hierarchy = hierarchy
         self.tracer = tracer
-        prefix = f"core{core_id}." if shared_l3 is not None else ""
-        self.hierarchy = CacheHierarchy(
-            l1=config.l1,
-            l2=config.l2,
-            l3=config.l3,
-            timing=config.timing,
-            stats=stats,
-            shared_l3=shared_l3,
-            name_prefix=prefix,
-        )
         self.clock: float = 0.0
         self.txn_latencies: List[float] = []
         self._txn_start: Optional[float] = None
@@ -95,6 +92,8 @@ class CoreEngine:
         self._cpu_op_ns = timing.cpu_op_ns
         self._clwb_issue_ns = timing.clwb_issue_ns
         self._sfence_ns = timing.sfence_ns
+        # The SRAM latency a private-walk op's code implies.
+        self._walk_ns = walk_latencies_ns(config.l1, config.l2, config.l3, timing)
 
     # ------------------------------------------------------------------
 
@@ -102,89 +101,25 @@ class CoreEngine:
         """Toggle transaction-latency recording (off during warmup)."""
         self._measuring = measuring
 
-    def step(self, op: TraceOp) -> None:
-        """Execute one trace op, advancing this core's clock.
-
-        The multiprogrammed per-op body: with a shared L3 the cache walk
-        depends on how the cores interleave, so it runs op by op next to
-        the memory calls. Single-core runs split the walk off instead
-        (:meth:`run_batched_record`, then :meth:`run_batched_replay`),
-        with the same arithmetic in the same order.
-        """
-        kind = op[0]
-        if kind == OP_LOAD or kind == OP_STORE:
-            clock = self.clock + self._cpu_op_ns
-            line = op[1]
-            hit_level, latency, writebacks = self.hierarchy.access(
-                line, kind == OP_STORE
-            )
-            clock += latency
-            if hit_level is None:
-                # Memory access on the critical path (write-allocate fetch
-                # for stores, demand read for loads).
-                clock = self.system.read_line(clock, line, self.core_id)
-            self.clock = clock
-            if writebacks:
-                # Dirty last-level evictions: asynchronous from the core's
-                # view (hardware write buffers), so the clock does not chase
-                # them. persistent=False marks them as not-crash-critical
-                # (only the SCA scheme differentiates).
-                persist = self.system.persist_line
-                core = self.core_id
-                for victim in writebacks:
-                    persist(clock, victim, None, core, False)
-        elif kind == OP_CLWB:
-            clock = self.clock + self._clwb_issue_ns
-            self.clock = clock
-            line = op[1]
-            if self.hierarchy.clwb(line):
-                durable = self.system.persist_line(
-                    clock, line, op[2] if len(op) > 2 else None, self.core_id
-                )
-                # Durability is append time (ADR); the core resumes once
-                # the line is accepted into the write queue.
-                if durable > clock:
-                    self.clock = durable
-        elif kind == OP_FENCE:
-            self.clock += self._sfence_ns
-        elif kind == OP_TXN_BEGIN:
-            self._txn_start = self.clock
-        elif kind == OP_TXN_END:
-            if self._txn_start is not None and self._measuring:
-                self.txn_latencies.append(self.clock - self._txn_start)
-            if self._txn_start is not None and self.tracer.enabled:
-                self.tracer.txn(self._txn_start, self.clock, self.core_id)
-            self._txn_start = None
-        elif kind == OP_COMPUTE:
-            self.clock += op[1]
-        else:
-            raise SimulationError(f"unknown trace op {op!r}")
-
-    def run(self, ops) -> None:
-        """Replay a whole op sequence."""
-        step = self.step
-        for op in ops:
-            step(op)
-
-    def run_batched_record(self, arrays, rec_kinds, rec_lats, rec_wbs) -> None:
+    def run_batched_record(self, arrays) -> OutcomeSegment:
         """Walk the cache hierarchy over ``arrays``, recording its outcomes.
 
-        A hierarchy-only pass: no clock, no memory calls. Single-core, the
-        walk depends only on the op sequence and the cache geometry (see
-        :mod:`repro.sim.batch`), so it can run ahead of the timing replay.
-        Appends one resolved ``BK_*`` code to ``rec_kinds`` (a
-        ``bytearray``) and one SRAM latency to ``rec_lats`` per op, and
-        stores write-back victim tuples sparsely in ``rec_wbs`` (op index
-        -> tuple). The recording drives :meth:`run_batched_replay`, here
-        and in later runs of the same (trace, cache geometry).
+        A hierarchy-only pass: no clock, no memory calls. A single core's
+        walk depends only on its op sequence and the cache geometry (see
+        :mod:`repro.sim.batch`), so it can run ahead of the timing replay,
+        and the recording drives :meth:`replay` here and in later runs of
+        the same (trace, cache geometry): each op gets a ``BK_*`` code and
+        an SRAM latency, and ``BK_*_WB`` ops their memory write-back
+        victims.
         """
         kinds = arrays.kinds
         args = arrays.args
         access = self.hierarchy.access
         clwb = self.hierarchy.clwb
-        kinds_append = rec_kinds.append
-        lats_append = rec_lats.append
-        base = len(rec_kinds)
+        rec = bytearray(arrays.n)
+        lats: List[float] = []
+        lats_append = lats.append
+        wbs: dict = {}
         store_k = OP_STORE
         clwb_k = OP_CLWB
         for i in range(arrays.n):
@@ -193,35 +128,56 @@ class CoreEngine:
                 hit_level, latency, writebacks = access(args[i], kind == store_k)
                 lats_append(latency)
                 if writebacks:
-                    rec_wbs[base + i] = tuple(writebacks)
-                    kinds_append(
-                        BK_MEM_MISS_WB if hit_level is None else BK_MEM_HIT_WB
-                    )
+                    wbs[i] = tuple(writebacks)
+                    rec[i] = BK_MEM_MISS_WB if hit_level is None else BK_MEM_HIT_WB
                 else:
-                    kinds_append(BK_MEM_MISS if hit_level is None else BK_MEM_HIT)
+                    rec[i] = BK_MEM_MISS if hit_level is None else BK_MEM_HIT
             else:
                 lats_append(0.0)
                 if kind == clwb_k:
-                    kinds_append(BK_CLWB_DIRTY if clwb(args[i]) else BK_CLWB_CLEAN)
+                    rec[i] = BK_CLWB_DIRTY if clwb(args[i]) else BK_CLWB_CLEAN
                 else:
-                    kinds_append(_BK_OF_OP[kind])
+                    rec[i] = BK_OF_OP[kind]
+        return OutcomeSegment(bytes(rec), lats, wbs)
 
     def run_batched_replay(self, arrays, segment) -> None:
-        """Replay a recorded hierarchy-outcome ``segment`` over ``arrays``.
+        """Replay a recorded single-core ``segment`` over ``arrays``.
 
-        The cache walk is skipped entirely: each op's resolved kind, SRAM
-        latency, and write-back victims come from the recording, so an
-        SRAM-hit load/store costs two float adds and nothing else. Memory
+        Nothing to interleave with: unbounded, :meth:`replay` never
+        yields, so one ``next`` runs the whole segment.
+        """
+        next(self.replay(arrays, segment), None)
+
+    def replay(self, arrays, segment, l3=None, bound: float = math.inf):
+        """The per-op timing loop over a recorded ``segment``, a generator.
+
+        The cache walk is skipped: each op's outcome comes from the
+        recording, so an SRAM-hit load/store costs two float adds. Memory
         traffic (misses, dirty clwbs, write-backs) is driven at exactly
-        the clocks and in exactly the order :meth:`step` would drive it,
-        and the recorded cache-stat delta is applied by the caller when
-        the walk ran elsewhere (:meth:`repro.sim.simulator.Simulator.run`).
+        the clocks and in exactly the order a per-op walk would drive it.
+        ``BK_*`` ops are fully resolved. ``PK_*`` ops (a private walk)
+        apply their L3 events to the shared ``l3`` first: the dirty
+        push-down fills, then the L2-miss lookup (a hit saves the memory
+        read, a dirty victim becomes a write-back), or clwb's clean (a
+        dirty L3 copy makes a clean private one persist).
+
+        Before an op that touches the L3, the memory system or the tracer,
+        a clock at or past ``bound`` is yielded; the multicore interleave
+        resumes the loop once this core holds the smallest key, sending
+        the next core's clock as the new bound, and the op then runs.
+        Private ops — L1/L2 hits, compute, fences, txn markers without a
+        tracer — never wait. Unbounded, nothing yields.
+
+        The recorded stat delta is applied by the caller; the L3-dependent
+        ``hierarchy`` counters are bumped here when the segment ends.
         """
         if len(segment.kinds) != arrays.n:
             raise SimulationError(
                 "outcome segment does not match op arrays "
                 f"({len(segment.kinds)} outcomes, {arrays.n} ops)"
             )
+        if segment.lats is None and l3 is None:
+            raise SimulationError("a private-walk segment needs a shared L3")
         args = arrays.args
         payloads = arrays.payloads
         bkinds = segment.kinds
@@ -231,16 +187,25 @@ class CoreEngine:
         cpu_op_ns = self._cpu_op_ns
         clwb_issue_ns = self._clwb_issue_ns
         sfence_ns = self._sfence_ns
+        l1_ns, l2_ns, l3_ns = self._walk_ns
         txn_latencies = self.txn_latencies
         tracer = self.tracer
         tracer_enabled = tracer.enabled
         measuring = self._measuring
         read = self.system.read_line
         persist = self.system.persist_line
+        if l3 is not None:
+            l3_access = l3.access
+            l3_fill = l3.fill
+            l3_clean = l3.clean
+        memory_writebacks = 0
+        l3_dirty_clwbs = 0
         clock = self.clock
         txn_start = self._txn_start
         for i in range(arrays.n):
             kind = bkinds[i]
+            # Single-core codes first, so a single-core op never tests a
+            # private-walk code.
             if kind == BK_MEM_HIT:
                 clock += cpu_op_ns
                 clock += lats[i]
@@ -264,6 +229,9 @@ class CoreEngine:
                 txn_start = clock
             elif kind == BK_TXN_END:
                 if txn_start is not None:
+                    if tracer_enabled and clock >= bound:
+                        # The event stream is shared: wait for this turn.
+                        bound = yield clock
                     if measuring:
                         txn_latencies.append(clock - txn_start)
                     if tracer_enabled:
@@ -273,16 +241,85 @@ class CoreEngine:
                 clock += args[i]
             elif kind == BK_CLWB_CLEAN:
                 clock += clwb_issue_ns
-            else:  # BK_MEM_HIT_WB / BK_MEM_MISS_WB
+            elif kind < PK_L1_HIT:  # BK_MEM_HIT_WB / BK_MEM_MISS_WB
                 clock += cpu_op_ns
                 clock += lats[i]
                 if kind == BK_MEM_MISS_WB:
                     clock = read(clock, args[i], core)
                 for victim in wbs[i]:
                     persist(clock, victim, None, core, False)
+            elif kind == PK_L1_HIT:
+                clock += cpu_op_ns
+                clock += l1_ns
+            elif kind == PK_L3_LOOKUP:
+                if clock >= bound:
+                    bound = yield clock
+                clock += cpu_op_ns
+                clock += l3_ns
+                line = args[i]
+                hit, victim = l3_access(line, False)
+                if not hit:
+                    clock = read(clock, line, core)
+                    if victim is not None and victim.dirty:
+                        memory_writebacks += 1
+                        persist(clock, victim.line, None, core, False)
+            elif kind == PK_CLWB_DIRTY:
+                if clock >= bound:
+                    bound = yield clock
+                clock += clwb_issue_ns
+                line = args[i]
+                l3_clean(line)
+                durable = persist(
+                    clock, line, None if payloads is None else payloads[i], core
+                )
+                if durable > clock:
+                    clock = durable
+            elif kind == PK_L2_HIT:
+                clock += cpu_op_ns
+                clock += l2_ns
+            elif kind == PK_CLWB:
+                if clock >= bound:
+                    bound = yield clock
+                clock += clwb_issue_ns
+                line = args[i]
+                if l3_clean(line):
+                    l3_dirty_clwbs += 1
+                    durable = persist(
+                        clock, line, None if payloads is None else payloads[i], core
+                    )
+                    if durable > clock:
+                        clock = durable
+            else:  # PK_L2_HIT_PUSH / PK_L3_LOOKUP_PUSH
+                if clock >= bound:
+                    bound = yield clock
+                clock += cpu_op_ns
+                victims = []
+                for pushed in wbs[i]:
+                    victim = l3_fill(pushed, True)
+                    if victim is not None and victim.dirty:
+                        victims.append(victim.line)
+                if kind == PK_L2_HIT_PUSH:
+                    clock += l2_ns
+                else:
+                    clock += l3_ns
+                    line = args[i]
+                    hit, victim = l3_access(line, False)
+                    if victim is not None and victim.dirty:
+                        victims.append(victim.line)
+                    if not hit:
+                        clock = read(clock, line, core)
+                memory_writebacks += len(victims)
+                for victim in victims:
+                    persist(clock, victim, None, core, False)
         self.clock = clock
         self._txn_start = txn_start
+        if memory_writebacks:
+            self.system.stats.inc("hierarchy", "memory_writebacks", memory_writebacks)
+        if l3_dirty_clwbs:
+            self.system.stats.inc("hierarchy", "clwb_dirty", l3_dirty_clwbs)
 
     # Names bench/layers.py (the benchmark's per-layer table) still lists;
     # it is their only reader, and they go when that table drops them.
     run_batched = run_batched_replay
+    run = run_batched_replay
+    step = replay

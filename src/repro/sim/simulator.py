@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable, Optional
 
+from repro.cache.hierarchy import CacheHierarchy
 from repro.common.config import SimConfig
 from repro.common.stats import Stats
 from repro.core.schemes import Scheme, scheme_config
@@ -19,7 +20,6 @@ from repro.obs.tracer import NULL_TRACER
 from repro.common.errors import SimulationError
 from repro.sim.batch import (
     HIERARCHY_STAT_NAMESPACES,
-    OutcomeSegment,
     ReplayOutcomes,
     TraceArrays,
     build_arrays,
@@ -56,7 +56,11 @@ class Simulator:
             tracer=self.tracer,
         )
         self.engine = CoreEngine(
-            0, config, self.system, self.stats, tracer=self.tracer
+            0,
+            config,
+            self.system,
+            CacheHierarchy(config.l1, config.l2, config.l3, config.timing, self.stats),
+            tracer=self.tracer,
         )
         #: The outcome stream the last :meth:`run` recorded (None when it
         #: was handed one).
@@ -140,20 +144,12 @@ class Simulator:
             key: value for key, value in raw.items() if key[0] in namespaces
         }
         record = self.engine.run_batched_record
-
-        def segment(seg_arrays: TraceArrays) -> OutcomeSegment:
-            kinds: bytearray = bytearray()
-            lats: list = []
-            wbs: dict = {}
-            record(seg_arrays, kinds, lats, wbs)
-            return OutcomeSegment(bytes(kinds), lats, wbs)
-
         warm = (
-            segment(warmup_arrays)
+            record(warmup_arrays)
             if warmup_arrays is not None and warmup_arrays.n
             else None
         )
-        main = segment(arrays)
+        main = record(arrays)
         delta = tuple(
             (key, value - base.get(key, 0.0))
             for key, value in raw.items()

@@ -28,7 +28,8 @@ rebuilds the trace (arrays attached) or the recorded outcome stream from
 its compact binary entry, and a miss falls through to the compute path
 whose result is written back for the next process. A 4-job sweep against
 one store therefore generates each trace and records each (trace,
-geometry) walk exactly once fleet-wide.
+geometry) walk exactly once fleet-wide. Multicore private-walk
+recordings (:func:`private_walk_key`) stay in the process tier.
 """
 
 from __future__ import annotations
@@ -191,16 +192,38 @@ def outcome_stats() -> Tuple[int, int]:
     return _outcome_hits, _outcome_misses
 
 
+#: First element of a private-walk key; single-core keys are config tuples.
+PRIVATE_WALK = "private-walk"
+
+
+def private_walk_key(config) -> Tuple:
+    """The key a multicore core's private L1/L2 walk is kept under.
+
+    The walk depends only on the L1/L2 geometry. The leading tag keeps it
+    apart from single-core ``(l1, l2, l3, timing)`` recordings and out of
+    the on-disk store, whose format holds single-core recordings only.
+    """
+    return (PRIVATE_WALK, config.l1, config.l2)
+
+
+def _on_disk(trace: GeneratedTrace, cache_sig: Tuple) -> Optional[str]:
+    """The store digest to use for this recording, or None to stay in
+    process (no store, no trace digest, or a private walk)."""
+    if _store is None or cache_sig[0] == PRIVATE_WALK:
+        return None
+    return getattr(trace, "store_digest", None)
+
+
 def trace_outcomes(trace: GeneratedTrace, cache_sig: Tuple):
     """The recorded hierarchy outcomes of ``trace`` under ``cache_sig``.
 
     ``cache_sig`` is the cache-geometry key ``(l1, l2, l3, timing)``
-    (frozen config dataclasses — hashable). Tiered lookup: recordings
-    attached to the trace first, then the on-disk store (when active and
-    the trace carries a store digest). Returns ``None`` (and counts a
-    miss) when no recording exists yet; the caller then runs in
-    recording mode and stores the result via
-    :func:`store_trace_outcomes`.
+    (frozen config dataclasses — hashable), or a
+    :func:`private_walk_key`. Tiered lookup: recordings attached to the
+    trace first, then the on-disk store (when active, the trace carries a
+    store digest, and the key is not a private walk's). Returns ``None``
+    (and counts a miss) when no recording exists yet; the caller then
+    records one and stores it via :func:`store_trace_outcomes`.
     """
     global _outcome_hits, _outcome_misses
     if not _enabled:
@@ -211,8 +234,8 @@ def trace_outcomes(trace: GeneratedTrace, cache_sig: Tuple):
     if outcomes is not None:
         _outcome_hits += 1
         return outcomes
-    digest = getattr(trace, "store_digest", None)
-    if _store is not None and digest is not None:
+    digest = _on_disk(trace, cache_sig)
+    if digest is not None:
         outcomes = _store.load_outcomes(
             digest,
             cache_sig,
@@ -240,8 +263,8 @@ def store_trace_outcomes(trace: GeneratedTrace, cache_sig: Tuple, outcomes) -> N
         store = {}
         trace.replay_outcomes = store
     store[cache_sig] = outcomes
-    digest = getattr(trace, "store_digest", None)
-    if _store is not None and digest is not None:
+    digest = _on_disk(trace, cache_sig)
+    if digest is not None:
         _store.save_outcomes(digest, cache_sig, outcomes)
 
 

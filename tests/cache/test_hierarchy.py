@@ -135,6 +135,26 @@ def test_shared_l3_between_cores():
     assert outcome.hit_level == 3  # misses private L1/L2, hits shared L3
 
 
+def test_shared_l3_sets_the_l3_latency():
+    """The L3 latency is the installed shared cache's, even while it is
+    empty, not the ``l3`` config's."""
+    stats = Stats()
+    shared = SetAssociativeCache(
+        CacheConfig(size=16 * 64, assoc=16, latency_cycles=40), stats, "l3"
+    )
+    h = CacheHierarchy(
+        l1=CacheConfig(size=4 * 64, assoc=4, latency_cycles=2),
+        l2=CacheConfig(size=8 * 64, assoc=8, latency_cycles=16),
+        l3=CacheConfig(size=16 * 64, assoc=16, latency_cycles=30),
+        timing=TimingConfig(),
+        stats=stats,
+        shared_l3=shared,
+    )
+    # 2 + 16 + 40 cycles at 2 GHz
+    assert h.total_sram_latency_ns == pytest.approx(29.0)
+    assert h.read(0).latency_ns == pytest.approx(29.0)
+
+
 def test_total_sram_latency():
     h, _ = small_hierarchy()
     assert h.total_sram_latency_ns == pytest.approx(24.0)

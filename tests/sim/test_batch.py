@@ -7,12 +7,11 @@ replay (:meth:`~repro.sim.engine.CoreEngine.run_batched_replay`) drives
 the memory system from that recording. Within a sweep the recording is
 reused across schemes, so later schemes skip the walk entirely. None of
 that may change a single simulated number: these tests compare
-:meth:`~repro.sim.simulator.Simulator.run` against the per-op oracle —
-:meth:`~repro.sim.engine.CoreEngine.run` over the op tuples on a fresh
-:class:`~repro.sim.simulator.Simulator`, which interleaves the walk with
-the memory calls — on total time, every transaction latency, and every
-stats counter, across schemes, fidelities, warm-up, and record-vs-replay
-modes.
+:meth:`~repro.sim.simulator.Simulator.run` against the per-op oracle
+(:func:`tests.sim.engine_oracle.run_single`, which interleaves the walk
+with the memory calls on a fresh simulator) on total time, every
+transaction latency, and every stats counter, across schemes,
+fidelities, warm-up, and record-vs-replay modes.
 """
 
 import dataclasses
@@ -22,12 +21,13 @@ import pytest
 from repro.common.config import SimConfig
 from repro.common.errors import SimulationError
 from repro.core.schemes import EVALUATED_SCHEMES, Scheme, scheme_config
-from repro.sim import trace_cache
+from repro.sim import outcome_store, trace_cache
 from repro.sim.batch import OutcomeSegment, ReplayOutcomes, build_arrays
 from repro.sim.multicore import simulate_multiprogrammed
 from repro.sim.simulator import Simulator, simulate_workload
 from repro.txn.persist import OP_CLWB, OP_FENCE, OP_STORE
 from repro.workloads.generator import generate_trace
+from tests.sim.engine_oracle import run_single
 
 POINT = dict(n_ops=60, request_size=1024, footprint=1 << 18, seed=3, warmup_ops=8)
 
@@ -51,24 +51,11 @@ def _point(workload, scheme, fidelity="timing", **kw):
 
 
 def _oracle(workload, scheme, fidelity="timing", **kw):
-    """The same point through the per-op loop: ``CoreEngine.run``."""
+    """The same point through the per-op loop."""
     kw = {**POINT, **kw}
     cfg = dataclasses.replace(scheme_config(scheme, SimConfig()), fidelity=fidelity)
     trace = generate_trace(workload, track_payloads=cfg.functional, **kw)
-    sim = Simulator(cfg)
-    engine = sim.engine
-    if trace.warmup_ops:
-        engine.set_measuring(False)
-        engine.run(trace.warmup_ops)
-        engine.set_measuring(True)
-        sim._reset_warmup_stats()
-    engine.run(trace.ops)
-    total = max(engine.clock, sim.system.drain())
-    return (
-        total,
-        tuple(engine.txn_latencies),
-        tuple(sorted(sim.stats.raw().items())),
-    )
+    return _snapshot(run_single(cfg, trace.ops, trace.warmup_ops))
 
 
 @pytest.fixture(autouse=True)
@@ -171,12 +158,23 @@ class TestCacheCounters:
         assert trace_cache.array_stats()[0] >= 1
         assert trace_cache.outcome_stats() == (0, 1)
 
-    def test_scalar_config_bypasses_batch_caches(self):
-        # The per-op step loop (the multiprogrammed kernel: a shared L3
-        # makes the walk timing-dependent) neither decodes arrays nor
-        # records outcome streams.
-        simulate_multiprogrammed(
-            "array", Scheme.UNSEC, n_programs=2, n_ops=20, request_size=256, seed=1
-        )
-        assert trace_cache.array_stats() == (0, 0)
-        assert trace_cache.outcome_stats() == (0, 0)
+    def test_multicore_cell_records_each_core_walk_once(self, tmp_path):
+        # A seven-scheme Figure 14 cell: the first scheme decodes each
+        # core's trace and records its private walk, the other six reuse
+        # both. Private walks stay in process, even with a store active.
+        outcome_store.reset_store_stats()
+        base = SimConfig(outcome_store=str(tmp_path))
+        try:
+            for scheme in EVALUATED_SCHEMES:
+                simulate_multiprogrammed(
+                    "array", scheme, n_programs=2, n_ops=20, request_size=256,
+                    seed=1, base_config=base,
+                )
+        finally:
+            trace_cache.use_store(None)
+        reuses = 2 * (len(EVALUATED_SCHEMES) - 1)
+        assert trace_cache.array_stats() == (reuses, 2)
+        assert trace_cache.outcome_stats() == (reuses, 2)
+        store = outcome_store.store_stats()
+        assert store["trace_misses"] == 2
+        assert store["outcome_hits"] == store["outcome_misses"] == 0

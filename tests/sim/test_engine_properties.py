@@ -5,10 +5,9 @@ import dataclasses
 from hypothesis import given, settings, strategies as st
 
 from repro.common.config import MemoryConfig, SimConfig
-from repro.common.stats import Stats
 from repro.core.schemes import Scheme, scheme_config
-from repro.core.system import SecureMemorySystem
-from repro.sim.engine import CoreEngine
+from repro.sim.batch import build_arrays
+from repro.sim.simulator import Simulator
 from repro.txn.persist import (
     OP_CLWB,
     OP_COMPUTE,
@@ -36,9 +35,14 @@ def make_engine(scheme):
         scheme_config(scheme, SimConfig(memory=MemoryConfig(capacity=8 << 20))),
         functional=False,
     )
-    stats = Stats()
-    system = SecureMemorySystem(cfg, stats=stats)
-    return CoreEngine(0, cfg, system, stats), system, stats
+    sim = Simulator(cfg)
+    return sim.engine, sim.system, sim.stats
+
+
+def step(engine, op):
+    """Record and replay one op on ``engine`` (the walk carries over)."""
+    arrays = build_arrays([op])
+    engine.run_batched_replay(arrays, engine.run_batched_record(arrays))
 
 
 @settings(max_examples=25, deadline=None)
@@ -47,7 +51,7 @@ def test_clock_is_monotonic(ops):
     engine, system, _ = make_engine(Scheme.SUPERMEM)
     last = 0.0
     for op in ops:
-        engine.step(op)
+        step(engine, op)
         assert engine.clock >= last
         last = engine.clock
 
@@ -58,7 +62,7 @@ def test_all_appends_eventually_issue(ops):
     """After drain_all, every appended write must have been issued."""
     engine, system, stats = make_engine(Scheme.SUPERMEM)
     for op in ops:
-        engine.step(op)
+        step(engine, op)
     system.drain()
     assert stats.get("wq", "appends") - stats.get("wq", "cwc_coalesced") == stats.get(
         "wq", "issued"
@@ -72,7 +76,7 @@ def test_encrypted_write_traffic_is_exactly_doubled_pre_coalescing(ops):
     """Under WT, counter appends must equal data appends (one pair each)."""
     engine, system, stats = make_engine(Scheme.WT_BASE)
     for op in ops:
-        engine.step(op)
+        step(engine, op)
     assert stats.get("wq", "counter_appends") == stats.get("wq", "data_appends")
 
 
@@ -84,7 +88,7 @@ def test_same_trace_same_result(ops, _salt):
     for _ in range(2):
         engine, system, _ = make_engine(Scheme.SUPERMEM)
         for op in ops:
-            engine.step(op)
+            step(engine, op)
         finish = system.drain()
         clocks.append((engine.clock, finish))
     assert clocks[0] == clocks[1]
@@ -98,6 +102,6 @@ def test_unsec_is_never_slower_than_wt(ops):
     for scheme in (Scheme.UNSEC, Scheme.WT_BASE):
         engine, system, _ = make_engine(scheme)
         for op in ops:
-            engine.step(op)
+            step(engine, op)
         finishes[scheme] = max(engine.clock, system.drain())
     assert finishes[Scheme.UNSEC] <= finishes[Scheme.WT_BASE] + 1e-6

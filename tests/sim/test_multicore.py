@@ -33,18 +33,19 @@ def test_interleaves_by_local_time():
     assert sim.engines[1].clock == 50.0
     assert result.total_time_ns >= 1000.0
 
-    # Equal clocks: the lowest core index steps first.
-    sim = MulticoreSimulator(make_cfg(), n_cores=3)
-    order = []
-    for engine in sim.engines:
-        engine.step = (
-            lambda op, step=engine.step, core=engine.core_id: (
-                order.append(core),
-                step(op),
-            )
-        )
-    sim.run([[(OP_COMPUTE, 10.0)] * 2] * 2 + [[(OP_COMPUTE, 5.0)] * 2])
-    assert order == [0, 1, 2, 2, 0, 1]
+    # Shared ops run in (clock, core) order, so equal clocks go to the
+    # lowest core index. A traced txn end is shared (its event lands in
+    # the one stream), so the stream shows the order: ends at 10/20 ns on
+    # cores 0 and 1, at 5/10 ns on core 2.
+    tracer = Tracer()
+    sim = MulticoreSimulator(make_cfg(), n_cores=3, tracer=tracer)
+
+    def txns(ns):
+        return [(OP_TXN_BEGIN, 1), (OP_COMPUTE, ns), (OP_TXN_END, 1)] * 2
+
+    sim.run([txns(10.0), txns(10.0), txns(5.0)])
+    ends = [(event.ts + event.dur, event.args["core"]) for event in tracer.events]
+    assert ends == [(5.0, 2), (10.0, 0), (10.0, 1), (10.0, 2), (20.0, 0), (20.0, 1)]
 
 
 @pytest.mark.parametrize("n_programs", [1, 4, 8])
@@ -69,21 +70,33 @@ def test_fast_chain_matches_observed_chain(scheme, n_programs):
 
 @pytest.mark.parametrize("scheme", EVALUATED_SCHEMES, ids=lambda s: s.value)
 def test_full_stalls_charged_to_the_stepping_core(scheme, monkeypatch):
-    """Every write-queue-full stall names the core whose op stalled."""
+    """Every write-queue-full stall names the core whose op stalled.
+
+    Each resumption of a core's replay runs only that core's ops, so the
+    stalls it emits must all name that core.
+    """
     tracer = Tracer()
     stalls = []
-    step = CoreEngine.step
+    replay = CoreEngine.replay
 
-    def recording_step(engine, op):
-        seen = len(tracer.events)
-        step(engine, op)
-        stalls.extend(
-            (engine.core_id, event.args["core"])
-            for event in tracer.events[seen:]
-            if event.name == "full_stall"
-        )
+    def observed_replay(engine, *args, **kwargs):
+        inner = replay(engine, *args, **kwargs)
+        bound = None
+        while True:
+            seen = len(tracer.events)
+            try:
+                clock = inner.send(bound)
+            except StopIteration:
+                return
+            finally:
+                stalls.extend(
+                    (engine.core_id, event.args["core"])
+                    for event in tracer.events[seen:]
+                    if event.name == "full_stall"
+                )
+            bound = yield clock
 
-    monkeypatch.setattr(CoreEngine, "step", recording_step)
+    monkeypatch.setattr(CoreEngine, "replay", observed_replay)
     result = simulate_multiprogrammed(
         "array",
         scheme,
