@@ -202,22 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         "reported as failed (default 3; 1 disables retry)",
     )
     run_parser.add_argument(
-        "--live",
-        action="store_true",
-        help="publish live fleet metrics while sweeping: a periodic status "
-        "line on stderr, a JSONL snapshot/event stream, and a Prometheus "
-        "text snapshot file (paths derive from --resume, else 'sweep.*'; "
-        "serve the .prom file with `repro serve-metrics`, analyse the "
-        "stream with `repro sweep-report`)",
-    )
-    run_parser.add_argument(
-        "--live-interval",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="seconds between --live status/snapshot emissions (default 2)",
-    )
-    run_parser.add_argument(
         "--outcome-store",
         default=None,
         metavar="DIR",
@@ -398,245 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the recovery phases as Chrome trace-event JSON",
     )
 
-    serve_parser = sub.add_parser(
-        "serve-metrics",
-        help="serve a Prometheus .prom snapshot file over HTTP (stdlib only)",
-    )
-    serve_parser.add_argument(
-        "prom_file",
-        help="snapshot file a `run --live` sweep rewrites (e.g. sweep.prom)",
-    )
-    serve_parser.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)"
-    )
-    serve_parser.add_argument(
-        "--port", type=int, default=9464, help="bind port (default 9464; 0 = ephemeral)"
-    )
-
-    sweep_report_parser = sub.add_parser(
-        "sweep-report",
-        help="fleet-health report from a `run --live` metrics JSONL stream",
-    )
-    sweep_report_parser.add_argument(
-        "metrics_file",
-        help="metrics stream from a --live sweep (e.g. sweep.metrics.jsonl)",
-    )
-    sweep_report_parser.add_argument(
-        "--journal",
-        default=None,
-        metavar="PATH",
-        help="also summarise this resume journal (results/failures/torn tails)",
-    )
-    sweep_report_parser.add_argument(
-        "--top", type=int, default=5, help="slowest points to list (default 5)"
-    )
-
-    tune_parser = sub.add_parser(
-        "tune",
-        help="search SimConfig knobs for the best fitness (docs/TUNING.md)",
-    )
-    tune_parser.add_argument(
-        "--workloads",
-        default="array,queue",
-        metavar="CSV",
-        help="comma-separated workload mix the fitness sums over "
-        "(default: array,queue)",
-    )
-    tune_parser.add_argument(
-        "--scheme",
-        default="supermem",
-        help="scheme to tune under: unsec/wb/wt/wt+cwc/wt+xbank/supermem/"
-        "sca/osiris (default: supermem)",
-    )
-    tune_parser.add_argument(
-        "--scale",
-        choices=("smoke", "default", "full"),
-        default="smoke",
-        help="run size preset per candidate evaluation (default: smoke)",
-    )
-    tune_parser.add_argument(
-        "--budget",
-        default="small",
-        metavar="N|small|medium|large",
-        help="candidate evaluations including the step-0 baseline "
-        "(small=8, medium=24, large=64, or any integer; default: small)",
-    )
-    tune_parser.add_argument(
-        "--strategy",
-        choices=("random", "hillclimb", "evolutionary"),
-        default="hillclimb",
-        help="search strategy (default: hillclimb)",
-    )
-    tune_parser.add_argument(
-        "--fitness",
-        choices=("run_time_ns", "bytes_per_persist", "weighted"),
-        default="run_time_ns",
-        help="objective to minimize (default: run_time_ns)",
-    )
-    tune_parser.add_argument(
-        "--weight",
-        type=float,
-        default=0.5,
-        metavar="W",
-        help="weighted fitness: W x normalized run time + (1-W) x "
-        "normalized bytes-per-persist (default 0.5)",
-    )
-    tune_parser.add_argument(
-        "--seed", type=int, default=1, help="search RNG seed (default 1)"
-    )
-    tune_parser.add_argument(
-        "--request-size", type=int, default=1024, help="per-point request size"
-    )
-    tune_parser.add_argument(
-        "--jobs",
-        default="1",
-        metavar="N",
-        help="worker processes per candidate evaluation ('auto' = CPU "
-        "count; decisions are identical at any job count)",
-    )
-    tune_parser.add_argument(
-        "--resume",
-        default=None,
-        metavar="JOURNAL",
-        help="journal candidate evaluations to this JSONL file; a killed "
-        "search re-run with the same arguments and journal replays "
-        "finished evaluations from disk and lands on a bit-identical "
-        "trajectory digest",
-    )
-    tune_parser.add_argument(
-        "--point-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="kill and retry any evaluation point past this wall-clock "
-        "budget (default: no timeout)",
-    )
-    tune_parser.add_argument(
-        "--retries",
-        type=int,
-        default=3,
-        metavar="N",
-        help="execution attempts per evaluation point (default 3)",
-    )
-    tune_parser.add_argument(
-        "--live",
-        action="store_true",
-        help="publish live fleet + repro_tune_* metrics while searching "
-        "(stream/prom paths derive from --resume, else 'sweep.*')",
-    )
-    tune_parser.add_argument(
-        "--live-interval",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="seconds between --live emissions (default 2)",
-    )
-    tune_parser.add_argument(
-        "--surrogate-first",
-        action="store_true",
-        help="screen candidates with an online knob model before paying "
-        "for simulation; prunes points predicted worse than "
-        "best x --prune-margin (see docs/TUNING.md for caveats)",
-    )
-    tune_parser.add_argument(
-        "--surrogate-model",
-        default=None,
-        metavar="PATH",
-        help="anchor the screen on a fitted `repro surrogate fit` model "
-        "(run_time_ns fitness only; logs measured-vs-predicted "
-        "residuals per accepted point)",
-    )
-    tune_parser.add_argument(
-        "--prune-margin",
-        type=float,
-        default=1.25,
-        metavar="M",
-        help="surrogate screen prunes candidates predicted worse than "
-        "best x M (default 1.25)",
-    )
-    tune_parser.add_argument(
-        "--trajectory",
-        default="TUNE_TRAJECTORY.jsonl",
-        metavar="PATH",
-        help="per-step search trajectory JSONL (default: "
-        "TUNE_TRAJECTORY.jsonl; input of `repro tune-report`)",
-    )
-    tune_parser.add_argument(
-        "--recommend",
-        default="RECOMMENDED_CONFIG.json",
-        metavar="PATH",
-        help="best-found config export (default: RECOMMENDED_CONFIG.json)",
-    )
-    tune_parser.add_argument(
-        "--outcome-store",
-        default=None,
-        metavar="DIR",
-        help="share traces and recorded cache-walk outcomes across the "
-        "search's workers (and across tuner invocations) through an "
-        "on-disk store (see `repro run --outcome-store`)",
-    )
-
-    tune_report_parser = sub.add_parser(
-        "tune-report",
-        help="render best point / trajectory / times-to-completion from a "
-        "tune trajectory file",
-    )
-    tune_report_parser.add_argument(
-        "trajectory_file",
-        help="trajectory JSONL written by `repro tune --trajectory`",
-    )
-    tune_report_parser.add_argument(
-        "--top", type=int, default=5, help="ranked points to list (default 5)"
-    )
-    tune_report_parser.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="also export the report payload as JSON ('-' for stdout)",
-    )
-
-    surrogate_parser = sub.add_parser(
-        "surrogate",
-        help="fit/evaluate the analytical run-time surrogate model",
-    )
-    surrogate_parser.add_argument(
-        "mode",
-        choices=("fit", "predict", "validate"),
-        help="fit: train on the fig13 grid; predict: closed-form per-scheme "
-        "estimates for one cell; validate: check a model against a journal",
-    )
-    surrogate_parser.add_argument(
-        "--scale", default="smoke", help="experiment scale of the grid"
-    )
-    surrogate_parser.add_argument(
-        "--jobs", default="1", help="worker processes for the fit sweep"
-    )
-    surrogate_parser.add_argument(
-        "--model",
-        default="surrogate.json",
-        metavar="PATH",
-        help="model file to write (fit) or read (predict/validate)",
-    )
-    surrogate_parser.add_argument(
-        "--journal",
-        default=None,
-        metavar="PATH",
-        help="validate: sweep journal to cross-check predictions against "
-        "(omitted: re-simulate the grid)",
-    )
-    surrogate_parser.add_argument(
-        "--workload", default="btree", help="predict: workload name"
-    )
-    surrogate_parser.add_argument(
-        "--request-size", type=int, default=1024, help="predict: request size"
-    )
-    surrogate_parser.add_argument(
-        "--output",
-        default=None,
-        metavar="PATH",
-        help="also write the validation/prediction report as JSON",
-    )
-
     return parser
 
 
@@ -655,26 +400,6 @@ def main(argv=None) -> int:
         return _cmd_bench_sweep(args)
     if args.command == "cache":
         return _cmd_cache(args)
-    if args.command == "serve-metrics":
-        from repro.obs.promserve import serve_metrics
-
-        return serve_metrics(args.prom_file, host=args.host, port=args.port)
-    if args.command == "sweep-report":
-        from repro.experiments.sweep_report import render_sweep_report_file
-
-        print(
-            render_sweep_report_file(
-                args.metrics_file, top=args.top, journal_path=args.journal
-            )
-        )
-        return 0
-    if args.command == "surrogate":
-        return _cmd_surrogate(args)
-    if args.command == "tune":
-        return _cmd_tune(args)
-    if args.command == "tune-report":
-        return _cmd_tune_report(args)
-
     if args.command == "list":
         for name in EXPERIMENTS:
             print(f"{name:10s} {_DESCRIPTIONS[name]}")
@@ -683,35 +408,29 @@ def main(argv=None) -> int:
     jobs = _parse_jobs(args.jobs)
     _install_policy(args)
     _install_outcome_store(args)
-    reporter = _install_live_metrics(args)
     names = EXPERIMENTS if args.experiment == "all" else (args.experiment,)
     json_path = args.json if len(names) == 1 else None
     sections = []
-    try:
-        for name in names:
-            started = time.time()
-            print(
-                f"[repro] running {name} (scale={args.scale}, jobs={jobs})...",
-                file=sys.stderr,
+    for name in names:
+        started = time.time()
+        print(
+            f"[repro] running {name} (scale={args.scale}, jobs={jobs})...",
+            file=sys.stderr,
+        )
+        sections.append(
+            _run_experiment(
+                name,
+                args.scale,
+                json_path=json_path,
+                jobs=jobs,
+                journal=args.resume,
+                fidelity=args.fidelity,
             )
-            sections.append(
-                _run_experiment(
-                    name,
-                    args.scale,
-                    json_path=json_path,
-                    jobs=jobs,
-                    journal=args.resume,
-                    fidelity=args.fidelity,
-                )
-            )
-            print(
-                f"[repro] {name} done in {time.time() - started:.1f}s",
-                file=sys.stderr,
-            )
-            _report_sweep_health(name)
-    finally:
-        if reporter is not None:
-            reporter.stop()
+        )
+        print(
+            f"[repro] {name} done in {time.time() - started:.1f}s",
+            file=sys.stderr,
+        )
     output = "\n".join(sections)
     if args.output:
         with open(args.output, "w") as fh:
@@ -739,56 +458,7 @@ def _install_outcome_store(args) -> None:
     so every spec (and through pickling, every worker) carries the path."""
     from repro.experiments.common import set_default_outcome_store
 
-    set_default_outcome_store(getattr(args, "outcome_store", None))
-
-
-def _install_live_metrics(args):
-    """Stand up the ``--live`` pipeline: a real registry (installed as the
-    runner default), a JSONL event stream, and a started
-    :class:`~repro.obs.live.LiveReporter` rewriting the ``.prom`` snapshot.
-
-    Returns the reporter (caller must ``stop()`` it), or ``None`` when
-    ``--live`` is off — the runner then keeps its zero-overhead
-    ``NULL_METRICS`` default.
-    """
-    if not getattr(args, "live", False):
-        return None
-    from repro.experiments.runner import set_default_metrics
-    from repro.obs.live import LiveReporter
-    from repro.obs.metrics import MetricsRegistry, MetricsStream
-
-    base = args.resume if args.resume else "sweep"
-    stream_path = f"{base}.metrics.jsonl"
-    prom_path = f"{base}.prom"
-    registry = MetricsRegistry(stream=MetricsStream(stream_path))
-    set_default_metrics(registry)
-    reporter = LiveReporter(
-        registry,
-        interval_s=args.live_interval,
-        label=getattr(args, "experiment", args.command),
-        prom_path=prom_path,
-    ).start()
-    print(
-        f"[repro] live metrics: stream={stream_path} prom={prom_path} "
-        f"(every {args.live_interval:g}s)",
-        file=sys.stderr,
-    )
-    return reporter
-
-
-def _report_sweep_health(name: str) -> None:
-    """Echo the last sweep's retry/resume/failure accounting to stderr."""
-    from repro.experiments.runner import last_report
-
-    report = last_report()
-    if report is None:
-        return
-    if report.retries or report.timeouts or report.resumed or report.serial_fallbacks:
-        print(
-            f"[repro] {name}: resumed={report.resumed} retries={report.retries} "
-            f"timeouts={report.timeouts} serial_fallbacks={report.serial_fallbacks}",
-            file=sys.stderr,
-        )
+    set_default_outcome_store(args.outcome_store)
 
 
 def _parse_jobs(value: str) -> int:
@@ -848,175 +518,6 @@ def _cmd_cache(args) -> int:
         print(f"  {kind:>9}: {bucket['entries']} entries, {bucket['bytes']} bytes")
     if args.prune:
         print(f"  pruned {pruned} entries")
-    return 0
-
-
-def _cmd_surrogate(args) -> int:
-    import json
-
-    from repro.sim import surrogate
-
-    def emit(report) -> None:
-        payload = json.dumps(report, indent=2, sort_keys=True)
-        print(payload)
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(payload)
-                fh.write("\n")
-            print(f"[repro] wrote {args.output}", file=sys.stderr)
-
-    if args.mode == "fit":
-        jobs = _parse_jobs(args.jobs)
-        print(
-            f"[repro] fitting surrogate on the fig13 grid "
-            f"(scale={args.scale}, jobs={jobs})...",
-            file=sys.stderr,
-        )
-        pairs = surrogate.collect_training_pairs(args.scale, jobs=jobs)
-        model = surrogate.fit_surrogate(pairs, scale=args.scale)
-        model.save(args.model)
-        print(f"[repro] wrote {args.model}", file=sys.stderr)
-        emit(model.validation)
-        return 0 if model.validation["within_bounds"] else 1
-
-    model = surrogate.SurrogateModel.load(args.model)
-    if args.mode == "predict":
-        predictions = surrogate.predict_grid(
-            model, args.workload, args.request_size, scale=args.scale
-        )
-        emit(
-            {
-                "workload": args.workload,
-                "request_size": args.request_size,
-                "scale": args.scale,
-                "predicted_total_time_ns": {
-                    scheme: round(value, 1)
-                    for scheme, value in predictions.items()
-                },
-            }
-        )
-        return 0
-
-    # validate
-    if args.journal:
-        report = surrogate.validate_against_journal(
-            model, args.journal, scale=args.scale
-        )
-    else:
-        pairs = surrogate.collect_training_pairs(
-            args.scale, jobs=_parse_jobs(args.jobs)
-        )
-        report = surrogate.validate_pairs(model, pairs)
-    emit(report)
-    return 0 if report["within_bounds"] else 1
-
-
-def _cmd_tune(args) -> int:
-    import json
-
-    from repro.core.schemes import Scheme
-    from repro.experiments.runner import default_metrics
-    from repro.experiments.tuner import resolve_budget, tune
-
-    try:
-        scheme = Scheme(args.scheme)
-    except ValueError:
-        raise SystemExit(
-            f"unknown scheme {args.scheme!r}; expected one of "
-            f"{[s.value for s in Scheme]}"
-        )
-    workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
-    if not workloads:
-        raise SystemExit("--workloads needs at least one workload name")
-    budget = resolve_budget(args.budget)
-    jobs = _parse_jobs(args.jobs)
-    _install_policy(args)
-    _install_outcome_store(args)
-    reporter = _install_live_metrics(args)
-
-    surrogate_model = None
-    if args.surrogate_model:
-        from repro.sim.surrogate import SurrogateModel
-
-        surrogate_model = SurrogateModel.load(args.surrogate_model)
-
-    print(
-        f"[repro] tuning {'+'.join(workloads)} under {scheme.label} "
-        f"(strategy={args.strategy}, fitness={args.fitness}, "
-        f"budget={budget}, scale={args.scale}, seed={args.seed}, "
-        f"jobs={jobs})...",
-        file=sys.stderr,
-    )
-    try:
-        result = tune(
-            workloads,
-            scheme=scheme,
-            budget=budget,
-            strategy=args.strategy,
-            fitness=args.fitness,
-            weight=args.weight,
-            seed=args.seed,
-            scale=args.scale,
-            request_size=args.request_size,
-            jobs=jobs,
-            journal=args.resume,
-            surrogate_model=surrogate_model,
-            surrogate_first=args.surrogate_first or bool(surrogate_model),
-            prune_margin=args.prune_margin,
-            trajectory=args.trajectory,
-            metrics=default_metrics(),
-        )
-    finally:
-        if reporter is not None:
-            reporter.stop()
-
-    with open(args.recommend, "w", encoding="utf-8") as fh:
-        json.dump(result.recommended(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"[repro] wrote {args.trajectory}", file=sys.stderr)
-    print(f"[repro] wrote {args.recommend}", file=sys.stderr)
-
-    from repro.experiments.tuner import describe_candidate
-
-    baseline = result.steps[0].candidate if result.steps else {}
-    print(
-        f"best ({args.fitness}): {result.best_fitness:.6g} at step "
-        f"{result.best_step} — "
-        f"{describe_candidate(result.best_candidate, baseline)}"
-    )
-    print(
-        f"baseline: {result.baseline_fitness:.6g} "
-        f"(improvement {result.improvement:.3f}x); "
-        f"{result.executed_points} points executed, "
-        f"{result.resumed_points} replayed from the journal, "
-        f"{result.pruned_steps} candidates pruned; "
-        f"trajectory digest {result.digest[:16]}"
-    )
-    return 0
-
-
-def _cmd_tune_report(args) -> int:
-    import json
-
-    from repro.experiments.tuner import (
-        load_trajectory,
-        render_tune_report,
-        report_payload,
-    )
-
-    header, steps, final = load_trajectory(args.trajectory_file)
-    print(render_tune_report(header, steps, final, top=args.top))
-    if args.json:
-        payload = json.dumps(
-            report_payload(header, steps, final), indent=2, sort_keys=True
-        )
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w") as fh:
-                fh.write(payload)
-                fh.write("\n")
-            print(f"[repro] wrote {args.json}", file=sys.stderr)
     return 0
 
 

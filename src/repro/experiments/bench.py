@@ -82,8 +82,7 @@ def _timed_sweep(
     ``clear_cache=False`` keeps the process trace cache (traces, op
     arrays, outcome streams) from the previous leg. ``metrics=True``
     installs a real in-memory :class:`~repro.obs.metrics.MetricsRegistry`
-    (no JSONL stream) as the runner default for the duration of the
-    sweep — the ``warm-metrics`` leg, measuring pure instrumentation
+    as the runner default for the duration of the sweep — the ``warm-metrics`` leg, measuring pure instrumentation
     overhead against ``warm``.
     """
     from repro.experiments import fig13, runner

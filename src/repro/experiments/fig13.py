@@ -45,9 +45,9 @@ def specs(
     ``cells`` is the ``(workload, request_size)`` grid in sweep order;
     ``point_specs`` holds one :class:`PointSpec` per cell x scheme
     (schemes innermost, :data:`EVALUATED_SCHEMES` order). Shared by
-    :func:`run` and the analytical surrogate
-    (:mod:`repro.sim.surrogate`), which trains and validates on exactly
-    this grid — one definition keeps the two in lockstep.
+    :func:`run` and the figure-sweep benchmark (``bench/grids.py``),
+    which times exactly this grid — one definition keeps the two in
+    lockstep.
     """
     scale = get_scale(scale) if isinstance(scale, str) else scale
     base = base_config if base_config is not None else experiment_base_config(scale)

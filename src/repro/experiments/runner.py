@@ -43,7 +43,9 @@ Serial runs share the parent process's cache the same way.
 
 Observability: per-point wall times are aggregated into a
 :class:`repro.obs.histogram.Histogram` on the returned :class:`RunnerReport`
-and progress is logged to stderr. Simulation-time tracers
+and progress is logged to stderr, closed by one accounting line per sweep
+when it resumed, retried, timed out, fell back to serial, or looked
+anything up in the outcome store. Simulation-time tracers
 (:class:`repro.obs.Tracer`) remain per-run objects and are not supported
 across process boundaries — trace a single point with ``repro simulate
 --trace`` instead (see ``docs/PERFORMANCE.md``).
@@ -98,8 +100,8 @@ from repro.sim.metrics import SimResult
 
 #: The metric-name vocabulary the sweep runner publishes when a
 #: :class:`~repro.obs.metrics.MetricsRegistry` is installed. Docs-drift
-#: guarded: ``tests/test_docs_drift.py`` asserts every name appears in
-#: ``docs/OBSERVABILITY.md`` — add here, document there.
+#: guarded: ``tests/test_docs_drift.py`` holds this tuple and the table
+#: in ``docs/OBSERVABILITY.md`` to each other — add here, document there.
 METRIC_NAMES = (
     "repro_sweep_points",
     "repro_sweep_done",
@@ -108,10 +110,7 @@ METRIC_NAMES = (
     "repro_sweep_retries_total",
     "repro_sweep_timeouts_total",
     "repro_sweep_workers_total",
-    "repro_sweep_in_flight",
-    "repro_sweep_queue_depth",
     "repro_sweep_points_per_second",
-    "repro_sweep_eta_seconds",
     "repro_sweep_point_wall_seconds",
     "repro_journal_records_total",
     "repro_journal_resume_hits_total",
@@ -147,12 +146,10 @@ class SweepMetrics:
         self.registry = registry
         self.enabled = registry.enabled
         self.points = registry.gauge(
-            "repro_sweep_points", "Points in the current sweep grid.", merge="max"
+            "repro_sweep_points", "Points in the current sweep grid."
         )
         self.done = registry.gauge(
-            "repro_sweep_done",
-            "Points completed so far (resumed + executed).",
-            merge="max",
+            "repro_sweep_done", "Points completed so far (resumed + executed)."
         )
         self.points_total = registry.counter(
             "repro_sweep_points_total",
@@ -176,25 +173,9 @@ class SweepMetrics:
             "Worker-pool lifecycle events.",
             labels=("event",),  # spawn / respawn / kill
         )
-        self.in_flight = registry.gauge(
-            "repro_sweep_in_flight",
-            "Points executing in workers right now.",
-            merge="sum",
-        )
-        self.queue_depth = registry.gauge(
-            "repro_sweep_queue_depth",
-            "Points ready to run or waiting out retry backoff.",
-            merge="sum",
-        )
         self.throughput = registry.gauge(
             "repro_sweep_points_per_second",
             "Executed points per wall-clock second.",
-            merge="sum",
-        )
-        self.eta = registry.gauge(
-            "repro_sweep_eta_seconds",
-            "Estimated seconds until the sweep completes.",
-            merge="max",
         )
         self.point_wall = registry.histogram(
             "repro_sweep_point_wall_seconds",
@@ -252,9 +233,6 @@ class SweepMetrics:
             "Outcome-store entry bytes moved, by direction.",
             labels=("direction",),  # read / written
         )
-
-    def event(self, kind: str, **fields: object) -> None:
-        self.registry.event(kind, **fields)
 
     def attempt_outcome(self, exc_type: str) -> None:
         """Classify one failed attempt into the ``outcome`` label set."""
@@ -380,8 +358,9 @@ class RunnerReport:
     jobs: int
     n_points: int
     wall_s: float = 0.0
-    #: Distribution of per-point wall times (seconds; serial runs only —
-    #: parallel workers don't report individual timings back).
+    #: Distribution of per-point wall times in seconds: in-process
+    #: attempts are timed around the call, worker attempts from submit
+    #: to result at the parent.
     point_wall_s: Histogram = field(default_factory=Histogram)
     #: Parent-process trace-cache (hits, misses) delta, serial runs only.
     trace_cache: Tuple[int, int] = (0, 0)
@@ -506,8 +485,9 @@ _CORRUPT_SENTINEL = "<corrupt-result>"
 _default_policy = RunnerPolicy()
 
 #: The registry used when ``run_points`` gets ``metrics=None`` — the
-#: zero-overhead null registry unless the CLI installed a real one
-#: (``--live``), mirroring the default-policy pattern.
+#: zero-overhead null registry unless a caller installed a real one
+#: (``bench-sweep``'s ``warm-metrics`` leg), mirroring the
+#: default-policy pattern.
 _default_metrics: MetricsRegistry = NULL_METRICS  # type: ignore[assignment]
 
 #: The report of the most recent run_points_report call in this process.
@@ -519,9 +499,9 @@ _last_report: Optional[RunnerReport] = None
 def set_default_metrics(registry: MetricsRegistry) -> None:
     """Install the registry used when ``run_points`` gets ``metrics=None``.
 
-    The CLI maps ``--live`` here so every experiment module publishes
-    fleet metrics without signature churn (pass :data:`NULL_METRICS` to
-    uninstall). Same pattern as :func:`set_default_policy`.
+    Lets a caller instrument every experiment module's sweeps without
+    signature churn (pass :data:`NULL_METRICS` to uninstall). Same
+    pattern as :func:`set_default_policy`.
     """
     global _default_metrics
     _default_metrics = registry
@@ -607,6 +587,33 @@ def _log_progress(label: str, done: int, total: int, jobs: int) -> None:
         f"[runner] {label}: {done}/{total} points (jobs={jobs})",
         file=sys.stderr,
     )
+
+
+#: The :attr:`RunnerReport.outcome_store` lookup counters the accounting
+#: line prints, in print order.
+_STORE_LOOKUPS = ("trace_hits", "trace_misses", "outcome_hits", "outcome_misses")
+
+
+def _log_accounting(report: RunnerReport) -> None:
+    """One stderr line of a sweep's resume, fault and store accounting.
+
+    Printed only when the sweep resumed, retried, timed out, fell back
+    to serial, or looked anything up in the outcome store. The store
+    counts are this process's lookups, so a parallel sweep's workers are
+    not in them (see :attr:`RunnerReport.outcome_store`).
+    """
+    counts = [
+        ("resumed", report.resumed),
+        ("retries", report.retries),
+        ("timeouts", report.timeouts),
+        ("serial_fallbacks", report.serial_fallbacks),
+    ]
+    lookups = [(key, report.outcome_store.get(key, 0)) for key in _STORE_LOOKUPS]
+    if any(count for _, count in lookups):
+        counts += lookups
+    if any(count for _, count in counts):
+        fields = " ".join(f"{key}={count}" for key, count in counts)
+        print(f"[runner] {report.label}: {fields}", file=sys.stderr)
 
 
 class _ProgressReporter:
@@ -765,9 +772,6 @@ def run_points_report(
     if report.resumed:
         if sm.enabled:
             sm.done.set(done_count)
-            sm.event(
-                "resumed", label=label, points=report.resumed, done=done_count
-            )
         if reporter is not None:
             reporter.replay(done_count, report.resumed)
         elif progress is not None:
@@ -787,9 +791,7 @@ def run_points_report(
             sm.points_total.labels("ok").inc()
             elapsed = time.perf_counter() - started
             if elapsed > 0:
-                rate = executed / elapsed
-                sm.throughput.set(rate)
-                sm.eta.set((total - done_count) / rate if rate > 0 else 0.0)
+                sm.throughput.set(executed / elapsed)
         if progress is not None:
             progress(done_count, total)
 
@@ -810,13 +812,6 @@ def run_points_report(
             )
         if sm.enabled:
             sm.points_total.labels("failed").inc()
-            sm.event(
-                "point_failure",
-                index=failure.index,
-                label=failure.label,
-                exc_type=failure.exc_type,
-                attempts=failure.attempts,
-            )
         print(
             f"[runner] {label}: point #{failure.index} ({failure.label}) "
             f"FAILED after {failure.attempts} attempts: {failure.exc_type}",
@@ -825,8 +820,8 @@ def run_points_report(
 
     report.wall_s = time.perf_counter() - started
     if sm.enabled:
-        sm.eta.set(0.0)
         report.metrics = sm.registry.snapshot()
+    _log_accounting(report)
     _last_report = report
     return results, report
 
@@ -900,14 +895,6 @@ def _run_serial(
             if sm.enabled:
                 sm.attempts.labels("ok").inc()
                 sm.point_wall.observe(wall)
-                sm.event(
-                    "point",
-                    index=index,
-                    label=spec.label(),
-                    wall_s=wall,
-                    worker=-1,
-                    attempts=attempt,
-                )
             on_done(index, result)
             break
         else:
@@ -1110,14 +1097,6 @@ def _run_parallel(
                 if sm.enabled:
                     sm.attempts.labels("ok").inc()
                     sm.point_wall.observe(wall)
-                    sm.event(
-                        "point",
-                        index=index,
-                        label=specs[index].label(),
-                        wall_s=wall,
-                        worker=workers.index(worker),
-                        attempts=attempt,
-                    )
                 on_done(index, result)
             else:
                 record_attempt_failure(
@@ -1151,9 +1130,6 @@ def _run_parallel(
                             index, attempt, "WorkerDied", "pipe closed on submit"
                         )
             busy = [w for w in workers if w.running is not None]
-            if sm.enabled:
-                sm.in_flight.set(len(busy))
-                sm.queue_depth.set(len(ready) + len(retry_heap))
             if not busy:
                 if retry_heap:
                     time.sleep(
@@ -1200,9 +1176,6 @@ def _run_parallel(
                 worker.shutdown()
             else:
                 worker.kill()
-        if sm.enabled:
-            sm.in_flight.set(0)
-            sm.queue_depth.set(0)
 
     # Graceful degradation: one last serial in-process attempt per
     # exhausted point before recording a failure.
@@ -1223,14 +1196,6 @@ def _run_parallel(
                 if sm.enabled:
                     sm.attempts.labels("ok").inc()
                     sm.point_wall.observe(wall)
-                    sm.event(
-                        "point",
-                        index=index,
-                        label=spec.label(),
-                        wall_s=wall,
-                        worker=-1,
-                        attempts=attempts,
-                    )
                 on_done(index, result)
                 continue
         report.failures.append(

@@ -23,13 +23,10 @@ dynamics without perturbing them:
 * :mod:`~repro.obs.report` — the ``repro trace-report`` analysis: time-
   bucketed stall/occupancy/coalesce/bank-imbalance breakdown of a trace.
 * :mod:`~repro.obs.metrics` — the *fleet* layer: a typed
-  Counter/Gauge/Histogram registry with label sets, snapshot + merge,
-  Prometheus text exposition, and a zero-overhead
+  Counter/Gauge/Histogram registry with label sets and a JSON-able
+  snapshot, and a zero-overhead
   :data:`~repro.obs.metrics.NULL_METRICS` default mirroring
-  ``NULL_TRACER``. The sweep runner is its first client.
-* :mod:`~repro.obs.live` / :mod:`~repro.obs.promserve` — the ``--live``
-  periodic status reporter (JSONL snapshot stream + ``.prom`` file) and
-  the ``repro serve-metrics`` HTTP endpoint over that file.
+  ``NULL_TRACER``. The sweep runner is its only client.
 
 Nothing in the timing model reads tracer state; tracing can never change
 a result.
@@ -46,13 +43,7 @@ from repro.obs.events import (
     TraceEvent,
 )
 from repro.obs.histogram import Histogram, nearest_rank
-from repro.obs.metrics import (
-    NULL_METRICS,
-    MetricsRegistry,
-    MetricsStream,
-    NullMetrics,
-    prometheus_text,
-)
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry, NullMetrics
 from repro.obs.sampler import TimeSeriesSampler
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 
@@ -66,7 +57,6 @@ __all__ = [
     "CAT_WQ",
     "Histogram",
     "MetricsRegistry",
-    "MetricsStream",
     "NULL_METRICS",
     "NULL_TRACER",
     "NullMetrics",
@@ -75,5 +65,4 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "nearest_rank",
-    "prometheus_text",
 ]

@@ -31,10 +31,6 @@ CAT_RUNNER = "runner"
 #: Timed post-crash recovery (the :mod:`repro.core.recovery_cost` model):
 #: per-phase spans and the cost summary, in recovery nanoseconds.
 CAT_RECOVERY = "recovery"
-#: Design-space auto-tuner events (the :mod:`repro.experiments.tuner`
-#: search loop): one instant per step plus prune/improve/result markers —
-#: wall-clock, not simulated time.
-CAT_TUNER = "tuner"
 
 # Chrome trace-event phases.
 PH_BEGIN = "B"
@@ -50,7 +46,6 @@ TRACK_CRYPTO = "crypto"
 TRACK_METRICS = "metrics"
 TRACK_RUNNER = "runner"
 TRACK_RECOVERY = "recovery"
-TRACK_TUNER = "tuner"
 
 # Runner event names (CAT_RUNNER instants on TRACK_RUNNER).
 RUNNER_EV_RETRY = "point_retry"
@@ -64,14 +59,6 @@ RUNNER_EV_FALLBACK = "serial_fallback"
 # log-replay) and a closing instant carrying every cost counter.
 RECOVERY_EV_PHASE = "recovery_phase"
 RECOVERY_EV_SUMMARY = "recovery_summary"
-
-# Tuner event names (CAT_TUNER instants on TRACK_TUNER): one per search
-# step (``tune_step`` measured / ``tune_prune`` surrogate-screened), an
-# improvement marker whenever best-so-far drops, and a closing summary.
-TUNER_EV_STEP = "tune_step"
-TUNER_EV_PRUNE = "tune_prune"
-TUNER_EV_IMPROVE = "tune_improve"
-TUNER_EV_RESULT = "tune_result"
 
 
 def bank_track(index: int) -> str:

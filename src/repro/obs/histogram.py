@@ -93,30 +93,6 @@ class Histogram:
                 return min(self.bounds[index], self.max)
         return self.max  # pragma: no cover - counts always sum to n
 
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Fold another histogram's observations into this one.
-
-        Both histograms must share the same bucket ladder — merging is
-        bucket-wise count addition, the operation that combines
-        per-worker latency histograms into one fleet distribution
-        (:mod:`repro.obs.metrics`). Returns ``self`` for chaining.
-        """
-        if other.bounds != self.bounds:
-            raise ValueError(
-                "cannot merge histograms with different bounds: "
-                f"{len(self.bounds)} vs {len(other.bounds)} buckets"
-            )
-        if other.n:
-            if self.n == 0 or other.min < self.min:
-                self.min = other.min
-            if other.max > self.max:
-                self.max = other.max
-            self.n += other.n
-            self.total += other.total
-            for index, count in enumerate(other.counts):
-                self.counts[index] += count
-        return self
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-friendly form (used by the trace exporters)."""
         return {

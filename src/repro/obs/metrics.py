@@ -2,9 +2,8 @@
 
 Where :mod:`repro.obs.tracer` records the dynamics of one *simulated*
 machine, this module records the dynamics of the *harness fleet* — the
-supervised worker pool, the resume journal, and anything else that runs
-for long enough to need live health reporting. The design mirrors the
-tracer's rules:
+supervised worker pool, the resume journal and the outcome store. The
+design mirrors the tracer's rules:
 
 * **Zero overhead when disabled.** The default everywhere is
   :data:`NULL_METRICS`, a singleton whose families are all no-ops and
@@ -14,69 +13,20 @@ tracer's rules:
 * **Typed families, not a generic log call.** A metric is declared once
   with a kind (counter / gauge / histogram), a help string, and its label
   names; every later use goes through the declared family, so the
-  exposition schema is stable and the docs-drift test can hold the
+  snapshot schema is stable and the docs-drift test can hold the
   vocabulary to :doc:`docs/OBSERVABILITY.md`.
-* **Snapshot + merge.** ``registry.snapshot()`` is a plain JSON-able
-  dict; ``registry.merge_snapshot(...)`` folds another snapshot in
-  (counters add, gauges combine per their declared merge mode, histograms
-  merge bucket-wise) so per-worker registries can be combined into one
-  fleet view.
-* **Prometheus text exposition.** ``registry.to_prometheus()`` (and the
-  module-level :func:`prometheus_text` over a snapshot) emit the standard
-  ``text/plain; version=0.0.4`` format — ``# HELP`` / ``# TYPE`` comments,
-  escaped labels, cumulative ``_bucket``/``_sum``/``_count`` histogram
-  series — validated by ``tools/check_prom_format.py`` in CI and served
-  by ``repro serve-metrics``.
-
-An optional :class:`MetricsStream` attached to the registry gives the
-sweep runner a JSONL event channel alongside the journal (per-point
-completions, failures, periodic snapshots) that ``repro sweep-report``
-reads back post-hoc.
+* **Snapshot.** ``registry.snapshot()`` is a plain JSON-able dict; the
+  sweep runner stores it on ``RunnerReport.metrics``, and
+  :func:`snapshot_value` reads one series back out of it.
 """
 
 from __future__ import annotations
 
-import json
-import math
-import os
-import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.obs.histogram import Histogram
 
-#: Content type a Prometheus scraper expects from a text-format endpoint.
-PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
-
 _VALID_KINDS = ("counter", "gauge", "histogram")
-_GAUGE_MERGE_MODES = ("last", "sum", "max", "min")
-
-
-def _escape_label_value(value: str) -> str:
-    """Prometheus label-value escaping: backslash, quote, newline."""
-    return (
-        str(value)
-        .replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-    )
-
-
-def _format_value(value: float) -> str:
-    """A sample value in exposition form (ints without a trailing .0)."""
-    if value != value:  # NaN
-        return "NaN"
-    if value in (math.inf, -math.inf):
-        return "+Inf" if value > 0 else "-Inf"
-    if float(value).is_integer() and abs(value) < 1e15:
-        return str(int(value))
-    return repr(float(value))
-
-
-def _label_pairs(label_names: Sequence[str], label_values: Sequence[str]) -> str:
-    return ",".join(
-        f'{name}="{_escape_label_value(value)}"'
-        for name, value in zip(label_names, label_values)
-    )
 
 
 class _Series:
@@ -117,18 +67,14 @@ class MetricFamily:
         help: str,
         label_names: Sequence[str] = (),
         bounds: Sequence[float] = (),
-        gauge_merge: str = "last",
     ):
         if kind not in _VALID_KINDS:
             raise ValueError(f"unknown metric kind {kind!r}")
-        if gauge_merge not in _GAUGE_MERGE_MODES:
-            raise ValueError(f"unknown gauge merge mode {gauge_merge!r}")
         self.name = name
         self.kind = kind
         self.help = help
         self.label_names = tuple(label_names)
         self.bounds = tuple(bounds)
-        self.gauge_merge = gauge_merge
         self.series: Dict[Tuple[str, ...], _Series] = {}
 
     # -- series access ---------------------------------------------------
@@ -210,52 +156,8 @@ class _NullFamily(_NullSeries):
 _NULL_FAMILY = _NullFamily()
 
 
-class MetricsStream:
-    """Append-only JSONL event stream riding alongside the sweep journal.
-
-    The runner appends one record per completed point / failure /
-    resume-replay and the live reporter appends periodic registry
-    snapshots; ``repro sweep-report`` reads the file back. Records carry
-    wall-clock ``ts`` (seconds since the epoch) and a ``kind``
-    discriminator. Appends are flushed per record so a killed sweep
-    leaves at most a torn final line (tolerated on read, like the
-    journal's).
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        self.records_written = 0
-
-    def event(self, kind: str, **fields: object) -> None:
-        record = {"kind": kind, "ts": time.time(), **fields}
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True, default=str))
-            fh.write("\n")
-            fh.flush()
-        self.records_written += 1
-
-
-def load_stream(path: str) -> List[Dict[str, object]]:
-    """Read a :class:`MetricsStream` file back (torn tail tolerated)."""
-    records: List[Dict[str, object]] = []
-    if not os.path.exists(path):
-        return records
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn tail from a kill mid-append
-            if isinstance(record, dict):
-                records.append(record)
-    return records
-
-
 class MetricsRegistry:
-    """Holds every declared metric family; snapshot/merge/exposition root.
+    """Holds every declared metric family; the snapshot root.
 
     Declaring the same name twice returns the existing family (and
     raises if the second declaration disagrees on kind or labels), so
@@ -264,9 +166,8 @@ class MetricsRegistry:
 
     enabled = True
 
-    def __init__(self, stream: Optional[MetricsStream] = None):
+    def __init__(self):
         self.families: Dict[str, MetricFamily] = {}
-        self.stream = stream
 
     # -- declaration -----------------------------------------------------
 
@@ -288,21 +189,14 @@ class MetricsRegistry:
     def counter(
         self, name: str, help: str, labels: Sequence[str] = ()
     ) -> MetricFamily:
-        """A monotonically increasing count (merge: sum)."""
+        """A monotonically increasing count."""
         return self._declare(name, "counter", help, label_names=labels)
 
     def gauge(
-        self,
-        name: str,
-        help: str,
-        labels: Sequence[str] = (),
-        merge: str = "last",
+        self, name: str, help: str, labels: Sequence[str] = ()
     ) -> MetricFamily:
-        """A point-in-time value; ``merge`` (last/sum/max/min) governs
-        how :meth:`merge_snapshot` combines two registries' values."""
-        return self._declare(
-            name, "gauge", help, label_names=labels, gauge_merge=merge
-        )
+        """A point-in-time value."""
+        return self._declare(name, "gauge", help, label_names=labels)
 
     def histogram(
         self,
@@ -311,19 +205,12 @@ class MetricsRegistry:
         labels: Sequence[str] = (),
         bounds: Sequence[float] = (),
     ) -> MetricFamily:
-        """A fixed-bucket distribution (merge: bucket-wise addition)."""
+        """A fixed-bucket distribution."""
         return self._declare(
             name, "histogram", help, label_names=labels, bounds=bounds
         )
 
-    # -- event stream ----------------------------------------------------
-
-    def event(self, kind: str, **fields: object) -> None:
-        """Append one record to the attached JSONL stream (no-op without)."""
-        if self.stream is not None:
-            self.stream.event(kind, **fields)
-
-    # -- snapshot / merge ------------------------------------------------
+    # -- snapshot --------------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
         """A plain JSON-able dict of every family and series."""
@@ -341,114 +228,9 @@ class MetricsRegistry:
                 "kind": family.kind,
                 "help": family.help,
                 "label_names": list(family.label_names),
-                "gauge_merge": family.gauge_merge,
                 "series": series,
             }
         return {"families": families}
-
-    def merge_snapshot(self, snapshot: Dict[str, object]) -> None:
-        """Fold another registry's :meth:`snapshot` into this registry.
-
-        Counters and histograms add; gauges combine according to the
-        family's declared merge mode (``last`` takes the incoming value).
-        Families unknown to this registry are declared from the snapshot.
-        """
-        for name, payload in snapshot.get("families", {}).items():  # type: ignore[union-attr]
-            kind = payload["kind"]
-            family = self._declare(
-                name,
-                kind,
-                payload.get("help", ""),
-                label_names=tuple(payload.get("label_names", ())),
-                **(
-                    {"gauge_merge": payload.get("gauge_merge", "last")}
-                    if kind == "gauge"
-                    else {}
-                ),
-            )
-            for entry in payload["series"]:
-                key = tuple(entry["labels"])
-                if kind == "histogram":
-                    incoming = _hist_from_dict(entry["hist"])
-                    series = family.labels(*key)
-                    if series.hist.n == 0 and series.hist.bounds != incoming.bounds:
-                        series.hist = incoming
-                    else:
-                        series.hist.merge(incoming)
-                elif kind == "counter":
-                    family.labels(*key).inc(entry["value"])
-                else:
-                    series = family.labels(*key)
-                    mode = family.gauge_merge
-                    if mode == "sum":
-                        series.value += entry["value"]
-                    elif mode == "max":
-                        series.value = max(series.value, entry["value"])
-                    elif mode == "min":
-                        series.value = min(series.value, entry["value"])
-                    else:  # "last": the incoming snapshot wins
-                        series.value = entry["value"]
-
-    # -- exposition ------------------------------------------------------
-
-    def to_prometheus(self) -> str:
-        """The registry in Prometheus text exposition format."""
-        return prometheus_text(self.snapshot())
-
-
-def _hist_from_dict(payload: Dict[str, object]) -> Histogram:
-    """Rebuild a :class:`Histogram` from :meth:`Histogram.to_dict`."""
-    hist = Histogram(payload["bounds"])  # type: ignore[arg-type]
-    hist.counts = list(payload["counts"])  # type: ignore[arg-type]
-    hist.n = int(payload["n"])  # type: ignore[arg-type]
-    total = payload.get("total")
-    hist.total = (
-        float(total)  # type: ignore[arg-type]
-        if total is not None
-        else float(payload.get("mean", 0.0)) * hist.n  # type: ignore[arg-type]
-    )
-    hist.min = float(payload.get("min", 0.0))  # type: ignore[arg-type]
-    hist.max = float(payload.get("max", 0.0))  # type: ignore[arg-type]
-    return hist
-
-
-def prometheus_text(snapshot: Dict[str, object]) -> str:
-    """Render a :meth:`MetricsRegistry.snapshot` as Prometheus text.
-
-    One ``# HELP`` / ``# TYPE`` pair per family, then one sample line per
-    series — histograms expand to cumulative ``_bucket{le=...}`` series
-    plus ``_sum`` and ``_count``, per the format spec.
-    """
-    lines: List[str] = []
-    for name, payload in sorted(snapshot.get("families", {}).items()):  # type: ignore[union-attr]
-        kind = payload["kind"]
-        help_text = str(payload.get("help", "")).replace("\\", "\\\\").replace(
-            "\n", "\\n"
-        )
-        label_names = tuple(payload.get("label_names", ()))
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} {kind}")
-        for entry in payload["series"]:
-            pairs = _label_pairs(label_names, entry["labels"])
-            if kind == "histogram":
-                hist = entry["hist"]
-                cumulative = 0
-                for bound, count in zip(hist["bounds"], hist["counts"]):
-                    cumulative += count
-                    le_pairs = (pairs + "," if pairs else "") + f'le="{_format_value(bound)}"'
-                    lines.append(f"{name}_bucket{{{le_pairs}}} {cumulative}")
-                inf_pairs = (pairs + "," if pairs else "") + 'le="+Inf"'
-                lines.append(f"{name}_bucket{{{inf_pairs}}} {hist['n']}")
-                total = float(
-                    hist.get("total", float(hist.get("mean", 0.0)) * int(hist["n"]))
-                )
-                suffix = f"{{{pairs}}}" if pairs else ""
-                lines.append(f"{name}_sum{suffix} {_format_value(total)}")
-                lines.append(f"{name}_count{suffix} {hist['n']}")
-            else:
-                suffix = f"{{{pairs}}}" if pairs else ""
-                lines.append(f"{name}{suffix} {_format_value(entry['value'])}")
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def snapshot_value(
@@ -465,21 +247,6 @@ def snapshot_value(
     return 0.0
 
 
-def write_prometheus_file(snapshot: Dict[str, object], path: str) -> None:
-    """Atomically write a snapshot's exposition text to ``path``.
-
-    Written via a temp file + rename so ``repro serve-metrics`` (or any
-    scraper tailing the file) never reads a half-written snapshot.
-    """
-    text = prometheus_text(snapshot)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-
-
 class NullMetrics:
     """The disabled registry: every family is a shared no-op.
 
@@ -490,28 +257,18 @@ class NullMetrics:
 
     enabled = False
     families: Dict[str, MetricFamily] = {}
-    stream = None
 
     def counter(self, name, help, labels=()) -> _NullFamily:
         return _NULL_FAMILY
 
-    def gauge(self, name, help, labels=(), merge="last") -> _NullFamily:
+    def gauge(self, name, help, labels=()) -> _NullFamily:
         return _NULL_FAMILY
 
     def histogram(self, name, help, labels=(), bounds=()) -> _NullFamily:
         return _NULL_FAMILY
 
-    def event(self, kind, **fields) -> None:
-        pass
-
     def snapshot(self) -> Dict[str, object]:
         return {"families": {}}
-
-    def merge_snapshot(self, snapshot) -> None:
-        pass
-
-    def to_prometheus(self) -> str:
-        return ""
 
 
 #: The process-wide disabled registry every component defaults to.

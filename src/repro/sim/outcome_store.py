@@ -3,7 +3,7 @@
 The per-process caches of :mod:`repro.sim.trace_cache` make a six-scheme
 sweep generate each trace once and record each (trace, cache geometry)
 cache walk once — *per process*. Every worker of a ``--jobs 4`` sweep,
-every fresh ``repro run``/``repro tune`` invocation, and every CI drill
+every fresh ``repro run`` invocation, and every CI drill
 still pays generation and recording from scratch. This module is the
 second tier under that cache: a content-digest-keyed on-disk store that
 persists the compact binary form of a generated trace (its op streams,
@@ -69,7 +69,7 @@ from repro.workloads.generator import GeneratedTrace
 STORE_SALT = "supermem-outcomes-v1"
 
 #: Default size cap: generous for figure grids (a smoke-scale trace entry
-#: is a few KB), small enough that an unattended tuner cannot fill a disk.
+#: is a few KB), small enough that unattended sweeps cannot fill a disk.
 DEFAULT_CAP_BYTES = 256 << 20
 
 _MAGIC = b"SMOS"
@@ -105,7 +105,8 @@ def store_stats() -> Dict[str, int]:
     ``trace_hits``/``trace_misses`` and ``outcome_hits``/
     ``outcome_misses`` count disk lookups by entry kind (a corrupt entry
     counts as a miss); ``bytes_read``/``bytes_written`` total the entry
-    bytes moved. Surfaced by the sweep runner as the
+    bytes moved. Surfaced by the sweep runner on its stderr accounting
+    line (lookups) and, with a metrics registry installed, as the
     ``repro_outcome_store_{hits,misses,bytes}_total`` metric families.
     """
     return dict(_stats)

@@ -1,12 +1,11 @@
 """Fleet-metrics instrumentation of the sweep runner.
 
 The contracts: a real registry's accounting must agree exactly with the
-``RunnerReport`` the runner already keeps (same events, two ledgers); a
-deterministic ``REPRO_FAULT``-style drill must be reproducible post-hoc
-from the metrics stream by ``sweep-report``; results must be
-bit-identical with and without a registry installed; and the report's
-``to_dict`` must round-trip failure events and the metrics snapshot
-through JSON.
+``RunnerReport`` the runner already keeps (same events, two ledgers),
+including under a deterministic ``REPRO_FAULT``-style drill; results
+must be bit-identical with and without a registry installed; and the
+report's ``to_dict`` must round-trip failure events and the metrics
+snapshot through JSON.
 """
 
 import json
@@ -23,14 +22,7 @@ from repro.experiments.runner import (
     run_points_report,
     set_default_metrics,
 )
-from repro.obs.live import LiveReporter, format_status_line
-from repro.obs.metrics import (
-    NULL_METRICS,
-    MetricsRegistry,
-    MetricsStream,
-    load_stream,
-    snapshot_value,
-)
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry, snapshot_value
 
 
 def _specs(n=4, n_ops=5):
@@ -97,10 +89,9 @@ class TestSerialAccounting:
 
 
 class TestParallelAccounting:
-    def test_crash_drill_counters_match_report(self, tmp_path):
+    def test_crash_drill_counters_match_report(self):
         """The deterministic fault drill, fully accounted in metrics."""
-        stream = MetricsStream(str(tmp_path / "m.jsonl"))
-        registry = MetricsRegistry(stream=stream)
+        registry = MetricsRegistry()
         specs = _specs()
         faults = FaultPlan({1: PointFault(FAULT_CRASH)})
         results, report = run_points_report(
@@ -125,34 +116,8 @@ class TestParallelAccounting:
         assert snapshot_value(
             snapshot, "repro_sweep_workers_total", ("respawn",)
         ) == 1
-        # Gauges are zeroed once the pool drains.
-        assert snapshot_value(snapshot, "repro_sweep_in_flight") == 0
-        assert snapshot_value(snapshot, "repro_sweep_queue_depth") == 0
         # Parallel point walls are recorded at the parent.
         assert report.point_wall_s.n == len(specs)
-
-    def test_sweep_report_reproduces_the_drill(self, tmp_path):
-        """sweep-report over the stream reproduces the failure/retry
-        accounting of the drill — the CI acceptance path."""
-        from repro.experiments.sweep_report import render_sweep_report_file
-
-        stream_path = str(tmp_path / "m.jsonl")
-        registry = MetricsRegistry(stream=MetricsStream(stream_path))
-        specs = _specs()
-        faults = FaultPlan({1: PointFault(FAULT_CRASH, times=99)})
-        policy = RunnerPolicy(
-            max_attempts=2, backoff_s=0.0, serial_fallback=False
-        )
-        _, report = run_points_report(
-            specs, jobs=2, policy=policy, faults=faults, metrics=registry
-        )
-        assert len(report.failures) == 1
-        text = render_sweep_report_file(stream_path)
-        assert f"{len(specs) - 1} executed" in text
-        assert "1 failed" in text
-        assert "WorkerDied: 1" in text
-        assert "2 attempt(s):" in text  # the retried point
-        assert f"retries: {report.retries}" in text
 
     def test_resume_hits_and_misses(self, tmp_path):
         journal_path = str(tmp_path / "j.jsonl")
@@ -218,55 +183,3 @@ class TestDefaultRegistryInstaller:
         finally:
             set_default_metrics(NULL_METRICS)
         assert default_metrics() is NULL_METRICS
-
-
-class TestLiveReporter:
-    def test_emit_writes_status_stream_and_prom(self, tmp_path, capsys):
-        import io
-
-        stream_path = str(tmp_path / "m.jsonl")
-        prom_path = str(tmp_path / "m.prom")
-        registry = MetricsRegistry(stream=MetricsStream(stream_path))
-        run_points_report(_specs(2), metrics=registry)
-        out = io.StringIO()
-        reporter = LiveReporter(
-            registry, interval_s=60.0, label="fig13", prom_path=prom_path, out=out
-        )
-        reporter.emit()
-        final = reporter.stop()
-        assert reporter.emissions == 2
-        lines = out.getvalue().splitlines()
-        assert lines[0].startswith("[live] fig13: 2/2 (100.0%)")
-        kinds = [r["kind"] for r in load_stream(stream_path)]
-        assert kinds.count("snapshot") == 1 and kinds[-1] == "final"
-        assert "repro_sweep_done 2" in open(prom_path).read()
-        assert snapshot_value(final, "repro_sweep_done") == 2
-
-    def test_background_thread_emits_periodically(self, tmp_path):
-        import io
-        import time
-
-        registry = MetricsRegistry()
-        registry.gauge("repro_sweep_points", "h", merge="max").set(1)
-        reporter = LiveReporter(
-            registry, interval_s=0.05, label="t", out=io.StringIO()
-        )
-        reporter.start()
-        deadline = time.time() + 5.0
-        while reporter.emissions < 2 and time.time() < deadline:
-            time.sleep(0.01)
-        reporter.stop()
-        assert reporter.emissions >= 3  # >= 2 ticks + the final emit
-
-    def test_format_status_line_mentions_failures_and_retries(self):
-        registry = MetricsRegistry()
-        registry.gauge("repro_sweep_points", "h", merge="max").set(10)
-        registry.gauge("repro_sweep_done", "h", merge="max").set(4)
-        registry.counter("repro_sweep_retries_total", "h").inc(2)
-        registry.counter(
-            "repro_sweep_points_total", "h", labels=("status",)
-        ).labels("failed").inc()
-        line = format_status_line(registry.snapshot(), "x")
-        assert "4/10 (40.0%)" in line
-        assert "retries 2" in line
-        assert "failures 1" in line

@@ -80,34 +80,6 @@ def test_default_bounds_cover_simulated_latencies():
     assert h.counts[-1] == 0
 
 
-def test_merge_accumulates_counts_and_extremes():
-    a = Histogram(bounds=[10, 100])
-    b = Histogram(bounds=[10, 100])
-    for v in (5, 50):
-        a.record(v)
-    for v in (7, 500):
-        b.record(v)
-    result = a.merge(b)
-    assert result is a
-    assert a.n == 4
-    assert a.counts == [2, 1, 1]
-    assert a.min == 5 and a.max == 500
-    assert a.mean == pytest.approx((5 + 50 + 7 + 500) / 4)
-
-
-def test_merge_with_empty_is_identity():
-    a = Histogram(bounds=[10])
-    a.record(3)
-    before = a.to_dict()
-    a.merge(Histogram(bounds=[10]))
-    assert a.to_dict() == before
-
-
-def test_merge_rejects_mismatched_bounds():
-    with pytest.raises(ValueError):
-        Histogram(bounds=[10]).merge(Histogram(bounds=[20]))
-
-
 def test_to_dict_carries_exact_total():
     h = Histogram(bounds=[10])
     h.record(0.1)

@@ -1,5 +1,6 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import re
 import subprocess
 import sys
 
@@ -39,6 +40,47 @@ def test_run_unknown_experiment_fails():
 def test_run_requires_subcommand():
     proc = run_cli()
     assert proc.returncode != 0
+
+
+def _accounting(stderr):
+    """The sweep accounting lines on stderr, as {label: fields}."""
+    return {
+        label: dict(re.findall(r"(\w+)=(\d+)", fields))
+        for label, fields in re.findall(
+            r"^\[\w+\] (\S+): (resumed=\d+ .*)$", stderr, re.M
+        )
+    }
+
+
+def test_ablations_rerun_accounts_every_sweep(tmp_path):
+    """`run ablations` is four sweeps; a re-run against one journal must
+    account for the resumed points of every one of them, not the last."""
+    args = ("run", "ablations", "--scale", "smoke", "--output", str(tmp_path / "a.md"))
+    journal = ("--resume", str(tmp_path / "ablations.jsonl"))
+    assert run_cli(*args, *journal).returncode == 0
+    proc = run_cli(*args, *journal)
+    assert proc.returncode == 0
+    lines = _accounting(proc.stderr)
+    assert sum(int(fields["resumed"]) for fields in lines.values()) == 14
+    assert sorted(lines) == [
+        "ablation:counter-org",
+        "ablation:cwc-policy",
+        "ablation:drain-policy",
+        "ablation:xbank-offset",
+    ]
+    assert all(fields["retries"] == "0" for fields in lines.values())
+
+
+def test_warm_outcome_store_run_reports_store_hits(tmp_path):
+    """A second process over the same outcome store loads the trace and
+    the recorded cache walk, and says so on its accounting line."""
+    args = ("run", "ablations", "--scale", "smoke", "--output", str(tmp_path / "a.md"))
+    store = ("--outcome-store", str(tmp_path / "store"))
+    cold = _accounting(run_cli(*args, *store).stderr)["ablation:cwc-policy"]
+    assert int(cold["trace_misses"]) >= 1
+    warm = _accounting(run_cli(*args, *store).stderr)["ablation:cwc-policy"]
+    assert int(warm["trace_hits"]) >= 1
+    assert warm["trace_misses"] == warm["outcome_misses"] == "0"
 
 
 def test_output_file(tmp_path):

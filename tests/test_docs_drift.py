@@ -9,7 +9,9 @@ silently:
   call sites the source scan finds (a probe added without registering
   it, or registered without a call site, fails here);
 * every subcommand and long flag of the ``python -m repro`` argparse
-  tree must be named in ``docs/CLI.md``;
+  tree must be named in ``docs/CLI.md`` — and, the reverse direction,
+  every ``## `name` `` section of CLI.md must name a subcommand, and
+  every ``| `--flag` `` row in it a flag of that subcommand;
 * every :class:`~repro.core.schemes.Scheme` (enum value and display
   label) must be named in ``docs/MODEL.md``;
 * every observability vocabulary constant of :mod:`repro.obs.events`
@@ -18,14 +20,9 @@ silently:
   ``docs/PERFORMANCE.md``;
 * every fleet-metric name in
   :data:`repro.experiments.runner.METRIC_NAMES` must appear (in
-  backticks) in ``docs/OBSERVABILITY.md``, and the tuple must equal the
-  families ``SweepMetrics`` actually declares — and likewise for the
-  auto-tuner's :data:`repro.experiments.tuner.TUNER_METRIC_NAMES` /
-  ``TunerMetrics``;
-* every search-space knob, strategy, fitness, and budget preset of
-  :mod:`repro.experiments.tuner` must be named in ``docs/TUNING.md`` —
-  bidirectionally: every knob row of the TUNING.md search-space table
-  must name a knob that exists in ``SEARCH_SPACE``;
+  backticks) in ``docs/OBSERVABILITY.md``, the tuple must equal the
+  families ``SweepMetrics`` actually declares, and every backticked
+  ``repro_*`` name in an OBSERVABILITY.md table must be one of them;
 * every field of every configuration dataclass (``SimConfig`` and its
   sub-configs) must be named in backticks in ``docs/CONFIG.md`` — a new
   knob (``fidelity``, ``outcome_store``, ...) cannot land undocumented,
@@ -150,24 +147,25 @@ class TestObservabilityDoc:
         SweepMetrics(registry)
         assert set(registry.families) == set(METRIC_NAMES)
 
-    def test_every_tuner_metric_name_is_documented(self):
-        """The auto-tuner's ``repro_tune_*`` vocabulary must be
-        catalogued in docs/OBSERVABILITY.md alongside the fleet metrics."""
-        from repro.experiments.tuner import TUNER_METRIC_NAMES
-
-        text = (DOCS / "OBSERVABILITY.md").read_text(encoding="utf-8")
-        missing = [n for n in TUNER_METRIC_NAMES if f"`{n}`" not in text]
-        assert not missing, (
-            f"tuner metrics undocumented in docs/OBSERVABILITY.md: {missing}"
-        )
-
-    def test_tuner_metric_names_match_declared_families(self):
-        from repro.experiments.tuner import TUNER_METRIC_NAMES, TunerMetrics
+    def test_documented_metric_names_exist(self):
+        """The reverse direction: every backticked ``repro_*`` name in an
+        OBSERVABILITY.md table must be a family the runner declares, so
+        a deleted metric cannot linger in the docs."""
+        from repro.experiments.runner import SweepMetrics
         from repro.obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
-        TunerMetrics(registry)
-        assert set(registry.families) == set(TUNER_METRIC_NAMES)
+        SweepMetrics(registry)
+        text = (DOCS / "OBSERVABILITY.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\|.*$", text, re.M)
+        documented = {
+            name for row in rows for name in re.findall(r"`(repro_\w+)`", row)
+        }
+        assert len(documented) >= 10, "OBSERVABILITY.md metric table not found"
+        unknown = sorted(documented - set(registry.families))
+        assert not unknown, (
+            f"docs/OBSERVABILITY.md documents metrics that do not exist: {unknown}"
+        )
 
     def test_every_event_vocabulary_constant_is_documented(self):
         from repro.obs import events
@@ -289,78 +287,6 @@ class TestPerformanceDoc:
         )
 
 
-class TestTuningDoc:
-    @pytest.fixture(scope="class")
-    def tuning_text(self):
-        return (DOCS / "TUNING.md").read_text(encoding="utf-8")
-
-    def test_every_knob_is_documented(self, tuning_text):
-        """Each search-space knob needs its name (backticked) and its
-        underlying SimConfig field path in the TUNING.md table."""
-        from repro.experiments.tuner import SEARCH_SPACE
-
-        missing = []
-        for knob in SEARCH_SPACE:
-            if f"`{knob.name}`" not in tuning_text:
-                missing.append(knob.name)
-                continue
-            field_root = knob.field.split(" ")[0]
-            if f"`{field_root}`" not in tuning_text:
-                missing.append(f"{knob.name} (field {field_root})")
-        assert not missing, (
-            f"search-space knobs undocumented in docs/TUNING.md: {missing}"
-        )
-
-    def test_documented_knobs_exist_in_source(self, tuning_text):
-        """The reverse direction: every `knob` row of the TUNING.md
-        search-space table must name a real SEARCH_SPACE knob."""
-        from repro.experiments.tuner import KNOBS
-
-        table_rows = re.findall(
-            r"^\|\s*`([a-z_]+)`\s*\|[^|]*\|\s*`[^`]+`", tuning_text, re.M
-        )
-        assert len(table_rows) >= 6, (
-            "TUNING.md search-space table not found (or lost its rows)"
-        )
-        unknown = [name for name in table_rows if name not in KNOBS]
-        assert not unknown, (
-            f"docs/TUNING.md documents knobs that do not exist: {unknown}"
-        )
-
-    def test_strategies_fitnesses_and_budgets_are_documented(self, tuning_text):
-        from repro.experiments.tuner import (
-            FITNESS_NAMES,
-            STRATEGY_NAMES,
-            TUNE_BUDGETS,
-        )
-
-        missing = [
-            f"`{name}`"
-            for name in (
-                *STRATEGY_NAMES,
-                *FITNESS_NAMES,
-                *TUNE_BUDGETS,
-            )
-            if f"`{name}`" not in tuning_text
-        ]
-        assert not missing, (
-            f"vocabulary undocumented in docs/TUNING.md: {missing}"
-        )
-
-    def test_every_knob_choice_is_documented(self, tuning_text):
-        """The documented ranges must cover the actual choice tuples."""
-        from repro.experiments.tuner import SEARCH_SPACE
-
-        missing = []
-        for knob in SEARCH_SPACE:
-            for choice in knob.choices:
-                if str(choice) not in tuning_text:
-                    missing.append(f"{knob.name}={choice}")
-        assert not missing, (
-            f"knob choices undocumented in docs/TUNING.md: {missing}"
-        )
-
-
 def _walk_parser():
     """Yield (subcommand name, subparser) for every `python -m repro` command."""
     from repro.__main__ import build_parser
@@ -385,10 +311,38 @@ class TestCliDoc:
         missing = [name for name, _ in _walk_parser() if name not in cli_text]
         assert not missing, f"subcommands undocumented in docs/CLI.md: {missing}"
 
-    def test_fleet_metrics_subcommands_exist(self):
-        """The observability CLI surface CI drives must stay present."""
-        names = {name for name, _ in _walk_parser()}
-        assert {"serve-metrics", "sweep-report"} <= names
+    def test_documented_sections_and_flags_exist(self, cli_text):
+        """The reverse direction: every ``## `name` `` section of CLI.md
+        must name a subcommand, and every ``| `--flag` `` row in it a
+        flag of that subcommand, so a deleted command or flag cannot
+        linger in the docs."""
+        flags = {
+            name: {
+                option
+                for action in subparser._actions
+                for option in action.option_strings
+            }
+            for name, subparser in _walk_parser()
+        }
+        sections = re.split(r"^## (.*)$", cli_text, flags=re.M)
+        unknown = []
+        checked = 0
+        for heading, body in zip(sections[1::2], sections[2::2]):
+            match = re.fullmatch(r"`([\w-]+)`", heading.strip())
+            if match is None:
+                continue
+            name = match.group(1)
+            if name not in flags:
+                unknown.append(name)
+                continue
+            for flag in re.findall(r"^\| `(--[\w-]+)", body, re.M):
+                checked += 1
+                if flag not in flags[name]:
+                    unknown.append(f"{name} {flag}")
+        assert checked >= 20, "CLI.md flag tables not found"
+        assert not unknown, (
+            f"docs/CLI.md documents commands or flags that do not exist: {unknown}"
+        )
 
     def test_every_experiment_choice_is_documented(self, cli_text):
         """The `run` positional's experiment names (fig13 ...
