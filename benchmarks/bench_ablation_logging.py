@@ -33,7 +33,7 @@ def run_mode(mode: str):
 
     cfg = dataclasses.replace(
         scheme_config(Scheme.SUPERMEM, SimConfig(memory=MemoryConfig(capacity=8 << 20))),
-        functional=False,
+        fidelity="timing",
     )
     result = Simulator(cfg).run(ops)
     avg_latency = sum(result.txn_latencies) / len(result.txn_latencies)

@@ -35,7 +35,7 @@ def test_bank_mapping(run_once, benchmark):
                         memory=MemoryConfig(capacity=32 << 20, bank_mapping=mapping)
                     ),
                 ),
-                functional=False,
+                fidelity="timing",
             )
             result = Simulator(cfg).run(list(trace.ops))
             results[mapping] = result.avg_txn_latency_ns

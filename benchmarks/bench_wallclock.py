@@ -3,9 +3,9 @@
 Unlike the other files in this directory (pytest-benchmark shape checks of
 *simulated* numbers), this one measures the harness itself: how long the
 standard fig13 sweep takes at both fidelities, with the trace cache
-warm (with and without a live metrics registry), against a cold and a
-warm outcome store, and fanned out over worker processes. It writes ``BENCH_SWEEP.json`` — the repo's perf trajectory
-record.
+warm, against a cold and a warm outcome store, and fanned out over
+worker processes. It writes ``BENCH_SWEEP.json`` — the repo's perf
+trajectory record.
 
 Run standalone::
 

@@ -31,7 +31,7 @@ PAYLOAD = bytes([0x5A]) * 64
 def run_wear(scheme: Scheme):
     cfg = dataclasses.replace(
         scheme_config(scheme, SimConfig(memory=MemoryConfig(capacity=8 << 20))),
-        functional=False,  # wear accounting only; no payload churn
+        fidelity="timing",  # wear accounting only; no payload churn
     )
     system = SecureMemorySystem(cfg)
     # A hot loop over 3 pages: sequential lines, wrap-around.

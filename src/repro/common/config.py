@@ -333,18 +333,14 @@ class SimConfig:
     #: recovery re-derives lost counters by trial decryption against a
     #: per-line ECC/MAC check. 0 = strict persistence (disabled).
     osiris_stop_loss: int = 0
-    #: Store actual bytes (functional mode). Timing-only runs skip payload
-    #: encryption for speed but still model every latency.
-    functional: bool = True
-    #: Simulation fidelity. ``"full"`` keeps byte-level crypto and NVM
-    #: payload storage available (the ``functional`` knob then decides
-    #: whether traces actually carry payloads). ``"timing"`` skips all
-    #: functional byte work — no pad generation, no XOR, no DurableImage
-    #: mutation — while charging identical latencies, so Stats/SimResult
-    #: are byte-for-byte the same as a ``"full"`` run of the same trace
-    #: (asserted by ``tests/sim/test_fidelity.py``). ``"timing"`` forces
-    #: ``functional`` off; crash/recovery/Table-1 harnesses force
-    #: ``"full"`` because they audit recovered plaintext.
+    #: Simulation fidelity. ``"full"`` stores actual bytes: payload-
+    #: tracking traces, byte-level crypto and NVM payload storage.
+    #: ``"timing"`` skips all functional byte work — no pad generation,
+    #: no XOR, no DurableImage mutation — while charging identical
+    #: latencies, so Stats/SimResult are byte-for-byte the same as a
+    #: ``"full"`` run of the same trace (asserted by
+    #: ``tests/sim/test_fidelity.py``). Crash/recovery/Table-1 harnesses
+    #: force ``"full"`` because they audit recovered plaintext.
     fidelity: str = "full"
     #: Directory of the cross-process on-disk outcome store
     #: (:mod:`repro.sim.outcome_store`); ``None`` disables the disk tier.
@@ -361,10 +357,11 @@ class SimConfig:
             raise ConfigError(
                 f"fidelity must be 'full' or 'timing', got {self.fidelity!r}"
             )
-        if self.fidelity == "timing" and self.functional:
-            # Timing fidelity is exactly "functional byte work off"; make
-            # the coupling structural so the two knobs cannot disagree.
-            object.__setattr__(self, "functional", False)
+
+    @property
+    def functional(self) -> bool:
+        """Whether the run does functional byte work (``"full"`` fidelity)."""
+        return self.fidelity == "full"
 
     def address_map(self) -> AddressMap:
         """Shortcut for ``self.memory.address_map()``."""

@@ -479,11 +479,8 @@ def run_recovery_scenario(
         raise ConfigError(f"log_lines must be >= 2, got {log_lines}")
 
     # The recovery kernel audits recovered plaintext byte-for-byte, so it
-    # always runs at full fidelity even when a sweep asked for "timing"
-    # (replace() alone would carry a stale functional=False through).
-    config = dataclasses.replace(
-        scheme_config(scheme, base_config), fidelity="full", functional=True
-    )
+    # always runs at full fidelity even when a sweep asked for "timing".
+    config = dataclasses.replace(scheme_config(scheme, base_config), fidelity="full")
     crash_ctl = CrashController()
     system = SecureMemorySystem(config, crash=crash_ctl)
     domain = DirectDomain(system)

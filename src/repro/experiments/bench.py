@@ -18,11 +18,6 @@ differ only in harness state. In execution order:
     The timing-fidelity sweep again with the trace cache warm from the
     previous leg: every trace, op array and hierarchy outcome stream is
     cached, so the leg is the timing replay alone.
-``warm-metrics``
-    ``warm`` once more with a real in-memory
-    :class:`~repro.obs.metrics.MetricsRegistry` installed as the runner
-    default — pure instrumentation overhead. CI caps the
-    ``metrics_overhead`` ratio at 1.05 (metrics cost under 5%).
 ``shared-record``
     A *cold* fleet member against an (empty) on-disk outcome store
     (:mod:`repro.sim.outcome_store`): process cache cleared, one
@@ -75,37 +70,26 @@ def _timed_sweep(
     journal: Optional[str] = None,
     fidelity: str = "timing",
     clear_cache: bool = True,
-    metrics: bool = False,
 ) -> Tuple[float, int, Optional[Dict[str, object]]]:
     """One fig13 sweep; returns (wall s, number of points, runner accounting).
 
     ``clear_cache=False`` keeps the process trace cache (traces, op
-    arrays, outcome streams) from the previous leg. ``metrics=True``
-    installs a real in-memory :class:`~repro.obs.metrics.MetricsRegistry`
-    as the runner default for the duration of the sweep — the ``warm-metrics`` leg, measuring pure instrumentation
-    overhead against ``warm``.
+    arrays, outcome streams) from the previous leg.
     """
     from repro.experiments import fig13, runner
-    from repro.obs.metrics import NULL_METRICS, MetricsRegistry
     from repro.sim import trace_cache
 
     if clear_cache:
         trace_cache.clear()
-    if metrics:
-        runner.set_default_metrics(MetricsRegistry())
-    try:
-        started = time.perf_counter()
-        points = fig13.run(
-            scale,
-            request_sizes=tuple(request_sizes),
-            jobs=jobs,
-            journal=journal,
-            fidelity=fidelity,
-        )
-        wall = time.perf_counter() - started
-    finally:
-        if metrics:
-            runner.set_default_metrics(NULL_METRICS)
+    started = time.perf_counter()
+    points = fig13.run(
+        scale,
+        request_sizes=tuple(request_sizes),
+        jobs=jobs,
+        journal=journal,
+        fidelity=fidelity,
+    )
+    wall = time.perf_counter() - started
     report = runner.last_report()
     return wall, len(points), report.to_dict() if report is not None else None
 
@@ -211,8 +195,8 @@ def run_sweep_benchmark(
     outcome_store: Optional[str] = None,
 ) -> Dict[str, object]:
     """Benchmark the fig13 sweep across the legs described in the module
-    docstring: full/timing fidelity, warm with and without metrics, the
-    outcome store cold and warm, parallel, and journal resume.
+    docstring: full/timing fidelity, warm, the outcome store cold and
+    warm, parallel, and journal resume.
 
     Returns the payload written to ``output`` (pass ``None`` to skip the
     file). Simulated results are identical across the runs — only
@@ -229,7 +213,6 @@ def run_sweep_benchmark(
         journal: Optional[str] = None,
         fidelity: str = "timing",
         clear_cache: bool = True,
-        metrics: bool = False,
     ) -> float:
         wall, n_points, runner_accounting = _timed_sweep(
             scale,
@@ -238,7 +221,6 @@ def run_sweep_benchmark(
             journal=journal,
             fidelity=fidelity,
             clear_cache=clear_cache,
-            metrics=metrics,
         )
         runs.append(
             {
@@ -257,10 +239,8 @@ def run_sweep_benchmark(
         full_fidelity = record("full-fidelity", 1, fidelity="full")
         timing_fidelity = record("timing-fidelity", 1)
         # The same production sweep with every trace and outcome stream
-        # warm, bare and then with a live in-memory metrics registry: the
-        # instrumentation overhead CI caps at 5% (check_bench_ratio.py).
-        warm = record("warm", 1, clear_cache=False)
-        warm_metrics = record("warm-metrics", 1, clear_cache=False, metrics=True)
+        # warm: the timing replay alone.
+        record("warm", 1, clear_cache=False)
         # The cross-process outcome store, on the single-scheme subset
         # (one SuperMem point per cell — the recording owner's share of
         # a fleet sweep): a cold member generates, records, and writes
@@ -305,10 +285,6 @@ def run_sweep_benchmark(
         "benchmark": "fig13-sweep",
         "runs": runs,
         "speedup": {
-            # Instrumented warm sweep vs the bare warm sweep (>1 =
-            # overhead). CI enforces <= 1.05 (tools/check_bench_ratio.py
-            # CEILINGS).
-            "metrics_overhead": round(warm_metrics / warm, 3) if warm else 0.0,
             # A warm fleet member (store hits only) vs a cold one
             # (generate + record + store writes). CI enforces >= 1.15
             # (tools/check_bench_ratio.py).
@@ -361,7 +337,6 @@ def format_summary(payload: Dict[str, object]) -> str:
         f"{'speedup':>16}: "
         f"timing-vs-full {speedup['timing_vs_full']}x, "
         f"shared-store {speedup['shared_vs_record']}x, "
-        f"metrics-overhead {speedup['metrics_overhead']}x, "
         f"parallel {speedup['parallel_vs_serial']}x, "
         f"resume {speedup['resume_vs_parallel']}x "
         f"({payload['host_cpus']} host CPUs)"

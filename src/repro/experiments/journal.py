@@ -49,7 +49,9 @@ from repro.sim.metrics import SimResult
 #: again (results are bit-identical; the shape alone invalidates).
 #: v4: SimConfig lost both switches (one execution path); results are
 #: bit-identical, the asdict() shape changed.
-JOURNAL_SALT = "supermem-journal-v4"
+#: v5: SimConfig's ``functional`` field became a property of ``fidelity``;
+#: results are bit-identical, the asdict() shape changed.
+JOURNAL_SALT = "supermem-journal-v5"
 
 
 def _jsonify(obj: object) -> object:
@@ -130,10 +132,9 @@ class SweepJournal:
         self.failures: Dict[str, Dict[str, object]] = {}
         #: Undecodable lines dropped during load — 0 or 1 after a clean
         #: kill (the torn tail), more only if the file was corrupted.
-        #: The runner surfaces this as ``repro_journal_torn_tails_total``.
+        #: The runner carries it on ``RunnerReport.torn_tails`` and its
+        #: stderr accounting line.
         self.torn_tails = 0
-        #: Records appended by this process (points + failures).
-        self.records_written = 0
         self._salt = digest_salt()
         self._load()
 
@@ -189,7 +190,6 @@ class SweepJournal:
             fh.write("\n")
             fh.flush()
             os.fsync(fh.fileno())
-        self.records_written += 1
 
     def record(self, digest: str, label: str, result: SimResult) -> None:
         """Journal one completed point (idempotent per digest)."""

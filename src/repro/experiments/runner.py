@@ -21,8 +21,7 @@ records the attempt, retries with exponential backoff up to
 :class:`RunnerPolicy.max_attempts`, replaces the dead worker, and — when
 the parallel budget is exhausted — degrades to one last serial in-process
 execution before giving up. Points that still fail surface as structured
-:class:`PointFailure` records on the :class:`RunnerReport` (and as
-``CAT_RUNNER`` trace events via :meth:`RunnerReport.failure_events`);
+:class:`PointFailure` records on the :class:`RunnerReport`;
 :func:`run_points` then raises :class:`~repro.common.errors.SweepError`
 listing exactly the poisoned points. Deterministic fault injection for
 tests and drills lives in :mod:`repro.experiments.faults`
@@ -41,11 +40,11 @@ Trace reuse: each worker process keeps its own
 of the same (workload, size, seed) point generates the trace once.
 Serial runs share the parent process's cache the same way.
 
-Observability: per-point wall times are aggregated into a
-:class:`repro.obs.histogram.Histogram` on the returned :class:`RunnerReport`
-and progress is logged to stderr, closed by one accounting line per sweep
-when it resumed, retried, timed out, fell back to serial, or looked
-anything up in the outcome store. Simulation-time tracers
+Accounting: the returned :class:`RunnerReport` is the sweep's one
+ledger. Progress is logged to stderr, closed by one accounting line per
+sweep when it resumed, retried, timed out, fell back to serial, dropped
+torn journal lines, or looked anything up in the outcome store; the line
+prints the report's counts. Simulation-time tracers
 (:class:`repro.obs.Tracer`) remain per-run objects and are not supported
 across process boundaries — trace a single point with ``repro simulate
 --trace`` instead (see ``docs/PERFORMANCE.md``).
@@ -83,165 +82,7 @@ from repro.experiments.faults import (
     InjectedFault,
 )
 from repro.experiments.journal import SweepJournal, spec_digest
-from repro.obs.events import (
-    CAT_RUNNER,
-    RUNNER_EV_FAILURE,
-    RUNNER_EV_FALLBACK,
-    RUNNER_EV_RESUME,
-    RUNNER_EV_RETRY,
-    RUNNER_EV_TIMEOUT,
-    TRACK_RUNNER,
-    TraceEvent,
-)
-from repro.obs.histogram import Histogram
-from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.sim.metrics import SimResult
-
-
-#: The metric-name vocabulary the sweep runner publishes when a
-#: :class:`~repro.obs.metrics.MetricsRegistry` is installed. Docs-drift
-#: guarded: ``tests/test_docs_drift.py`` holds this tuple and the table
-#: in ``docs/OBSERVABILITY.md`` to each other — add here, document there.
-METRIC_NAMES = (
-    "repro_sweep_points",
-    "repro_sweep_done",
-    "repro_sweep_points_total",
-    "repro_sweep_attempts_total",
-    "repro_sweep_retries_total",
-    "repro_sweep_timeouts_total",
-    "repro_sweep_workers_total",
-    "repro_sweep_points_per_second",
-    "repro_sweep_point_wall_seconds",
-    "repro_journal_records_total",
-    "repro_journal_resume_hits_total",
-    "repro_journal_resume_misses_total",
-    "repro_journal_torn_tails_total",
-    "repro_trace_array_hits_total",
-    "repro_trace_array_misses_total",
-    "repro_trace_outcome_hits_total",
-    "repro_trace_outcome_misses_total",
-    "repro_outcome_store_hits_total",
-    "repro_outcome_store_misses_total",
-    "repro_outcome_store_bytes_total",
-)
-
-#: 1-2-5 seconds ladder (1 ms .. 500 s) for per-point wall times.
-_WALL_BOUNDS = tuple(
-    mag * mult for mag in (0.001, 0.01, 0.1, 1.0, 10.0, 100.0) for mult in (1, 2, 5)
-)
-
-
-class SweepMetrics:
-    """Typed handles on every sweep-runner metric family.
-
-    Constructed per :func:`run_points_report` call against whatever
-    registry is in force (the zero-overhead :data:`NULL_METRICS` by
-    default — declaring against it hands back shared no-op families, so
-    an uninstrumented sweep allocates nothing per point). Instrumentation
-    sites guard non-trivial argument construction with
-    ``if metrics.enabled:``, mirroring the tracer idiom.
-    """
-
-    def __init__(self, registry: MetricsRegistry):
-        self.registry = registry
-        self.enabled = registry.enabled
-        self.points = registry.gauge(
-            "repro_sweep_points", "Points in the current sweep grid."
-        )
-        self.done = registry.gauge(
-            "repro_sweep_done", "Points completed so far (resumed + executed)."
-        )
-        self.points_total = registry.counter(
-            "repro_sweep_points_total",
-            "Points finished, by final status.",
-            labels=("status",),  # ok / failed / resumed
-        )
-        self.attempts = registry.counter(
-            "repro_sweep_attempts_total",
-            "Point execution attempts, by outcome.",
-            labels=("outcome",),  # ok / error / timeout / worker_died / corrupt
-        )
-        self.retries = registry.counter(
-            "repro_sweep_retries_total", "Failed attempts that were retried."
-        )
-        self.timeouts = registry.counter(
-            "repro_sweep_timeouts_total",
-            "Attempts killed by the per-point wall-clock timeout.",
-        )
-        self.workers = registry.counter(
-            "repro_sweep_workers_total",
-            "Worker-pool lifecycle events.",
-            labels=("event",),  # spawn / respawn / kill
-        )
-        self.throughput = registry.gauge(
-            "repro_sweep_points_per_second",
-            "Executed points per wall-clock second.",
-        )
-        self.point_wall = registry.histogram(
-            "repro_sweep_point_wall_seconds",
-            "Per-point wall time in seconds.",
-            bounds=_WALL_BOUNDS,
-        )
-        self.journal_records = registry.counter(
-            "repro_journal_records_total",
-            "Records appended to the sweep journal.",
-        )
-        self.resume_hits = registry.counter(
-            "repro_journal_resume_hits_total",
-            "Points satisfied from the resume journal without re-execution.",
-        )
-        self.resume_misses = registry.counter(
-            "repro_journal_resume_misses_total",
-            "Points looked up in the resume journal but not found.",
-        )
-        self.torn_tails = registry.counter(
-            "repro_journal_torn_tails_total",
-            "Undecodable journal lines dropped at load (torn-tail recoveries).",
-        )
-        self.array_hits = registry.counter(
-            "repro_trace_array_hits_total",
-            "Batched replays that reused already-decoded trace arrays "
-            "(serial sweeps; parent-process cache only).",
-        )
-        self.array_misses = registry.counter(
-            "repro_trace_array_misses_total",
-            "Batched replays that paid a trace-array decode pass.",
-        )
-        self.outcome_hits = registry.counter(
-            "repro_trace_outcome_hits_total",
-            "Batched replays that reused a recorded hierarchy outcome "
-            "stream (skipping the CPU cache walk).",
-        )
-        self.outcome_misses = registry.counter(
-            "repro_trace_outcome_misses_total",
-            "Batched runs that walked (and recorded) the cache hierarchy.",
-        )
-        self.store_hits = registry.counter(
-            "repro_outcome_store_hits_total",
-            "On-disk outcome-store entries loaded, by entry kind "
-            "(serial sweeps; parent-process store counters only).",
-            labels=("kind",),  # trace / outcomes
-        )
-        self.store_misses = registry.counter(
-            "repro_outcome_store_misses_total",
-            "On-disk outcome-store lookups that fell through to the "
-            "compute path (absent, torn, or corrupt entries).",
-            labels=("kind",),  # trace / outcomes
-        )
-        self.store_bytes = registry.counter(
-            "repro_outcome_store_bytes_total",
-            "Outcome-store entry bytes moved, by direction.",
-            labels=("direction",),  # read / written
-        )
-
-    def attempt_outcome(self, exc_type: str) -> None:
-        """Classify one failed attempt into the ``outcome`` label set."""
-        outcome = {
-            "PointTimeout": "timeout",
-            "WorkerDied": "worker_died",
-            "CorruptResult": "corrupt",
-        }.get(exc_type, "error")
-        self.attempts.labels(outcome).inc()
 
 
 @dataclass(frozen=True)
@@ -358,16 +199,6 @@ class RunnerReport:
     jobs: int
     n_points: int
     wall_s: float = 0.0
-    #: Distribution of per-point wall times in seconds: in-process
-    #: attempts are timed around the call, worker attempts from submit
-    #: to result at the parent.
-    point_wall_s: Histogram = field(default_factory=Histogram)
-    #: Parent-process trace-cache (hits, misses) delta, serial runs only.
-    trace_cache: Tuple[int, int] = (0, 0)
-    #: Replay-array decode cache (hits, misses) delta, serial runs only.
-    trace_arrays: Tuple[int, int] = (0, 0)
-    #: Hierarchy outcome-stream cache (hits, misses) delta, serial only.
-    trace_outcomes: Tuple[int, int] = (0, 0)
     #: On-disk outcome-store counter delta (hits/misses by entry kind,
     #: bytes by direction; see
     #: :func:`repro.sim.outcome_store.store_stats`), serial runs only.
@@ -380,71 +211,16 @@ class RunnerReport:
     resumed: int = 0
     #: Points rescued by the post-pool serial in-process fallback.
     serial_fallbacks: int = 0
+    #: Undecodable resume-journal lines dropped at load (see
+    #: :attr:`SweepJournal.torn_tails`).
+    torn_tails: int = 0
     #: Points that exhausted every attempt (run_points raises on these).
     failures: List[PointFailure] = field(default_factory=list)
     #: Journal file completed points were appended to, if any.
     journal_path: Optional[str] = None
-    #: Final :meth:`MetricsRegistry.snapshot` of the sweep, when a real
-    #: registry was installed (``None`` under :data:`NULL_METRICS`).
-    metrics: Optional[Dict[str, object]] = None
-
-    def failure_events(self) -> List[TraceEvent]:
-        """The report's fault accounting as ``CAT_RUNNER`` trace events.
-
-        Timestamps are wall-clock microseconds relative to the sweep
-        start, matching the Chrome exporter's unit, so harness events can
-        ride in the same file as a simulation trace.
-        """
-        events: List[TraceEvent] = []
-        if self.resumed:
-            events.append(
-                TraceEvent(
-                    cat=CAT_RUNNER,
-                    name=RUNNER_EV_RESUME,
-                    track=TRACK_RUNNER,
-                    ts=0.0,
-                    args={"points": self.resumed, "journal": self.journal_path},
-                )
-            )
-        for _ in range(self.timeouts):
-            events.append(
-                TraceEvent(
-                    cat=CAT_RUNNER, name=RUNNER_EV_TIMEOUT, track=TRACK_RUNNER, ts=0.0
-                )
-            )
-        for _ in range(self.retries):
-            events.append(
-                TraceEvent(
-                    cat=CAT_RUNNER, name=RUNNER_EV_RETRY, track=TRACK_RUNNER, ts=0.0
-                )
-            )
-        for _ in range(self.serial_fallbacks):
-            events.append(
-                TraceEvent(
-                    cat=CAT_RUNNER, name=RUNNER_EV_FALLBACK, track=TRACK_RUNNER, ts=0.0
-                )
-            )
-        for failure in self.failures:
-            events.append(
-                TraceEvent(
-                    cat=CAT_RUNNER,
-                    name=RUNNER_EV_FAILURE,
-                    track=TRACK_RUNNER,
-                    ts=0.0,
-                    args=failure.to_dict(),
-                )
-            )
-        return events
 
     def to_dict(self) -> Dict[str, object]:
-        """Machine-readable accounting (surfaced by ``bench-sweep``/CI).
-
-        Symmetric with the report's full surface: the ``failure_events``
-        trace-event view and the final metrics snapshot ride along, so a
-        serialized report loses nothing a consumer could have read off
-        the live object (round-trip asserted in
-        ``tests/experiments/test_runner_metrics.py``).
-        """
+        """Machine-readable accounting (surfaced by ``bench-sweep``)."""
         return {
             "label": self.label,
             "jobs": self.jobs,
@@ -454,25 +230,11 @@ class RunnerReport:
             "timeouts": self.timeouts,
             "resumed": self.resumed,
             "serial_fallbacks": self.serial_fallbacks,
+            "torn_tails": self.torn_tails,
             "outcome_store": dict(self.outcome_store),
             "failures": [f.to_dict() for f in self.failures],
-            "failure_events": [_event_to_dict(e) for e in self.failure_events()],
             "journal": self.journal_path,
-            "metrics": self.metrics,
         }
-
-
-def _event_to_dict(event: TraceEvent) -> Dict[str, object]:
-    """JSON form of one :class:`TraceEvent` (for report serialization)."""
-    return {
-        "cat": event.cat,
-        "name": event.name,
-        "track": event.track,
-        "ts": event.ts,
-        "ph": event.ph,
-        "dur": event.dur,
-        "args": event.args,
-    }
 
 
 #: Called after each completed point with (done, total).
@@ -484,32 +246,10 @@ _CORRUPT_SENTINEL = "<corrupt-result>"
 
 _default_policy = RunnerPolicy()
 
-#: The registry used when ``run_points`` gets ``metrics=None`` — the
-#: zero-overhead null registry unless a caller installed a real one
-#: (``bench-sweep``'s ``warm-metrics`` leg), mirroring the
-#: default-policy pattern.
-_default_metrics: MetricsRegistry = NULL_METRICS  # type: ignore[assignment]
-
 #: The report of the most recent run_points_report call in this process.
 #: ``bench-sweep`` reads it after driving an experiment whose public API
 #: returns only points (fig13.run and friends).
 _last_report: Optional[RunnerReport] = None
-
-
-def set_default_metrics(registry: MetricsRegistry) -> None:
-    """Install the registry used when ``run_points`` gets ``metrics=None``.
-
-    Lets a caller instrument every experiment module's sweeps without
-    signature churn (pass :data:`NULL_METRICS` to uninstall). Same
-    pattern as :func:`set_default_policy`.
-    """
-    global _default_metrics
-    _default_metrics = registry
-
-
-def default_metrics() -> MetricsRegistry:
-    """The currently installed default metrics registry."""
-    return _default_metrics
 
 
 def set_default_policy(policy: RunnerPolicy) -> None:
@@ -598,15 +338,17 @@ def _log_accounting(report: RunnerReport) -> None:
     """One stderr line of a sweep's resume, fault and store accounting.
 
     Printed only when the sweep resumed, retried, timed out, fell back
-    to serial, or looked anything up in the outcome store. The store
-    counts are this process's lookups, so a parallel sweep's workers are
-    not in them (see :attr:`RunnerReport.outcome_store`).
+    to serial, dropped torn journal lines, or looked anything up in the
+    outcome store. The store counts are this process's lookups, so a
+    parallel sweep's workers are not in them (see
+    :attr:`RunnerReport.outcome_store`).
     """
     counts = [
         ("resumed", report.resumed),
         ("retries", report.retries),
         ("timeouts", report.timeouts),
         ("serial_fallbacks", report.serial_fallbacks),
+        ("torn_tails", report.torn_tails),
     ]
     lookups = [(key, report.outcome_store.get(key, 0)) for key in _STORE_LOOKUPS]
     if any(count for _, count in lookups):
@@ -667,7 +409,6 @@ def run_points(
     policy: Optional[RunnerPolicy] = None,
     journal: Optional[Union[str, SweepJournal]] = None,
     faults: Optional[FaultPlan] = None,
-    metrics: Optional[MetricsRegistry] = None,
 ) -> List[SimResult]:
     """Run every spec; returns results in spec order (deterministic).
 
@@ -688,7 +429,6 @@ def run_points(
         policy=policy,
         journal=journal,
         faults=faults,
-        metrics=metrics,
     )
     if report.failures:
         raise SweepError(report.failures)
@@ -703,7 +443,6 @@ def run_points_report(
     policy: Optional[RunnerPolicy] = None,
     journal: Optional[Union[str, SweepJournal]] = None,
     faults: Optional[FaultPlan] = None,
-    metrics: Optional[MetricsRegistry] = None,
 ) -> Tuple[List[Optional[SimResult]], RunnerReport]:
     """Like :func:`run_points` but never raises on point failures.
 
@@ -711,12 +450,10 @@ def run_points_report(
     every point listed in ``report.failures`` — the sweep runs to the end
     regardless. ``journal`` (a path or an open :class:`SweepJournal`)
     enables resume: journaled points are returned without re-execution
-    and fresh completions are appended. ``faults`` defaults to the
-    ``REPRO_FAULT`` environment plan (see :mod:`repro.experiments.faults`).
-    ``metrics`` (default: the registry installed via
-    :func:`set_default_metrics`, normally :data:`NULL_METRICS`) receives
-    the fleet-health instrumentation catalogued in :data:`METRIC_NAMES`;
-    with a real registry the final snapshot lands on ``report.metrics``.
+    and fresh completions are appended; undecodable lines the journal
+    dropped at load are counted on ``report.torn_tails``. ``faults``
+    defaults to the ``REPRO_FAULT`` environment plan (see
+    :mod:`repro.experiments.faults`).
     """
     global _last_report
     if jobs < 1:
@@ -726,7 +463,6 @@ def run_points_report(
         faults = FaultPlan.from_env()
     if isinstance(journal, str):
         journal = SweepJournal(journal)
-    sm = SweepMetrics(metrics if metrics is not None else _default_metrics)
 
     specs = list(specs)
     total = len(specs)
@@ -735,6 +471,7 @@ def run_points_report(
         jobs=jobs,
         n_points=total,
         journal_path=journal.path if journal is not None else None,
+        torn_tails=journal.torn_tails if journal is not None else 0,
     )
     reporter: Optional[_ProgressReporter] = None
     if progress is None and total > 1:
@@ -746,14 +483,9 @@ def run_points_report(
     started = time.perf_counter()
     results: List[Optional[SimResult]] = [None] * total
     digests = [spec_digest(spec) for spec in specs]
-    if sm.enabled:
-        sm.points.set(total)
-        if journal is not None and journal.torn_tails:
-            sm.torn_tails.inc(journal.torn_tails)
 
     # Resume: satisfy journaled points without re-execution.
     done_count = 0
-    executed = 0
     remaining: List[int] = []
     for index, digest in enumerate(digests):
         cached = journal.get(digest) if journal is not None else None
@@ -761,48 +493,29 @@ def run_points_report(
             results[index] = cached
             report.resumed += 1
             done_count += 1
-            if sm.enabled:
-                sm.resume_hits.inc()
-                sm.points_total.labels("resumed").inc()
-        elif journal is not None and sm.enabled:
-            remaining.append(index)
-            sm.resume_misses.inc()
         else:
             remaining.append(index)
     if report.resumed:
-        if sm.enabled:
-            sm.done.set(done_count)
         if reporter is not None:
             reporter.replay(done_count, report.resumed)
         elif progress is not None:
             progress(done_count, total)
 
     def on_done(index: int, result: SimResult) -> None:
-        nonlocal done_count, executed
+        nonlocal done_count
         results[index] = result
         if journal is not None:
             journal.record(digests[index], specs[index].label(), result)
-            if sm.enabled:
-                sm.journal_records.inc()
         done_count += 1
-        executed += 1
-        if sm.enabled:
-            sm.done.set(done_count)
-            sm.points_total.labels("ok").inc()
-            elapsed = time.perf_counter() - started
-            if elapsed > 0:
-                sm.throughput.set(executed / elapsed)
         if progress is not None:
             progress(done_count, total)
 
     if remaining:
         if jobs == 1 or len(remaining) <= 1:
-            _run_serial(
-                specs, remaining, digests, report, policy, faults, on_done, sm
-            )
+            _run_serial(specs, remaining, digests, report, policy, faults, on_done)
         else:
             _run_parallel(
-                specs, remaining, digests, jobs, report, policy, faults, on_done, sm
+                specs, remaining, digests, jobs, report, policy, faults, on_done
             )
 
     for failure in report.failures:
@@ -810,8 +523,6 @@ def run_points_report(
             journal.record_failure(
                 failure.digest, failure.label, failure.to_dict()
             )
-        if sm.enabled:
-            sm.points_total.labels("failed").inc()
         print(
             f"[runner] {label}: point #{failure.index} ({failure.label}) "
             f"FAILED after {failure.attempts} attempts: {failure.exc_type}",
@@ -819,8 +530,6 @@ def run_points_report(
         )
 
     report.wall_s = time.perf_counter() - started
-    if sm.enabled:
-        report.metrics = sm.registry.snapshot()
     _log_accounting(report)
     _last_report = report
     return results, report
@@ -861,13 +570,9 @@ def _run_serial(
     policy: RunnerPolicy,
     faults: Optional[FaultPlan],
     on_done: Callable[[int, SimResult], None],
-    sm: SweepMetrics,
 ) -> None:
     from repro.sim import trace_cache
 
-    hits0, misses0 = trace_cache.cache_stats()
-    array0 = trace_cache.array_stats()
-    outcome0 = trace_cache.outcome_stats()
     store0 = trace_cache.store_stats()
     for index in indices:
         spec = specs[index]
@@ -875,7 +580,6 @@ def _run_serial(
         attempt = 0
         while attempt < policy.max_attempts:
             attempt += 1
-            t0 = time.perf_counter()
             try:
                 result = _attempt_in_process(spec, index, attempt, faults)
             except ConfigError:
@@ -884,17 +588,10 @@ def _run_serial(
                 raise
             except Exception:
                 last_exc = (sys.exc_info()[0].__name__, _traceback_tail())
-                sm.attempt_outcome(last_exc[0])
                 if attempt < policy.max_attempts:
                     report.retries += 1
-                    sm.retries.inc()
                     time.sleep(policy.backoff_s * (2 ** (attempt - 1)))
                 continue
-            wall = time.perf_counter() - t0
-            report.point_wall_s.record(wall)
-            if sm.enabled:
-                sm.attempts.labels("ok").inc()
-                sm.point_wall.observe(wall)
             on_done(index, result)
             break
         else:
@@ -908,28 +605,10 @@ def _run_serial(
                     traceback_tail=last_exc[1],
                 )
             )
-    hits1, misses1 = trace_cache.cache_stats()
-    report.trace_cache = (hits1 - hits0, misses1 - misses0)
-    array1 = trace_cache.array_stats()
-    outcome1 = trace_cache.outcome_stats()
-    report.trace_arrays = (array1[0] - array0[0], array1[1] - array0[1])
-    report.trace_outcomes = (outcome1[0] - outcome0[0], outcome1[1] - outcome0[1])
     store1 = trace_cache.store_stats()
     report.outcome_store = {
         key: store1[key] - store0.get(key, 0) for key in store1
     }
-    if sm.enabled:
-        sm.array_hits.inc(report.trace_arrays[0])
-        sm.array_misses.inc(report.trace_arrays[1])
-        sm.outcome_hits.inc(report.trace_outcomes[0])
-        sm.outcome_misses.inc(report.trace_outcomes[1])
-        store = report.outcome_store
-        sm.store_hits.labels("trace").inc(store.get("trace_hits", 0))
-        sm.store_hits.labels("outcomes").inc(store.get("outcome_hits", 0))
-        sm.store_misses.labels("trace").inc(store.get("trace_misses", 0))
-        sm.store_misses.labels("outcomes").inc(store.get("outcome_misses", 0))
-        sm.store_bytes.labels("read").inc(store.get("bytes_read", 0))
-        sm.store_bytes.labels("written").inc(store.get("bytes_written", 0))
 
 
 # ----------------------------------------------------------------------
@@ -990,8 +669,6 @@ class _Worker:
         #: (index, attempt) of the in-flight point, None when idle.
         self.running: Optional[Tuple[int, int]] = None
         self.deadline: Optional[float] = None
-        #: ``time.monotonic()`` at submit, for per-point wall accounting.
-        self.started: Optional[float] = None
 
     def submit(
         self,
@@ -1002,9 +679,8 @@ class _Worker:
         timeout_s: Optional[float],
     ) -> None:
         self.running = (index, attempt)
-        self.started = time.monotonic()
         self.deadline = (
-            self.started + timeout_s if timeout_s is not None else None
+            time.monotonic() + timeout_s if timeout_s is not None else None
         )
         self.conn.send((index, spec, fault))
 
@@ -1038,7 +714,6 @@ def _run_parallel(
     policy: RunnerPolicy,
     faults: Optional[FaultPlan],
     on_done: Callable[[int, SimResult], None],
-    sm: SweepMetrics,
 ) -> None:
     from multiprocessing import connection as mpc
 
@@ -1050,21 +725,16 @@ def _run_parallel(
     retry_heap: List[Tuple[float, int, int]] = []  # (ready_at, index, attempt)
     exhausted: Dict[int, Tuple[int, str, str]] = {}  # index -> (attempts, exc, tb)
     workers = [_Worker(ctx) for _ in range(n_workers)]
-    sm.workers.labels("spawn").inc(n_workers)
 
     def replace_worker(worker: _Worker) -> None:
         worker.kill()
         workers[workers.index(worker)] = _Worker(ctx)
-        sm.workers.labels("kill").inc()
-        sm.workers.labels("respawn").inc()
 
     def record_attempt_failure(
         index: int, attempt: int, exc_type: str, tb_tail: str
     ) -> None:
-        sm.attempt_outcome(exc_type)
         if attempt < policy.max_attempts:
             report.retries += 1
-            sm.retries.inc()
             ready_at = time.monotonic() + policy.backoff_s * (2 ** (attempt - 1))
             heapq.heappush(retry_heap, (ready_at, index, attempt + 1))
         else:
@@ -1072,10 +742,8 @@ def _run_parallel(
 
     def handle_message(worker: _Worker) -> None:
         index, attempt = worker.running  # type: ignore[misc]
-        started = worker.started
         worker.running = None
         worker.deadline = None
-        worker.started = None
         try:
             message = worker.conn.recv()
         except (EOFError, OSError):
@@ -1090,13 +758,6 @@ def _run_parallel(
         if status == "ok":
             result = message[2]
             if isinstance(result, SimResult):
-                wall = (
-                    time.monotonic() - started if started is not None else 0.0
-                )
-                report.point_wall_s.record(wall)
-                if sm.enabled:
-                    sm.attempts.labels("ok").inc()
-                    sm.point_wall.observe(wall)
                 on_done(index, result)
             else:
                 record_attempt_failure(
@@ -1162,7 +823,6 @@ def _run_parallel(
                 ):
                     index, attempt = worker.running
                     report.timeouts += 1
-                    sm.timeouts.inc()
                     replace_worker(worker)
                     record_attempt_failure(
                         index,
@@ -1183,19 +843,12 @@ def _run_parallel(
         spec = specs[index]
         if policy.serial_fallback:
             attempts += 1
-            t0 = time.perf_counter()
             try:
                 result = _attempt_in_process(spec, index, attempts, faults)
             except Exception:
                 exc_type, tb_tail = sys.exc_info()[0].__name__, _traceback_tail()
-                sm.attempt_outcome(exc_type)
             else:
                 report.serial_fallbacks += 1
-                wall = time.perf_counter() - t0
-                report.point_wall_s.record(wall)
-                if sm.enabled:
-                    sm.attempts.labels("ok").inc()
-                    sm.point_wall.observe(wall)
                 on_done(index, result)
                 continue
         report.failures.append(

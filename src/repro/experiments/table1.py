@@ -83,7 +83,7 @@ def _build(system_kind: str):
         raise ValueError(system_kind)
     # Table 1 inspects recovered byte images, so it always needs the
     # functional crypto path regardless of any sweep-level fidelity mode.
-    cfg = dataclasses.replace(cfg, fidelity="full", functional=True)
+    cfg = dataclasses.replace(cfg, fidelity="full")
     crash = CrashController()
     system = SecureMemorySystem(cfg, crash=crash)
     domain = DirectDomain(system)

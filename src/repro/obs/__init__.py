@@ -22,11 +22,12 @@ dynamics without perturbing them:
   ``chrome://tracing``) and compact JSONL.
 * :mod:`~repro.obs.report` — the ``repro trace-report`` analysis: time-
   bucketed stall/occupancy/coalesce/bank-imbalance breakdown of a trace.
-* :mod:`~repro.obs.metrics` — the *fleet* layer: a typed
-  Counter/Gauge/Histogram registry with label sets and a JSON-able
-  snapshot, and a zero-overhead
-  :data:`~repro.obs.metrics.NULL_METRICS` default mirroring
-  ``NULL_TRACER``. The sweep runner is its only client.
+* :class:`~repro.obs.histogram.Histogram` — the fixed-bucket latency
+  histograms the tracer keeps, with nearest-rank percentiles.
+
+Everything here observes one simulated machine. The sweep runner's own
+accounting (resumes, retries, timeouts, store lookups) lives on
+:class:`~repro.experiments.runner.RunnerReport` and its stderr line.
 
 Nothing in the timing model reads tracer state; tracing can never change
 a result.
@@ -36,14 +37,12 @@ from repro.obs.events import (
     CAT_BANK,
     CAT_CC,
     CAT_CRYPTO,
-    CAT_RUNNER,
     CAT_SAMPLE,
     CAT_TXN,
     CAT_WQ,
     TraceEvent,
 )
 from repro.obs.histogram import Histogram, nearest_rank
-from repro.obs.metrics import NULL_METRICS, MetricsRegistry, NullMetrics
 from repro.obs.sampler import TimeSeriesSampler
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 
@@ -51,15 +50,11 @@ __all__ = [
     "CAT_BANK",
     "CAT_CC",
     "CAT_CRYPTO",
-    "CAT_RUNNER",
     "CAT_SAMPLE",
     "CAT_TXN",
     "CAT_WQ",
     "Histogram",
-    "MetricsRegistry",
-    "NULL_METRICS",
     "NULL_TRACER",
-    "NullMetrics",
     "NullTracer",
     "TimeSeriesSampler",
     "TraceEvent",

@@ -25,9 +25,6 @@ CAT_CC = "cc"
 CAT_CRYPTO = "crypto"
 CAT_TXN = "txn"
 CAT_SAMPLE = "sample"
-#: Harness-level events from the sweep runner (point retries, timeouts,
-#: worker deaths, journal resumes) — wall-clock, not simulated time.
-CAT_RUNNER = "runner"
 #: Timed post-crash recovery (the :mod:`repro.core.recovery_cost` model):
 #: per-phase spans and the cost summary, in recovery nanoseconds.
 CAT_RECOVERY = "recovery"
@@ -44,15 +41,7 @@ TRACK_WQ = "wq"
 TRACK_CC = "cc"
 TRACK_CRYPTO = "crypto"
 TRACK_METRICS = "metrics"
-TRACK_RUNNER = "runner"
 TRACK_RECOVERY = "recovery"
-
-# Runner event names (CAT_RUNNER instants on TRACK_RUNNER).
-RUNNER_EV_RETRY = "point_retry"
-RUNNER_EV_TIMEOUT = "point_timeout"
-RUNNER_EV_FAILURE = "point_failure"
-RUNNER_EV_RESUME = "point_resume"
-RUNNER_EV_FALLBACK = "serial_fallback"
 
 # Recovery event names (CAT_RECOVERY on TRACK_RECOVERY): one ``X`` span
 # per recovery phase (rsr-resume, counter-scan, trial-decrypt, log-scan,

@@ -105,9 +105,9 @@ def store_stats() -> Dict[str, int]:
     ``trace_hits``/``trace_misses`` and ``outcome_hits``/
     ``outcome_misses`` count disk lookups by entry kind (a corrupt entry
     counts as a miss); ``bytes_read``/``bytes_written`` total the entry
-    bytes moved. Surfaced by the sweep runner on its stderr accounting
-    line (lookups) and, with a metrics registry installed, as the
-    ``repro_outcome_store_{hits,misses,bytes}_total`` metric families.
+    bytes moved. The sweep runner carries their per-sweep delta on
+    ``RunnerReport.outcome_store`` and prints the lookups on its stderr
+    accounting line.
     """
     return dict(_stats)
 

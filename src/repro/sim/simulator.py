@@ -186,14 +186,12 @@ def simulate_workload(
     replayed under different schemes isolates the scheme effect.
 
     ``fidelity`` selects how much functional work rides along with the
-    timing model. The default ``"timing"`` forces ``functional=False``
-    (via :class:`SimConfig`'s coupling): traces carry no payloads and no
-    pad generation, XOR, or NVM byte image is produced — the historical
-    behaviour of this function. ``"full"`` keeps ``functional`` as the
-    base config has it (True by default), generating payload-tracking
-    traces and running the byte-level crypto path. Both fidelities charge
-    identical latencies and count identical stats — asserted bit-for-bit
-    by tests/sim/test_fidelity.py.
+    timing model; it overrides the base config's. The default
+    ``"timing"`` does no functional byte work: traces carry no payloads
+    and no pad generation, XOR, or NVM byte image is produced. ``"full"``
+    generates payload-tracking traces and runs the byte-level crypto
+    path. Both fidelities charge identical latencies and count identical
+    stats — asserted bit-for-bit by tests/sim/test_fidelity.py.
 
     Trace generation is memoized per process (:mod:`repro.sim.trace_cache`):
     sweeping several schemes over the same (workload, size, seed) point

@@ -143,8 +143,7 @@ def array_stats() -> Tuple[int, int]:
 
     A *hit* means a replay reused arrays already decoded onto the trace
     (:func:`trace_arrays`/:func:`warmup_trace_arrays`); a *miss* paid one
-    decode pass. Surfaced by the sweep runner as
-    ``repro_trace_array_hits_total``/``repro_trace_array_misses_total``.
+    decode pass.
     """
     return _array_hits, _array_misses
 

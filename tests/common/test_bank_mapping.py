@@ -83,7 +83,7 @@ def test_simulation_runs_under_each_mapping():
                 Scheme.SUPERMEM,
                 SimConfig(memory=MemoryConfig(capacity=CAPACITY, bank_mapping=mapping)),
             ),
-            functional=False,
+            fidelity="timing",
         )
         result = Simulator(cfg).run(list(trace.ops))
         totals[mapping] = result.total_time_ns

@@ -11,14 +11,11 @@ from repro.core.system import CounterStore, SecureMemorySystem
 LINE_BYTES = bytes(range(64))
 
 
-def make_system(scheme=Scheme.SUPERMEM, functional=True, **mem_kwargs):
+def make_system(scheme=Scheme.SUPERMEM, fidelity="full", **mem_kwargs):
     mem_kwargs.setdefault("capacity", 8 << 20)
     mem_kwargs.setdefault("write_queue_entries", 32)
-    base = SimConfig(memory=MemoryConfig(**mem_kwargs), functional=functional)
-    import dataclasses
-
-    cfg = dataclasses.replace(scheme_config(scheme, base), functional=functional)
-    return SecureMemorySystem(cfg)
+    base = SimConfig(memory=MemoryConfig(**mem_kwargs), fidelity=fidelity)
+    return SecureMemorySystem(scheme_config(scheme, base))
 
 
 class TestCounterStore:
@@ -135,7 +132,7 @@ class TestWriteThroughPath:
         assert len(counter_entries) <= 2
 
     def test_timing_only_mode_stores_no_payloads(self):
-        sys = make_system(Scheme.SUPERMEM, functional=False)
+        sys = make_system(Scheme.SUPERMEM, fidelity="timing")
         sys.persist_line(0.0, line=0)
         sys.drain()
         assert not sys.controller.nvm.contains(0)

@@ -146,16 +146,20 @@ class TestRunPoints:
             run_points([spec])
 
     def test_report_accounting(self):
+        from repro.sim import trace_cache
+
         specs = _specs(n_ops=5)
+        trace_cache.clear()
         results, report = run_points_report(specs, jobs=1, label="unit")
         assert isinstance(report, RunnerReport)
         assert report.label == "unit"
         assert report.n_points == len(specs) == len(results)
         assert report.wall_s > 0
-        assert report.point_wall_s.n == len(specs)
-        hits, misses = report.trace_cache
-        # 2 workloads x 3 schemes: each workload's trace generated once.
-        assert hits + misses >= len(specs)
+        # 2 workloads x 3 schemes: each workload's trace is generated,
+        # decoded and walked once, then reused by the other two schemes.
+        assert trace_cache.cache_stats() == (4, 2)
+        assert trace_cache.array_stats() == (4, 2)
+        assert trace_cache.outcome_stats() == (4, 2)
 
     def test_progress_callback_sees_every_point(self):
         seen = []

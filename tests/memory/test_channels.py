@@ -77,7 +77,7 @@ def test_end_to_end_simulation_with_two_channels():
             Scheme.SUPERMEM,
             SimConfig(memory=MemoryConfig(capacity=8 << 20, n_channels=2)),
         ),
-        functional=False,
+        fidelity="timing",
     )
     result = Simulator(cfg).run(list(trace.ops))
     assert result.n_txns == 10

@@ -28,7 +28,7 @@ from repro.txn.persist import (
 def make_engine(scheme=Scheme.UNSEC):
     cfg = dataclasses.replace(
         scheme_config(scheme, SimConfig(memory=MemoryConfig(capacity=8 << 20))),
-        functional=False,
+        fidelity="timing",
     )
     sim = Simulator(cfg)
     return sim.engine, sim.stats

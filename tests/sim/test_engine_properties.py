@@ -33,7 +33,7 @@ def op_strategy():
 def make_engine(scheme):
     cfg = dataclasses.replace(
         scheme_config(scheme, SimConfig(memory=MemoryConfig(capacity=8 << 20))),
-        functional=False,
+        fidelity="timing",
     )
     sim = Simulator(cfg)
     return sim.engine, sim.system, sim.stats

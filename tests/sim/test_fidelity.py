@@ -11,8 +11,9 @@ results are bit-for-bit the same, only cheaper. These tests pin that:
   diverged between the modes — see ``ArrayWorkload.run_op``);
 * sweep-level: the fig13 smoke golden digest is the same under both
   fidelities, and equals the pinned constant in test_runner.py;
-* config plumbing: ``fidelity="timing"`` forces ``functional=False``,
-  and crash/recovery entry points force themselves back to full.
+* config plumbing: ``functional`` is derived from ``fidelity`` alone,
+  so replacing a timing config's fidelity with ``"full"`` restores the
+  functional byte path.
 """
 
 import dataclasses
@@ -22,6 +23,7 @@ import pytest
 from repro.common.config import SimConfig
 from repro.common.errors import ConfigError
 from repro.core.schemes import Scheme
+from repro.core.system import SecureMemorySystem
 from repro.experiments import fig13
 from repro.experiments.common import experiment_base_config, get_scale
 from repro.sim.simulator import simulate_workload
@@ -57,13 +59,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SimConfig(fidelity="fast-and-loose")
 
-    def test_replace_carries_stale_functional(self):
-        """Documents why crash paths must replace *both* fields."""
+    def test_replace_to_full_restores_functional(self):
+        """``functional`` cannot go stale across ``replace(fidelity=...)``."""
         timing = SimConfig(fidelity="timing")
-        full_again = dataclasses.replace(
-            timing, fidelity="full", functional=True
-        )
+        full_again = dataclasses.replace(timing, fidelity="full")
         assert full_again.functional is True
+        assert SecureMemorySystem(full_again).cipher is not None
 
 
 class TestPointEquivalence:

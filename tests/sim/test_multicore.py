@@ -17,7 +17,7 @@ from repro.txn.persist import OP_COMPUTE, OP_TXN_BEGIN, OP_TXN_END
 def make_cfg():
     return dataclasses.replace(
         scheme_config(Scheme.UNSEC, SimConfig(memory=MemoryConfig(capacity=8 << 20))),
-        functional=False,
+        fidelity="timing",
     )
 
 

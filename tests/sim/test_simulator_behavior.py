@@ -15,7 +15,7 @@ def make_cfg():
         scheme_config(
             Scheme.SUPERMEM, SimConfig(memory=MemoryConfig(capacity=8 << 20))
         ),
-        functional=False,
+        fidelity="timing",
     )
 
 

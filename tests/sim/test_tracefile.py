@@ -91,7 +91,7 @@ def test_saved_trace_replays_identically(tmp_path):
 
     cfg = dataclasses.replace(
         scheme_config(Scheme.SUPERMEM, SimConfig(memory=MemoryConfig(capacity=8 << 20))),
-        functional=False,
+        fidelity="timing",
     )
     a = Simulator(cfg).run(trace.ops)
     b = Simulator(cfg).run(reloaded)

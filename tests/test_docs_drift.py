@@ -17,12 +17,9 @@ silently:
 * every observability vocabulary constant of :mod:`repro.obs.events`
   (``CAT_*`` categories, ``TRACK_*`` series tracks, ``*_EV_*`` event
   names) must appear in ``docs/OBSERVABILITY.md`` or
-  ``docs/PERFORMANCE.md``;
-* every fleet-metric name in
-  :data:`repro.experiments.runner.METRIC_NAMES` must appear (in
-  backticks) in ``docs/OBSERVABILITY.md``, the tuple must equal the
-  families ``SweepMetrics`` actually declares, and every backticked
-  ``repro_*`` name in an OBSERVABILITY.md table must be one of them;
+  ``docs/PERFORMANCE.md`` — and, the reverse direction, every
+  category in OBSERVABILITY.md's "Event types" table must be a
+  ``CAT_*`` value;
 * every field of every configuration dataclass (``SimConfig`` and its
   sub-configs) must be named in backticks in ``docs/CONFIG.md`` — a new
   knob (``fidelity``, ``outcome_store``, ...) cannot land undocumented,
@@ -30,7 +27,7 @@ silently:
   table must be a field of its dataclass, so a deleted knob cannot
   linger in the docs;
 * every CI-ratcheted bench-sweep ratio (``tools/check_bench_ratio.py``
-  FLOORS/CEILINGS) and every benchmark leg name must appear in
+  FLOORS) and every benchmark leg name must appear in
   ``docs/PERFORMANCE.md`` — a new ratchet or leg cannot land without its
   trajectory being documented.
 
@@ -125,48 +122,6 @@ class TestModelDoc:
 
 
 class TestObservabilityDoc:
-    def test_every_metric_name_is_documented(self):
-        """The sweep-runner's fleet-metric vocabulary (METRIC_NAMES) must
-        be catalogued in docs/OBSERVABILITY.md "Fleet metrics"."""
-        from repro.experiments.runner import METRIC_NAMES
-
-        text = (DOCS / "OBSERVABILITY.md").read_text(encoding="utf-8")
-        missing = [name for name in METRIC_NAMES if f"`{name}`" not in text]
-        assert not missing, (
-            f"fleet metrics undocumented in docs/OBSERVABILITY.md: {missing} — "
-            "add each to the metric-vocabulary table in backticks"
-        )
-
-    def test_metric_names_match_declared_families(self):
-        """METRIC_NAMES is the documented catalogue; it must equal what
-        SweepMetrics actually declares against a registry."""
-        from repro.experiments.runner import METRIC_NAMES, SweepMetrics
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        SweepMetrics(registry)
-        assert set(registry.families) == set(METRIC_NAMES)
-
-    def test_documented_metric_names_exist(self):
-        """The reverse direction: every backticked ``repro_*`` name in an
-        OBSERVABILITY.md table must be a family the runner declares, so
-        a deleted metric cannot linger in the docs."""
-        from repro.experiments.runner import SweepMetrics
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        SweepMetrics(registry)
-        text = (DOCS / "OBSERVABILITY.md").read_text(encoding="utf-8")
-        rows = re.findall(r"^\|.*$", text, re.M)
-        documented = {
-            name for row in rows for name in re.findall(r"`(repro_\w+)`", row)
-        }
-        assert len(documented) >= 10, "OBSERVABILITY.md metric table not found"
-        unknown = sorted(documented - set(registry.families))
-        assert not unknown, (
-            f"docs/OBSERVABILITY.md documents metrics that do not exist: {unknown}"
-        )
-
     def test_every_event_vocabulary_constant_is_documented(self):
         from repro.obs import events
 
@@ -182,6 +137,27 @@ class TestObservabilityDoc:
         assert not missing, (
             "observability vocabulary undocumented in docs/OBSERVABILITY.md "
             f"or docs/PERFORMANCE.md: {sorted(missing)}"
+        )
+
+    def test_documented_categories_exist(self):
+        """The reverse direction: every backticked category in the first
+        column of the "Event types" table must be a ``CAT_*`` value of
+        :mod:`repro.obs.events`, so a deleted category cannot linger."""
+        from repro.obs import events
+
+        categories = {
+            getattr(events, name) for name in dir(events) if name.startswith("CAT_")
+        }
+        text = (DOCS / "OBSERVABILITY.md").read_text(encoding="utf-8")
+        table = text.split("## Event types", 1)[1].split("\n## ", 1)[0]
+        documented = set()
+        for first_cell in re.findall(r"^\|([^|]*)\|", table, re.M):
+            documented.update(re.findall(r"`([^`]+)`", first_cell))
+        assert len(documented) >= 6, "OBSERVABILITY.md event table not found"
+        unknown = sorted(documented - categories)
+        assert not unknown, (
+            f"docs/OBSERVABILITY.md documents event categories that do not "
+            f"exist: {unknown}"
         )
 
 
@@ -261,12 +237,12 @@ class TestPerformanceDoc:
         return module
 
     def test_every_ratcheted_ratio_is_documented(self, perf_text):
-        """Each CI floor/ceiling key must be named (in backticks) in
+        """Each CI floor key must be named (in backticks) in
         docs/PERFORMANCE.md — the ratchet exists to hold a documented
         trajectory, so an undocumented ratchet is drift by definition."""
         module = self._ratchet_module()
-        keys = sorted(set(module.FLOORS) | set(module.CEILINGS))
-        assert len(keys) >= 3, keys
+        keys = sorted(module.FLOORS)
+        assert len(keys) >= 2, keys
         missing = [key for key in keys if f"`{key}`" not in perf_text]
         assert not missing, (
             f"ratcheted ratios undocumented in docs/PERFORMANCE.md: {missing}"
@@ -280,7 +256,7 @@ class TestPerformanceDoc:
             r'record\(\s*\n?\s*"([a-z0-9-]+)"',
             inspect.getsource(run_sweep_benchmark),
         )
-        assert "warm" in legs and "warm-metrics" in legs, legs
+        assert "warm" in legs, legs
         missing = [leg for leg in legs if f"`{leg}`" not in perf_text]
         assert not missing, (
             f"bench legs undocumented in docs/PERFORMANCE.md: {missing}"

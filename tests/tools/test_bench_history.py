@@ -71,15 +71,15 @@ class TestFindRegressions:
         assert "below" in flags[0]
 
     def test_rise_in_overhead_ratio_is_flagged(self, mod):
-        history = [_record(metrics_overhead=1.0) for _ in range(3)]
-        flags = mod.find_regressions(history, _record(metrics_overhead=1.5))
+        history = [_record(probe_overhead=1.0) for _ in range(3)]
+        flags = mod.find_regressions(history, _record(probe_overhead=1.5))
         assert len(flags) == 1
-        assert "metrics_overhead" in flags[0]
+        assert "probe_overhead" in flags[0]
         assert "above" in flags[0]
 
     def test_good_directions_are_not_flagged(self, mod):
-        history = [_record(shared_vs_record=4.0, metrics_overhead=1.0)] * 3
-        current = _record(shared_vs_record=8.0, metrics_overhead=0.5)
+        history = [_record(shared_vs_record=4.0, probe_overhead=1.0)] * 3
+        current = _record(shared_vs_record=8.0, probe_overhead=0.5)
         assert mod.find_regressions(history, current) == []
 
     def test_within_tolerance_is_not_flagged(self, mod):
@@ -99,7 +99,7 @@ class TestFindRegressions:
     def test_new_key_without_prior_samples_is_skipped(self, mod):
         history = [_record(timing_vs_full=3.0)] * 3
         assert mod.find_regressions(
-            history, _record(timing_vs_full=3.0, metrics_overhead=9.9)
+            history, _record(timing_vs_full=3.0, probe_overhead=9.9)
         ) == []
 
 
