@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Quickstart: simulate the paper's schemes and read the headline result.
 
-Runs the B-tree workload (1 KB transactions) under all six evaluated
+Runs the B-tree workload (1 KB transactions) under all seven evaluated
 schemes on the scaled Table 2 system and prints the normalised transaction
 latencies and NVM write counts — a one-screen version of Figures 13 and 15.
 

@@ -12,7 +12,6 @@ Run (takes ~1 minute)::
 """
 
 from repro import EVALUATED_SCHEMES, simulate_multiprogrammed, simulate_workload
-from repro.sim.energy import energy_of
 
 WORKLOADS = ("array", "queue", "btree", "hashtable", "rbtree")
 N_OPS = 80
@@ -42,23 +41,6 @@ def single_core_table() -> None:
         print(f"{workload:>10} |" + "".join(cells))
 
 
-def energy_table() -> None:
-    print("\nenergy per run (btree, 1KB transactions, normalised to Unsec)\n")
-    base = None
-    for scheme in EVALUATED_SCHEMES:
-        r = simulate_workload(
-            "btree", scheme, n_ops=N_OPS, request_size=REQUEST_SIZE, footprint=FOOTPRINT
-        )
-        breakdown = energy_of(r)
-        if base is None:
-            base = breakdown.total_nj
-        print(
-            f"  {scheme.label:>10}: {breakdown.total_uj:8.1f} uJ "
-            f"({breakdown.total_nj / base:4.2f}x, "
-            f"writes {breakdown.nvm_writes_nj / breakdown.total_nj:.0%})"
-        )
-
-
 def multicore_table() -> None:
     print("\n4 programs sharing all banks (hashtable, latency vs Unsec)\n")
     for scheme in EVALUATED_SCHEMES:
@@ -72,7 +54,6 @@ def multicore_table() -> None:
 
 def main() -> None:
     single_core_table()
-    energy_table()
     multicore_table()
     print(
         "\nReading the table: WT doubles both columns; CWC removes the\n"

@@ -115,7 +115,7 @@ EXPERIMENTS = (
 
 _DESCRIPTIONS = {
     "table1": "Crash recoverability per transaction stage (crash injection)",
-    "fig13": "Single-core txn latency: 5 workloads x 6 schemes x 3 sizes",
+    "fig13": "Single-core txn latency: 5 workloads x 7 schemes x 3 sizes",
     "fig14": "Multi-programmed txn latency: 1/4/8 programs",
     "fig15": "NVM write requests normalised to Unsec",
     "fig16": "Write-queue length sensitivity (8..128 entries)",
@@ -269,19 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the store summary as JSON instead of text",
     )
 
-    trace_parser = sub.add_parser(
-        "trace", help="generate a workload trace file (or summarise one)"
-    )
-    trace_parser.add_argument("workload", help="workload name, or a .smtr path with --summary")
-    trace_parser.add_argument("--ops", type=int, default=200, help="transactions to record")
-    trace_parser.add_argument("--request-size", type=int, default=1024)
-    trace_parser.add_argument("--footprint", type=int, default=4 << 20)
-    trace_parser.add_argument("--seed", type=int, default=1)
-    trace_parser.add_argument("--output", default=None, help="trace file to write")
-    trace_parser.add_argument(
-        "--summary", action="store_true", help="summarise an existing trace file"
-    )
-
     sim_parser = sub.add_parser("simulate", help="simulate one workload/scheme point")
     sim_parser.add_argument("workload")
     sim_parser.add_argument(
@@ -388,8 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
-    if args.command == "trace":
-        return _cmd_trace(args)
     if args.command == "simulate":
         return _cmd_simulate(args)
     if args.command == "trace-report":
@@ -521,36 +506,16 @@ def _cmd_cache(args) -> int:
     return 0
 
 
-def _cmd_trace(args) -> int:
-    from repro.sim.tracefile import load_trace, save_trace, trace_summary
-    from repro.workloads.generator import generate_trace
-
-    if args.summary:
-        ops = load_trace(args.workload)
-        for key, value in trace_summary(ops).items():
-            print(f"{key}: {value}")
-        return 0
-    trace = generate_trace(
-        args.workload,
-        n_ops=args.ops,
-        request_size=args.request_size,
-        footprint=args.footprint,
-        seed=args.seed,
-    )
-    output = args.output or f"{args.workload}.smtr"
-    size = save_trace(output, trace.ops)
-    print(f"wrote {output}: {len(trace.ops)} ops, {size} bytes")
-    return 0
-
-
 def _cmd_simulate(args) -> int:
     import json
 
+    from repro.common.errors import ConfigError
     from repro.core.schemes import Scheme
     from repro.obs import Tracer
     from repro.obs.export import write_chrome_trace, write_jsonl
     from repro.sim.profiling import profile_run
     from repro.sim.simulator import simulate_workload
+    from repro.workloads.generator import workload_class
 
     try:
         scheme = Scheme(args.scheme)
@@ -559,6 +524,10 @@ def _cmd_simulate(args) -> int:
             f"unknown scheme {args.scheme!r}; expected one of "
             f"{[s.value for s in Scheme]}"
         )
+    try:
+        workload_class(args.workload)
+    except ConfigError as exc:
+        raise SystemExit(str(exc))
     tracer = None
     if args.trace or args.trace_jsonl or args.sample_ns is not None:
         tracer = Tracer(sample_interval_ns=args.sample_ns)

@@ -1,7 +1,7 @@
 """SuperMem's core: scheme assembly, the secure memory system, crash/recovery.
 
-* :mod:`repro.core.schemes` — the six evaluated configurations (Unsec, WB,
-  WT, WT+CWC, WT+XBank, SuperMem) as config transformers;
+* :mod:`repro.core.schemes` — the seven evaluated configurations (Unsec,
+  WB, WT, WT+CWC, WT+XBank, SuperMem, SuperMem+BMT) as config transformers;
 * :mod:`repro.core.system` — :class:`SecureMemorySystem`, the
   application-facing memory system: encrypted writes with the atomicity
   register, write-through/-back counter handling, encrypted reads with

@@ -21,24 +21,20 @@ Two engines are provided:
 
 Both engines are deterministic functions of their key, which is what lets
 crash-recovery experiments re-derive pads after a simulated power failure.
+Neither memoizes: figure sweeps run at timing fidelity and build no pads,
+and the full-fidelity runs (recovery sweep, Table 1) almost never ask for
+the same ``(address, counter)`` pad twice.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Dict, Iterable, List, Protocol, Tuple
+from typing import Iterable, List, Protocol, Tuple
 
 from repro.common.address import CACHE_LINE_SIZE
 from repro.common.errors import ConfigError
 from repro.crypto.aes import AES128
-
-#: Default size of the per-engine pad memo. Counter-cache temporal locality
-#: means the same (line, counter) pad is often needed twice in short order —
-#: once to decrypt the old ciphertext during a read-modify-write or page
-#: re-encryption, once more on the recovery scan — so a few thousand entries
-#: capture most of the reuse without unbounded growth.
-DEFAULT_PAD_MEMO_ENTRIES = 4096
 
 
 class PadEngine(Protocol):
@@ -53,36 +49,7 @@ class PadEngine(Protocol):
         ...
 
 
-class _MemoMixin:
-    """Bounded FIFO memo of ``(line_addr, counter) -> pad``.
-
-    Pads are pure functions of the key, so caching is semantically
-    invisible; the memo only saves recomputation. Eviction is
-    insertion-order FIFO (``next(iter(dict))``), which is deterministic —
-    important because the simulator's results must not depend on memory
-    pressure. ``memo_entries=0`` disables caching entirely (used by the
-    differential tests in tests/crypto/test_engine_memo.py).
-    """
-
-    _memo: Dict[Tuple[int, int], bytes]
-    _memo_entries: int
-
-    def _memo_init(self, memo_entries: int) -> None:
-        if memo_entries < 0:
-            raise ConfigError("pad memo size must be >= 0")
-        self._memo = {}
-        self._memo_entries = memo_entries
-
-    def _memo_put(self, key: Tuple[int, int], pad: bytes) -> bytes:
-        memo = self._memo
-        if self._memo_entries:
-            if len(memo) >= self._memo_entries:
-                del memo[next(iter(memo))]
-            memo[key] = pad
-        return pad
-
-
-class AESPadEngine(_MemoMixin):
+class AESPadEngine:
     """Faithful AES-128 pad generation (four blocks per 64 B line).
 
     The 16-byte AES input packs the line address (8 bytes), the counter
@@ -91,25 +58,12 @@ class AESPadEngine(_MemoMixin):
     feeds the line address and counter into the AES pipeline.
     """
 
-    def __init__(self, key: bytes, memo_entries: int = DEFAULT_PAD_MEMO_ENTRIES):
+    def __init__(self, key: bytes):
         if len(key) != 16:
             raise ConfigError("AES pad engine needs a 16-byte key")
         self._cipher = AES128(key)
-        self._memo_init(memo_entries)
 
     def pad(self, line_addr: int, counter: int) -> bytes:
-        key = (line_addr, counter)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        return self._memo_put(key, self._compute(line_addr, counter))
-
-    def pads(self, pairs: Iterable[Tuple[int, int]]) -> List[bytes]:
-        """Batch pad generation for recovery scans (bypasses the memo)."""
-        compute = self._compute
-        return [compute(line, counter) for line, counter in pairs]
-
-    def _compute(self, line_addr: int, counter: int) -> bytes:
         blocks = []
         counter_bytes = (counter & ((1 << 56) - 1)).to_bytes(7, "little")
         for index in range(CACHE_LINE_SIZE // AES128.BLOCK_SIZE):
@@ -117,38 +71,33 @@ class AESPadEngine(_MemoMixin):
             blocks.append(self._cipher.encrypt_block(seed))
         return b"".join(blocks)
 
+    def pads(self, pairs: Iterable[Tuple[int, int]]) -> List[bytes]:
+        """Batch pad generation for recovery scans."""
+        pad = self.pad
+        return [pad(line, counter) for line, counter in pairs]
 
-class PRFPadEngine(_MemoMixin):
+
+class PRFPadEngine:
     """SHA-256-based PRF pad generation (fast default).
 
     ``pad = SHA256(key || addr || counter || 0) || SHA256(key || addr ||
     counter || 1)`` truncated to 64 bytes.
     """
 
-    def __init__(self, key: bytes, memo_entries: int = DEFAULT_PAD_MEMO_ENTRIES):
+    def __init__(self, key: bytes):
         if not key:
             raise ConfigError("PRF pad engine needs a non-empty key")
         self._key = bytes(key)
-        self._memo_init(memo_entries)
 
     def pad(self, line_addr: int, counter: int) -> bytes:
-        key = (line_addr, counter)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
         prefix = self._key + struct.pack("<QQ", line_addr, counter)
         sha256 = hashlib.sha256
-        return self._memo_put(
-            key,
-            sha256(prefix + b"\x00").digest() + sha256(prefix + b"\x01").digest(),
-        )
+        return sha256(prefix + b"\x00").digest() + sha256(prefix + b"\x01").digest()
 
     def pads(self, pairs: Iterable[Tuple[int, int]]) -> List[bytes]:
         """Batch pad generation for multi-line recovery scans.
 
-        Binds ``hashlib.sha256``, the key, and ``struct.pack`` locally and
-        skips the memo — a recovery scan touches each line once, so caching
-        its pads would only evict the hot working set.
+        Binds ``hashlib.sha256``, the key, and ``struct.pack`` locally.
         """
         sha256 = hashlib.sha256
         pack = struct.pack

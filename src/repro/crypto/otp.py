@@ -100,7 +100,7 @@ class LineCipher:
         Recovery scans decrypt whole pages (or the full written image) in
         one pass; batching routes all pad derivations through
         :meth:`PadEngine.pads`, which binds the hash primitive once instead
-        of per-line, and skips the pad memo the online path relies on.
+        of per-line.
         """
         triples = list(items)
         for _, _, ciphertext in triples:

@@ -33,9 +33,12 @@ differ only in harness state. In execution order:
     outcome recordings — every trace and recording loads from the
     store's binary entries, bit-identically. CI asserts
     ``shared_vs_record`` >= 1.15 (``tools/check_bench_ratio.py``).
-``parallel`` / ``resume``
-    Process fan-out over the production configuration, then a pure
-    journal-resume pass (nothing simulated).
+``parallel``
+    Process fan-out over the production configuration.
+
+The fig-recovery and fig-channels sweeps are not legs: CI runs each as
+its own step, and ``bench/run.py`` times both. Resume is checked by
+CI's resume drill, not timed here.
 
 Every full-sweep leg simulates the exact same results — the
 golden-digest guarantee — so those legs differ only in wall clock; the
@@ -46,8 +49,7 @@ the schema ``{name, scale, jobs, wall_s, points, runner}`` where
 accounting of that leg; the ``speedup`` block reports the headline
 ratios.
 
-Run via ``python -m repro bench-sweep`` or
-``python benchmarks/bench_wallclock.py``.
+Run via ``python -m repro bench-sweep``.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ def _timed_sweep(
     scale: str,
     request_sizes: Sequence[int],
     jobs: int,
-    journal: Optional[str] = None,
     fidelity: str = "timing",
     clear_cache: bool = True,
 ) -> Tuple[float, int, Optional[Dict[str, object]]]:
@@ -86,7 +87,6 @@ def _timed_sweep(
         scale,
         request_sizes=tuple(request_sizes),
         jobs=jobs,
-        journal=journal,
         fidelity=fidelity,
     )
     wall = time.perf_counter() - started
@@ -122,7 +122,6 @@ def _timed_store_leg(
     from repro.experiments import fig13, runner
     from repro.sim import trace_cache
 
-    trace_cache.configure(True)
     trace_cache.clear()
     _, point_specs = fig13.specs(
         scale, request_sizes=tuple(request_sizes), base_config=store_cfg
@@ -135,58 +134,6 @@ def _timed_store_leg(
     return wall, len(results), report.to_dict() if report is not None else None
 
 
-def _timed_recovery_sweep(scale: str, jobs: int, runs: List[Dict[str, object]]) -> float:
-    """Time the fig-recovery sweep and append its record to ``runs``.
-
-    Not part of the speedup ratios (the recovery kernel is a different
-    workload from the fig13 timing simulation); recorded so the perf
-    trajectory covers the recovery-cost subsystem too.
-    """
-    from repro.experiments import fig_recovery, runner
-
-    started = time.perf_counter()
-    points = fig_recovery.run(scale, jobs=jobs)
-    wall = time.perf_counter() - started
-    report = runner.last_report()
-    runs.append(
-        {
-            "name": "fig-recovery",
-            "scale": scale,
-            "jobs": jobs,
-            "wall_s": round(wall, 3),
-            "points": len(points),
-            "runner": report.to_dict() if report is not None else None,
-        }
-    )
-    return wall
-
-
-def _timed_channels_sweep(scale: str, jobs: int, runs: List[Dict[str, object]]) -> float:
-    """Time the fig-channels sweep and append its record to ``runs``.
-
-    Like the fig-recovery leg, not part of the speedup ratios — recorded
-    so the perf trajectory covers the channel-sensitivity sweep (and with
-    it the SuperMem+BMT integrity-tree write path) too.
-    """
-    from repro.experiments import fig_channels, runner
-
-    started = time.perf_counter()
-    points = fig_channels.run(scale, jobs=jobs)
-    wall = time.perf_counter() - started
-    report = runner.last_report()
-    runs.append(
-        {
-            "name": "fig-channels",
-            "scale": scale,
-            "jobs": jobs,
-            "wall_s": round(wall, 3),
-            "points": len(points),
-            "runner": report.to_dict() if report is not None else None,
-        }
-    )
-    return wall
-
-
 def run_sweep_benchmark(
     scale: str = "smoke",
     jobs: int = 4,
@@ -196,21 +143,17 @@ def run_sweep_benchmark(
 ) -> Dict[str, object]:
     """Benchmark the fig13 sweep across the legs described in the module
     docstring: full/timing fidelity, warm, the outcome store cold and
-    warm, parallel, and journal resume.
+    warm, and parallel.
 
     Returns the payload written to ``output`` (pass ``None`` to skip the
     file). Simulated results are identical across the runs — only
-    wall-clock differs — so this is purely a harness benchmark. The
-    ``resume`` leg replays the journal the parallel leg wrote: zero
-    simulation, pure journal-read cost, and its ``runner.resumed`` count
-    equals the full point count (the accounting CI asserts on).
+    wall-clock differs — so this is purely a harness benchmark.
     """
     runs: List[Dict[str, object]] = []
 
     def record(
         name: str,
         n_jobs: int,
-        journal: Optional[str] = None,
         fidelity: str = "timing",
         clear_cache: bool = True,
     ) -> float:
@@ -218,7 +161,6 @@ def run_sweep_benchmark(
             scale,
             request_sizes,
             n_jobs,
-            journal=journal,
             fidelity=fidelity,
             clear_cache=clear_cache,
         )
@@ -235,7 +177,6 @@ def run_sweep_benchmark(
         return wall
 
     with tempfile.TemporaryDirectory(prefix="bench-sweep-") as tmp:
-        journal = os.path.join(tmp, "sweep-journal.jsonl")
         full_fidelity = record("full-fidelity", 1, fidelity="full")
         timing_fidelity = record("timing-fidelity", 1)
         # The same production sweep with every trace and outcome stream
@@ -276,10 +217,7 @@ def run_sweep_benchmark(
                 "runner": store_acct,
             }
         )
-        parallel = record("parallel", jobs, journal=journal)
-        resume = record("resume", jobs, journal=journal)
-        _timed_recovery_sweep(scale, jobs, runs)
-        _timed_channels_sweep(scale, jobs, runs)
+        parallel = record("parallel", jobs)
 
     payload: Dict[str, object] = {
         "benchmark": "fig13-sweep",
@@ -301,8 +239,6 @@ def run_sweep_benchmark(
             "parallel_vs_serial": (
                 round(timing_fidelity / parallel, 3) if parallel else 0.0
             ),
-            # Journal resume vs re-simulating (the crash-recovery payoff).
-            "resume_vs_parallel": round(parallel / resume, 3) if resume else 0.0,
         },
         "host_cpus": os.cpu_count(),
     }
@@ -337,8 +273,7 @@ def format_summary(payload: Dict[str, object]) -> str:
         f"{'speedup':>16}: "
         f"timing-vs-full {speedup['timing_vs_full']}x, "
         f"shared-store {speedup['shared_vs_record']}x, "
-        f"parallel {speedup['parallel_vs_serial']}x, "
-        f"resume {speedup['resume_vs_parallel']}x "
+        f"parallel {speedup['parallel_vs_serial']}x "
         f"({payload['host_cpus']} host CPUs)"
     )
     return "\n".join(lines)

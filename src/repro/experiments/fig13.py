@@ -1,6 +1,6 @@
 """Figure 13: single-core transaction execution latency.
 
-Five workloads x six schemes x three transaction request sizes (256 B,
+Five workloads x seven schemes x three transaction request sizes (256 B,
 1 KB, 4 KB). The paper reports average transaction execution latency; we
 normalise to Unsec per (workload, size) so the scheme effect is explicit.
 

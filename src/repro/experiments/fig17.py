@@ -17,6 +17,7 @@ from repro.core.schemes import Scheme
 from repro.experiments.common import Scale, experiment_base_config, get_scale
 from repro.experiments.report import render_table
 from repro.experiments.runner import PointSpec, run_points
+from repro.sim.validation import validate_result
 from repro.workloads.base import WORKLOAD_NAMES
 
 CACHE_SIZES = (1 << 10, 16 << 10, 256 << 10, 4 << 20)
@@ -61,6 +62,7 @@ def run(
     points: List[Fig17Point] = []
     for workload, size in cells:
         result = next(results)
+        validate_result(result, encrypted=True)
         # Report the read-path hit rate: those are the hits that let
         # OTP generation overlap the data fetch (Figure 2b).
         points.append(

@@ -51,7 +51,9 @@ from repro.sim.metrics import SimResult
 #: bit-identical, the asdict() shape changed.
 #: v5: SimConfig's ``functional`` field became a property of ``fidelity``;
 #: results are bit-identical, the asdict() shape changed.
-JOURNAL_SALT = "supermem-journal-v5"
+#: v6: runs with a warm-up record ``wq.carried_in`` for write
+#: conservation; a v5 record of such a run lacks it and fails validation.
+JOURNAL_SALT = "supermem-journal-v6"
 
 
 def _jsonify(obj: object) -> object:

@@ -1,8 +1,8 @@
 """Fault-tolerant, resumable experiment runner.
 
 Every experiment in the suite is an embarrassingly parallel grid of
-independent simulation points — fig13 alone is 5 workloads x 3 sizes x 6
-schemes = 90 serial runs. This module turns such grids into lists of
+independent simulation points — fig13 alone is 5 workloads x 3 sizes x 7
+schemes = 105 serial runs. This module turns such grids into lists of
 picklable :class:`PointSpec` records and executes them either in-process
 (``jobs=1``, the default) or across a pool of worker processes.
 
@@ -94,11 +94,10 @@ class PointSpec:
     ``n_programs`` selects the kernel: ``None`` runs the single-core
     :func:`~repro.sim.simulator.simulate_workload`; an integer runs the
     multi-programmed :func:`~repro.sim.multicore.simulate_multiprogrammed`
-    with that many programs (``workload`` may then be a tuple naming one
-    workload per program for heterogeneous mixes).
+    with that many copies of ``workload``.
     """
 
-    workload: Union[str, Tuple[str, ...]]
+    workload: str
     scheme: Scheme
     n_ops: int
     request_size: int = 1024
@@ -125,12 +124,7 @@ class PointSpec:
 
     def label(self) -> str:
         """Short human label for progress/failure reporting."""
-        workload = (
-            "+".join(self.workload)
-            if isinstance(self.workload, tuple)
-            else self.workload
-        )
-        return f"{workload}/{self.scheme.value}/{self.request_size}B"
+        return f"{self.workload}/{self.scheme.value}/{self.request_size}B"
 
 
 @dataclass(frozen=True)
@@ -283,13 +277,8 @@ def _run_point(spec: PointSpec) -> SimResult:
     if spec.n_programs is not None:
         from repro.sim.multicore import simulate_multiprogrammed
 
-        workload = (
-            list(spec.workload)
-            if isinstance(spec.workload, tuple)
-            else spec.workload
-        )
         return simulate_multiprogrammed(
-            workload,
+            spec.workload,
             spec.scheme,
             n_programs=spec.n_programs,
             n_ops=spec.n_ops,
@@ -301,8 +290,6 @@ def _run_point(spec: PointSpec) -> SimResult:
         )
     from repro.sim.simulator import simulate_workload
 
-    if not isinstance(spec.workload, str):
-        raise ConfigError("single-core point needs exactly one workload name")
     return simulate_workload(
         spec.workload,
         spec.scheme,

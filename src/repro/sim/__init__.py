@@ -17,7 +17,6 @@ from repro.sim.metrics import SimResult
 from repro.sim.multicore import MulticoreSimulator, simulate_multiprogrammed
 from repro.sim.profiling import BankProfile, RunProfile, profile_run
 from repro.sim.simulator import Simulator, simulate_workload
-from repro.sim.tracefile import load_trace, save_trace, trace_summary
 
 __all__ = [
     "CoreEngine",
@@ -29,7 +28,4 @@ __all__ = [
     "profile_run",
     "Simulator",
     "simulate_workload",
-    "load_trace",
-    "save_trace",
-    "trace_summary",
 ]

@@ -204,9 +204,9 @@ class MulticoreSimulator:
 
 
 def simulate_multiprogrammed(
-    workload: "str | List[str]",
+    workload: str,
     scheme: Scheme,
-    n_programs: Optional[int] = None,
+    n_programs: int,
     n_ops: int = 100,
     request_size: int = 1024,
     footprint: Optional[int] = None,
@@ -217,12 +217,12 @@ def simulate_multiprogrammed(
 ) -> SimResult:
     """The Figure 14 kernel: N programs on N cores.
 
-    ``workload`` is either one name (the paper's homogeneous setup — N
-    copies of the same program) or a list of names, one per core, for
-    heterogeneous mixes. Each program's footprint defaults to one bank's
-    worth of capacity and its heap sits in its own region of the physical
-    space, so with ``n_programs == n_banks`` every bank is busy — the
-    XBank worst case the paper calls out.
+    The paper's homogeneous setup: ``n_programs`` copies of the
+    ``workload`` program, each with its own seed (``seed + program``).
+    Each program's footprint defaults to one bank's worth of capacity and
+    its heap sits in its own region of the physical space, so with
+    ``n_programs == n_banks`` every bank is busy — the XBank worst case
+    the paper calls out.
 
     ``fidelity`` mirrors :func:`~repro.sim.simulator.simulate_workload`:
     ``"timing"`` (default) skips functional byte work, ``"full"`` carries
@@ -234,17 +234,6 @@ def simulate_multiprogrammed(
     are memoized per process (:mod:`repro.sim.trace_cache`), so the
     schemes of one cell generate, decode and walk each core's trace once.
     """
-    if isinstance(workload, str):
-        if n_programs is None:
-            raise ConfigError("n_programs required with a single workload name")
-        workloads = [workload] * n_programs
-    else:
-        workloads = list(workload)
-        if n_programs is not None and n_programs != len(workloads):
-            raise ConfigError(
-                f"n_programs={n_programs} but {len(workloads)} workloads given"
-            )
-        n_programs = len(workloads)
     if n_programs < 1:
         raise ConfigError("need at least one program")
 
@@ -256,7 +245,7 @@ def simulate_multiprogrammed(
     region = amap.capacity // n_programs
     traces = [
         cached_generate_trace(
-            name,
+            workload,
             n_ops=n_ops,
             request_size=request_size,
             footprint=min(footprint, region // 4),
@@ -265,7 +254,7 @@ def simulate_multiprogrammed(
             seed=seed + program,
             track_payloads=cfg.functional,
         )
-        for program, name in enumerate(workloads)
+        for program in range(n_programs)
     ]
     key = private_walk_key(cfg)
     walks = [trace_outcomes(trace, key) for trace in traces]

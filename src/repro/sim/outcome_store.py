@@ -1,6 +1,6 @@
 """Cross-process outcome store: traces + hierarchy recordings on disk.
 
-The per-process caches of :mod:`repro.sim.trace_cache` make a six-scheme
+The per-process caches of :mod:`repro.sim.trace_cache` make a seven-scheme
 sweep generate each trace once and record each (trace, cache geometry)
 cache walk once — *per process*. Every worker of a ``--jobs 4`` sweep,
 every fresh ``repro run`` invocation, and every CI drill
@@ -192,7 +192,7 @@ def geometry_digest(cache_sig: Tuple) -> str:
 
 
 # ----------------------------------------------------------------------
-# Binary op-stream encoding (tracefile-style, buffer-resident)
+# Binary op-stream encoding (buffer-resident)
 # ----------------------------------------------------------------------
 
 _PACK_B = struct.Struct("<B").pack
@@ -205,9 +205,11 @@ _UNPACK_H = struct.Struct("<H").unpack_from
 
 
 def _pack_ops(buf: bytearray, ops) -> None:
-    """Append one op stream to ``buf`` (tracefile per-op encoding).
+    """Append one op stream to ``buf``.
 
-    CLWB payloads are length-prefixed with ``0`` reserved for ``None``
+    Each op is a one-byte opcode followed by its operand: a u64 address
+    (load, store, CLWB) or transaction id, or an f64 compute time. CLWB
+    payloads are length-prefixed with ``0`` reserved for ``None``
     (lengths are stored +1), preserving the ``None``-vs-``b""``
     distinction bit-for-bit.
     """

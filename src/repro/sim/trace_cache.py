@@ -1,7 +1,7 @@
 """Per-process memoization of generated workload traces.
 
 Every experiment sweep replays the *same* seeded trace under several
-schemes — fig13 alone generates each (workload, size) trace six times, once
+schemes — fig13 alone generates each (workload, size) trace seven times, once
 per scheme, even though trace generation is completely independent of the
 scheme being simulated. This module caches :func:`~repro.workloads
 .generator.generate_trace` results keyed on every input that determines
@@ -11,8 +11,9 @@ heap_capacity, seed, warmup_ops, track_payloads)``.
 Safety: traces are lists of plain tuples and the simulator only *reads*
 them (the timing state lives in :class:`~repro.memory.write_queue.WQEntry`
 objects built per run), so sharing one :class:`GeneratedTrace` across runs
-is sound. A cached run is bit-identical to an uncached one — asserted by
-``tests/sim/test_trace_cache.py``.
+is sound. The cache is always on: a cached run is bit-identical to
+``Simulator(cfg).run()`` over a freshly generated trace's ops — asserted
+by ``tests/sim/test_trace_cache.py``.
 
 The cache is per-process: each worker of the parallel experiment runner
 (:mod:`repro.experiments.runner`) builds its own, so a trace is generated
@@ -49,7 +50,6 @@ from repro.workloads.generator import GeneratedTrace, generate_trace
 MAX_ENTRIES = 64
 
 _cache: "OrderedDict[Tuple, GeneratedTrace]" = OrderedDict()
-_enabled = True
 _store: Optional[OutcomeStore] = None
 _hits = 0
 _misses = 0
@@ -57,20 +57,6 @@ _array_hits = 0
 _array_misses = 0
 _outcome_hits = 0
 _outcome_misses = 0
-
-
-def configure(enabled: bool) -> None:
-    """Globally enable/disable memoization (disabling also clears).
-
-    While disabled, *every* cache layer is bypassed: traces are
-    regenerated per call, replay arrays are rebuilt per run without being
-    attached to the trace, and recorded outcome streams are neither
-    reused nor retained — the disabled path is truly uncached.
-    """
-    global _enabled
-    _enabled = enabled
-    if not enabled:
-        clear()
 
 
 def use_store(path: Optional[str]) -> Optional[OutcomeStore]:
@@ -120,19 +106,6 @@ def clear() -> None:
     _outcome_misses = 0
 
 
-def clear_outcomes() -> None:
-    """Drop recorded hierarchy outcome streams, keeping traces/arrays.
-
-    The next run of each trace records its walk again (one walk per
-    trace per geometry).
-    """
-    global _outcome_hits, _outcome_misses
-    for trace in _cache.values():
-        trace.replay_outcomes = None
-    _outcome_hits = 0
-    _outcome_misses = 0
-
-
 def cache_stats() -> Tuple[int, int]:
     """``(hits, misses)`` since the last :func:`clear`."""
     return _hits, _misses
@@ -161,14 +134,9 @@ def trace_arrays(trace: GeneratedTrace) -> TraceArrays:
     The arrays live on the trace object itself (``replay_arrays``), so a
     trace memoized by this cache is decoded once per process no matter
     how many schemes replay it. Arrays are pure derived data — sharing
-    them is as sound as sharing the trace tuples. With memoization
-    disabled the attached-array reuse is bypassed: every call pays a
-    fresh decode and nothing is attached.
+    them is as sound as sharing the trace tuples.
     """
     global _array_hits, _array_misses
-    if not _enabled:
-        _array_misses += 1
-        return build_arrays(trace.ops)
     arrays = trace.replay_arrays
     if arrays is not None:
         _array_hits += 1
@@ -185,8 +153,8 @@ def outcome_stats() -> Tuple[int, int]:
     A *hit* means a replay reused a recorded cache-walk outcome stream
     (:func:`trace_outcomes`) — whether from this process's attached
     recordings or loaded from the on-disk store; a *miss* means the run
-    had to walk (and record) the hierarchy itself. A six-scheme sweep
-    over one trace records once and hits five times.
+    had to walk (and record) the hierarchy itself. A seven-scheme sweep
+    over one trace records once and hits six times.
     """
     return _outcome_hits, _outcome_misses
 
@@ -225,9 +193,6 @@ def trace_outcomes(trace: GeneratedTrace, cache_sig: Tuple):
     records one and stores it via :func:`store_trace_outcomes`.
     """
     global _outcome_hits, _outcome_misses
-    if not _enabled:
-        _outcome_misses += 1
-        return None
     attached = trace.replay_outcomes
     outcomes = None if attached is None else attached.get(cache_sig)
     if outcomes is not None:
@@ -255,8 +220,6 @@ def trace_outcomes(trace: GeneratedTrace, cache_sig: Tuple):
 def store_trace_outcomes(trace: GeneratedTrace, cache_sig: Tuple, outcomes) -> None:
     """Attach a freshly-recorded outcome stream to the cached trace
     (and persist it to the on-disk store when one is active)."""
-    if not _enabled:
-        return
     store = trace.replay_outcomes
     if store is None:
         store = {}
@@ -270,9 +233,6 @@ def store_trace_outcomes(trace: GeneratedTrace, cache_sig: Tuple, outcomes) -> N
 def warmup_trace_arrays(trace: GeneratedTrace) -> TraceArrays:
     """Like :func:`trace_arrays`, for ``trace.warmup_ops``."""
     global _array_hits, _array_misses
-    if not _enabled:
-        _array_misses += 1
-        return build_arrays(trace.warmup_ops)
     arrays = trace.warmup_replay_arrays
     if arrays is not None:
         _array_hits += 1
@@ -303,18 +263,6 @@ def cached_generate_trace(
     immutable (it is: ops are tuples).
     """
     global _hits, _misses
-    if not _enabled:
-        return generate_trace(
-            name,
-            n_ops=n_ops,
-            request_size=request_size,
-            footprint=footprint,
-            heap_base=heap_base,
-            heap_capacity=heap_capacity,
-            seed=seed,
-            warmup_ops=warmup_ops,
-            track_payloads=track_payloads,
-        )
     key = (
         name,
         n_ops,

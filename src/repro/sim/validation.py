@@ -5,8 +5,9 @@ double-counted) without any test failing loudly. :func:`validate_result`
 cross-checks the bookkeeping invariants that must hold between independent
 components after any completed run:
 
-* conservation: every appended write was either issued or coalesced away
-  (the queue drains empty);
+* conservation: every appended write, and every warm-up write still
+  queued when the warm-up's counters reset, was either issued or
+  coalesced away (the queue drains empty);
 * pairing: under write-through encryption, counter appends equal data
   appends (before coalescing);
 * provenance: data appends at the queue equal persists at the secure
@@ -56,13 +57,15 @@ def validate_result(
             raise ValidationError(f"invariant {name!r} violated: {detail}")
 
     appends = stats.get("wq", "appends")
+    carried_in = stats.get("wq", "carried_in")
     issued = stats.get("wq", "issued")
     coalesced = stats.get("wq", "cwc_coalesced")
     adr = stats.get("wq", "adr_flushed")
     ensure(
-        appends == issued + coalesced + adr,
+        appends + carried_in == issued + coalesced + adr,
         "write-conservation",
-        f"appends={appends} issued={issued} coalesced={coalesced} adr={adr}",
+        f"appends={appends} carried_in={carried_in} issued={issued} "
+        f"coalesced={coalesced} adr={adr}",
     )
 
     data_appends = stats.get("wq", "data_appends")

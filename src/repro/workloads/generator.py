@@ -22,7 +22,6 @@ from repro.workloads.base import Workload
 from repro.workloads.btree import BTreeWorkload
 from repro.workloads.hashtable import HashTableWorkload
 from repro.workloads.heap import PersistentHeap
-from repro.workloads.mixed import MixedWorkload
 from repro.workloads.queue import QueueWorkload
 from repro.workloads.rbtree import RBTreeWorkload
 
@@ -34,7 +33,6 @@ _REGISTRY: Dict[str, Type[Workload]] = {
         BTreeWorkload,
         HashTableWorkload,
         RBTreeWorkload,
-        MixedWorkload,
     )
 }
 

@@ -36,6 +36,11 @@ def test_pad_not_trivial(engine):
     assert len(set(pad)) > 4  # not a constant fill
 
 
+def test_pads_batch_matches_individual(engine):
+    pairs = [(line, counter) for line in range(5) for counter in range(3)]
+    assert engine.pads(pairs) == [engine.pad(*pair) for pair in pairs]
+
+
 def test_make_engine_rejects_unknown():
     with pytest.raises(ConfigError):
         make_engine("rot13", b"key")
@@ -56,6 +61,13 @@ def test_engines_produce_independent_streams():
     a = PRFPadEngine(b"key-a").pad(1, 1)
     b = PRFPadEngine(b"key-b").pad(1, 1)
     assert a != b
+
+
+def test_aes_and_prf_engines_disagree():
+    """AES and PRF are different constructions — guard against one
+    silently delegating to the other."""
+    key = bytes(range(16))
+    assert AESPadEngine(key).pad(5, 5) != PRFPadEngine(key).pad(5, 5)
 
 
 def test_large_counter_values_supported():

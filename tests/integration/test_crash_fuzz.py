@@ -5,9 +5,9 @@ harness sweeps **all** of them mechanically: every entry of
 :data:`repro.core.crash.PROBE_POINTS` x randomized occurrence counts x
 deterministic seeds, across schemes (strict write-through, the ideal
 battery-backed WB, unencrypted, SCA, Osiris, register-less WT) and
-address patterns (uniform, sequential, and the zipfian ``mixed``
-workload's read/write mix). Each case crashes, recovers, and asserts two
-layers of invariants:
+address patterns (uniform, sequential, and a zipfian read/write mix
+drawn by :class:`ZipfSampler`). Each case crashes, recovers, and asserts
+two layers of invariants:
 
 * **correctness** — on strictly-persistent schemes, a fresh
   :class:`RecoveredSystem` decrypts every flushed line back to exactly
@@ -25,9 +25,12 @@ coverage of all probe points is asserted programmatically against the
 registry, not by convention.
 """
 
+import bisect
 import copy
 import dataclasses
+import itertools
 import random
+from typing import List
 
 import pytest
 
@@ -48,7 +51,26 @@ from repro.core.system import SecureMemorySystem
 from repro.txn.log import LogRegion
 from repro.txn.persist import DirectDomain, lines_of_range
 from repro.txn.transaction import TransactionManager
-from repro.workloads.mixed import ZipfSampler
+
+
+class ZipfSampler:
+    """Zipf(theta) sampling over ``n`` items via inverse-CDF lookup."""
+
+    def __init__(self, n: int, theta: float = 0.99):
+        if n <= 0:
+            raise ValueError("need at least one item")
+        if theta <= 0:
+            raise ValueError("theta must be positive")
+        weights = [1.0 / (rank**theta) for rank in range(1, n + 1)]
+        total = sum(weights)
+        self._cdf: List[float] = list(itertools.accumulate(w / total for w in weights))
+        self.n = n
+        self.theta = theta
+
+    def sample(self, rng) -> int:
+        """Draw one item index (0 = most popular)."""
+        return bisect.bisect_left(self._cdf, rng.random())
+
 
 MASTER_SEED = 0xC0FFEE
 CASES_PER_PROBE = 16  # 8 probes x 16 = 128 tuples >= 100
@@ -210,7 +232,7 @@ def run_fuzz_case(probe: str, occurrence: int, seed: int):
                 index = i % N_OBJECTS
             elif pattern == "mixed":
                 index = zipf.sample(rng)
-                if rng.random() < 0.4:  # the mixed workload's read leg
+                if rng.random() < 0.4:  # the mix's read leg
                     domain.load(_obj_addr(index), OBJ)
             else:
                 index = rng.randrange(N_OBJECTS)

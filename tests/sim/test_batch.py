@@ -149,15 +149,6 @@ class TestCacheCounters:
         assert trace_cache.array_stats() == (1, 1)
         assert trace_cache.outcome_stats() == (1, 1)
 
-    def test_clear_outcomes_keeps_arrays(self):
-        _point("array", Scheme.UNSEC, **self.KW)
-        trace_cache.clear_outcomes()
-        assert trace_cache.outcome_stats() == (0, 0)
-        _point("array", Scheme.UNSEC, **self.KW)
-        # Arrays survived (hit); the outcome stream had to be re-recorded.
-        assert trace_cache.array_stats()[0] >= 1
-        assert trace_cache.outcome_stats() == (0, 1)
-
     def test_multicore_cell_records_each_core_walk_once(self, tmp_path):
         # A seven-scheme Figure 14 cell: the first scheme decodes each
         # core's trace and records its private walk, the other six reuse

@@ -141,28 +141,9 @@ def test_more_programs_increase_pressure():
     assert four.avg_txn_latency_ns > one.avg_txn_latency_ns
 
 
-def test_heterogeneous_mix():
-    """A list of workload names runs one program per core."""
-    result = simulate_multiprogrammed(
-        ["queue", "array", "hashtable"],
-        Scheme.SUPERMEM,
-        n_ops=10,
-        request_size=256,
-        seed=1,
-    )
-    assert result.n_txns == 30
-
-
-def test_heterogeneous_mix_count_mismatch_rejected():
-    with pytest.raises(ConfigError):
-        simulate_multiprogrammed(
-            ["queue", "array"], Scheme.SUPERMEM, n_programs=3, n_ops=5
-        )
-
-
-def test_single_name_requires_count():
-    with pytest.raises(ConfigError):
-        simulate_multiprogrammed("queue", Scheme.SUPERMEM, n_ops=5)
+def test_program_count_below_one_rejected():
+    with pytest.raises(ConfigError, match="at least one program"):
+        simulate_multiprogrammed("queue", Scheme.SUPERMEM, n_programs=0, n_ops=5)
 
 
 def test_programs_live_in_disjoint_regions():

@@ -34,12 +34,10 @@ from repro.workloads.generator import GeneratedTrace, generate_trace
 
 @pytest.fixture(autouse=True)
 def fresh_state():
-    trace_cache.configure(True)
     trace_cache.clear()
     trace_cache.use_store(None)
     outcome_store.reset_store_stats()
     yield
-    trace_cache.configure(True)
     trace_cache.clear()
     trace_cache.use_store(None)
     outcome_store.reset_store_stats()

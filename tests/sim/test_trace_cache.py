@@ -1,20 +1,20 @@
 """Tests for per-process trace memoization."""
 
+import dataclasses
+
 import pytest
 
-from repro.core.schemes import Scheme
+from repro.core.schemes import Scheme, scheme_config
 from repro.sim import trace_cache
-from repro.sim.simulator import simulate_workload
+from repro.sim.simulator import Simulator, simulate_workload
 from repro.sim.trace_cache import cached_generate_trace
 from repro.workloads.generator import generate_trace
 
 
 @pytest.fixture(autouse=True)
 def fresh_cache():
-    trace_cache.configure(True)
     trace_cache.clear()
     yield
-    trace_cache.configure(True)
     trace_cache.clear()
 
 
@@ -38,15 +38,6 @@ def test_cached_trace_matches_uncached():
     fresh = generate_trace("btree", n_ops=20, request_size=256, seed=7)
     assert cached.ops == fresh.ops
     assert cached.warmup_ops == fresh.warmup_ops
-
-
-def test_disable_bypasses_and_clears():
-    cached_generate_trace("array", n_ops=10, seed=3)
-    trace_cache.configure(False)
-    first = cached_generate_trace("array", n_ops=10, seed=3)
-    second = cached_generate_trace("array", n_ops=10, seed=3)
-    assert first is not second
-    assert trace_cache.cache_stats() == (0, 0)
 
 
 def test_lru_bound_evicts_oldest():
@@ -73,38 +64,20 @@ def test_clear_detaches_derived_data_from_live_references():
     assert trace.replay_outcomes is None
 
 
-def test_disabled_path_is_truly_uncached():
-    # With memoization off, attached-array reuse is bypassed (fresh
-    # decode per call, nothing attached) and recordings are neither
-    # retained nor reused.
-    trace = cached_generate_trace("array", n_ops=10, seed=3)
-    trace_cache.configure(False)
-    first = trace_cache.trace_arrays(trace)
-    second = trace_cache.trace_arrays(trace)
-    assert first is not second
-    assert trace.replay_arrays is None
-    trace_cache.store_trace_outcomes(trace, ("sig",), object())
-    assert trace.replay_outcomes is None
-    assert trace_cache.trace_outcomes(trace, ("sig",)) is None
-
-
 def test_simulation_results_identical_with_and_without_cache():
-    """The acceptance guarantee: memoization never changes a result."""
+    """The acceptance guarantee: memoization never changes a result.
 
-    def run_pair():
-        return [
-            simulate_workload("array", scheme, n_ops=15, request_size=256, seed=2)
-            for scheme in (Scheme.WT_BASE, Scheme.SUPERMEM)
-        ]
-
-    trace_cache.configure(False)
-    cold = run_pair()
-    trace_cache.configure(True)
-    trace_cache.clear()
-    warm = run_pair()
-    hits, _ = trace_cache.cache_stats()
-    assert hits >= 1  # the second scheme replayed the memoized trace
-    for a, b in zip(cold, warm):
-        assert a.total_time_ns == b.total_time_ns
-        assert a.txn_latencies == b.txn_latencies
-        assert a.stats.snapshot() == b.stats.snapshot()
+    The cached path (shared trace, attached arrays, the second scheme
+    replaying the first one's recorded walk) must equal a plain
+    :class:`Simulator` run over a freshly generated trace.
+    """
+    fresh = generate_trace("array", n_ops=15, request_size=256, seed=2)
+    for scheme in (Scheme.WT_BASE, Scheme.SUPERMEM):
+        cfg = dataclasses.replace(scheme_config(scheme), fidelity="timing")
+        cold = Simulator(cfg).run(fresh.ops)
+        warm = simulate_workload("array", scheme, n_ops=15, request_size=256, seed=2)
+        assert cold.total_time_ns == warm.total_time_ns
+        assert cold.txn_latencies == warm.txn_latencies
+        assert cold.stats.snapshot() == warm.stats.snapshot()
+    assert trace_cache.cache_stats() == (1, 1)  # the second scheme hit
+    assert trace_cache.outcome_stats() == (1, 1)  # ...and replayed the walk

@@ -38,6 +38,27 @@ def test_multicore_run_validates():
     validate_result(result, encrypted=True, write_through=True)
 
 
+def test_warmup_run_conserves_writes():
+    """A smoke Figure 17 point: the warm-up's writes still queued when
+    its counters reset issue inside the measured window, and write
+    conservation counts them."""
+    from repro.experiments.common import experiment_base_config, get_scale
+
+    scale = get_scale("smoke")
+    result = simulate_workload(
+        "array",
+        Scheme.SUPERMEM,
+        n_ops=4 * scale.n_ops,
+        request_size=1024,
+        footprint=scale.footprint,
+        base_config=experiment_base_config(scale, counter_cache_size=1 << 10),
+        warmup_ops=scale.n_ops,
+    )
+    assert result.stats.get("wq", "carried_in") > 0
+    checks = validate_result(result, encrypted=True, write_through=True)
+    assert "write-conservation" in checks
+
+
 def _result_with(counters):
     stats = Stats()
     for (space, name), value in counters.items():

@@ -95,32 +95,6 @@ def test_in_process_main_list(capsys):
     assert "fig13" in captured.out
 
 
-def test_trace_generate_and_summarise(tmp_path, capsys):
-    out = tmp_path / "q.smtr"
-    assert (
-        main(
-            [
-                "trace",
-                "queue",
-                "--ops",
-                "10",
-                "--request-size",
-                "256",
-                "--footprint",
-                "65536",
-                "--output",
-                str(out),
-            ]
-        )
-        == 0
-    )
-    assert out.exists()
-    capsys.readouterr()
-    assert main(["trace", str(out), "--summary"]) == 0
-    captured = capsys.readouterr()
-    assert "transactions: 10" in captured.out
-
-
 def test_simulate_command(capsys):
     assert (
         main(
@@ -146,6 +120,12 @@ def test_simulate_command(capsys):
 def test_simulate_unknown_scheme_fails():
     with pytest.raises(SystemExit):
         main(["simulate", "array", "--scheme", "rot13"])
+
+
+def test_simulate_unknown_workload_exits_with_a_message():
+    # A one-line exit like an unknown scheme's, not a ConfigError traceback.
+    with pytest.raises(SystemExit, match="unknown workload 'heap'"):
+        main(["simulate", "heap"])
 
 
 def test_run_with_json_export(tmp_path, capsys):

@@ -11,7 +11,9 @@ silently:
 * every subcommand and long flag of the ``python -m repro`` argparse
   tree must be named in ``docs/CLI.md`` — and, the reverse direction,
   every ``## `name` `` section of CLI.md must name a subcommand, and
-  every ``| `--flag` `` row in it a flag of that subcommand;
+  every ``| `--flag` `` row in it a flag of that subcommand; the
+  workload names the `simulate` section lists must equal the workload
+  registry;
 * every :class:`~repro.core.schemes.Scheme` (enum value and display
   label) must be named in ``docs/MODEL.md``;
 * every observability vocabulary constant of :mod:`repro.obs.events`
@@ -330,6 +332,23 @@ class TestCliDoc:
         missing = [name for name in EXPERIMENTS if f"`{name}`" not in cli_text]
         assert not missing, (
             f"experiments undocumented in docs/CLI.md: {missing}"
+        )
+
+    def test_simulate_workload_names_match_registry(self, cli_text):
+        """The backticked names in the `simulate` section's
+        ``Positional `workload`:`` sentence must be exactly the registered
+        workloads, so a deleted workload cannot linger in the docs."""
+        from repro.workloads.generator import _REGISTRY
+
+        body = re.split(r"^## `simulate`$", cli_text, flags=re.M)[1]
+        sentence = re.search(
+            r"^Positional `workload`:(.*?)\.(?:\s|$)", body, re.M | re.S
+        )
+        assert sentence is not None, "simulate's workload sentence not found"
+        documented = re.findall(r"`([\w+-]+)`", sentence.group(1))
+        assert sorted(documented) == sorted(_REGISTRY), (
+            f"docs/CLI.md simulate workloads {documented} != registry "
+            f"{sorted(_REGISTRY)}"
         )
 
     def test_every_long_flag_is_documented(self, cli_text):

@@ -1,9 +1,9 @@
 """Statistical validation of the zipfian sampler.
 
-The mixed workload's popularity skew rests on :class:`ZipfSampler`
+The crash fuzz's zipfian address pattern rests on :class:`ZipfSampler`
 implementing a *correct* Zipf(theta) distribution — a subtly wrong CDF
 (off-by-one rank, unnormalized weights, bisect on the wrong side) would
-silently reshape every mixed-workload figure. These tests compare the
+silently reshape which objects the fuzz hammers. These tests compare the
 empirical CDF of a large sample against the analytic one,
 
     CDF(k) = H_{k,theta} / H_{n,theta},  H_{k,theta} = sum_{r=1..k} r^-theta,
@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from repro.workloads.mixed import ZipfSampler
+from tests.integration.test_crash_fuzz import ZipfSampler
 
 N_ITEMS = 64
 N_SAMPLES = 20_000

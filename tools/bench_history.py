@@ -37,7 +37,6 @@ HIGHER_IS_BETTER = (
     "shared_vs_record",
     "timing_vs_full",
     "parallel_vs_serial",
-    "resume_vs_parallel",
 )
 
 
