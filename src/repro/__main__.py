@@ -296,20 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(open in Perfetto or chrome://tracing)",
     )
     sim_parser.add_argument(
-        "--trace-jsonl",
-        default=None,
-        metavar="PATH",
-        help="also write the event stream as compact JSONL",
-    )
-    sim_parser.add_argument(
-        "--sample-ns",
-        type=float,
-        default=None,
-        metavar="N",
-        help="sample gauges (WQ occupancy, bank busy fraction, cc hit rate) "
-        "every N simulated ns (implies tracing)",
-    )
-    sim_parser.add_argument(
         "--json",
         default=None,
         metavar="PATH",
@@ -485,6 +471,8 @@ def _cmd_cache(args) -> int:
 
     from repro.sim.outcome_store import OutcomeStore
 
+    if args.cap_mb is not None and args.cap_mb < 0:
+        raise SystemExit(f"--cap-mb must be >= 0, got {args.cap_mb}")
     cap_bytes = args.cap_mb << 20 if args.cap_mb is not None else None
     store = OutcomeStore(args.store_dir, cap_bytes=cap_bytes)
     pruned = store.gc() if args.prune else 0
@@ -512,7 +500,7 @@ def _cmd_simulate(args) -> int:
     from repro.common.errors import ConfigError
     from repro.core.schemes import Scheme
     from repro.obs import Tracer
-    from repro.obs.export import write_chrome_trace, write_jsonl
+    from repro.obs.export import write_chrome_trace
     from repro.sim.profiling import profile_run
     from repro.sim.simulator import simulate_workload
     from repro.workloads.generator import workload_class
@@ -528,29 +516,27 @@ def _cmd_simulate(args) -> int:
         workload_class(args.workload)
     except ConfigError as exc:
         raise SystemExit(str(exc))
-    tracer = None
-    if args.trace or args.trace_jsonl or args.sample_ns is not None:
-        tracer = Tracer(sample_interval_ns=args.sample_ns)
-    result = simulate_workload(
-        args.workload,
-        scheme,
-        n_ops=args.ops,
-        request_size=args.request_size,
-        footprint=args.footprint,
-        seed=args.seed,
-        tracer=tracer,
-        fidelity=args.fidelity,
-    )
+    tracer = Tracer() if args.trace else None
+    try:
+        result = simulate_workload(
+            args.workload,
+            scheme,
+            n_ops=args.ops,
+            request_size=args.request_size,
+            footprint=args.footprint,
+            seed=args.seed,
+            tracer=tracer,
+            fidelity=args.fidelity,
+        )
+    except ConfigError as exc:
+        raise SystemExit(str(exc))
     print(f"{args.workload} under {scheme.label}: {result.summary()}")
     print(f"total time: {result.total_time_ns:.0f} ns")
     if args.profile:
         print(profile_run(result).format())
-    if tracer is not None and args.trace:
+    if tracer is not None:
         n_events = write_chrome_trace(tracer, args.trace)
         print(f"wrote {args.trace}: {n_events} trace events", file=sys.stderr)
-    if tracer is not None and args.trace_jsonl:
-        n_events = write_jsonl(tracer, args.trace_jsonl)
-        print(f"wrote {args.trace_jsonl}: {n_events} events", file=sys.stderr)
     if args.json:
         payload = json.dumps(result.to_dict(), indent=2, sort_keys=True)
         if args.json == "-":
@@ -566,7 +552,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_trace_report(args) -> int:
     from repro.obs.report import render_report_file
 
-    print(render_report_file(args.trace_file, n_buckets=args.buckets))
+    if args.buckets < 1:
+        raise SystemExit(f"--buckets must be >= 1, got {args.buckets}")
+    try:
+        text = render_report_file(args.trace_file, n_buckets=args.buckets)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"cannot report on {args.trace_file!r}: {exc}")
+    print(text)
     return 0
 
 
@@ -574,6 +566,7 @@ def _cmd_recovery_report(args) -> int:
     import json
 
     from repro.common.config import SimConfig, MemoryConfig
+    from repro.common.errors import ConfigError
     from repro.core.recovery_cost import recovery_trace_events, run_recovery_scenario
     from repro.core.schemes import Scheme
 
@@ -584,17 +577,19 @@ def _cmd_recovery_report(args) -> int:
             f"unknown scheme {args.scheme!r}; expected one of "
             f"{[s.value for s in Scheme]}"
         )
-    base = SimConfig(memory=MemoryConfig(capacity=args.capacity))
-    report, recovered, shadow = run_recovery_scenario(
-        scheme,
-        base_config=base,
-        n_txns=args.txns,
-        request_size=args.request_size,
-        seed=args.seed,
-        log_lines=args.log_lines,
-        rsr=args.rsr,
-        dirty_frac=args.dirty_frac,
-    )
+    try:
+        report, recovered, shadow = run_recovery_scenario(
+            scheme,
+            base_config=SimConfig(memory=MemoryConfig(capacity=args.capacity)),
+            n_txns=args.txns,
+            request_size=args.request_size,
+            seed=args.seed,
+            log_lines=args.log_lines,
+            rsr=args.rsr,
+            dirty_frac=args.dirty_frac,
+        )
+    except ConfigError as exc:
+        raise SystemExit(str(exc))
     mismatches = recovered.audit_against_shadow(shadow)
     print(f"{scheme.label} recovery ({report.path} path): {report.time_ns:.0f} ns")
     for name, start, end in report.phases:

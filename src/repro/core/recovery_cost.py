@@ -477,6 +477,8 @@ def run_recovery_scenario(
         raise ConfigError(f"rsr must be 'armed' or 'off', got {rsr!r}")
     if log_lines < 2:
         raise ConfigError(f"log_lines must be >= 2, got {log_lines}")
+    if request_size < 1:
+        raise ConfigError(f"request_size must be >= 1, got {request_size}")
 
     # The recovery kernel audits recovered plaintext byte-for-byte, so it
     # always runs at full fidelity even when a sweep asked for "timing".

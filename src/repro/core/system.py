@@ -159,12 +159,6 @@ class SecureMemorySystem:
         self.counter_cache = CounterCache(
             config.counter_cache, self.stats, tracer=tracer
         )
-        if tracer.enabled:
-            tracer.register_gauge(
-                "cc.hit_rate",
-                lambda ts: self.stats.ratio("cc", "hits", "accesses"),
-                track="cc",
-            )
         self.layout = make_layout(
             config.counter_placement, self.amap, xbank_offset=config.xbank_offset
         )
@@ -341,7 +335,7 @@ class SecureMemorySystem:
     # ------------------------------------------------------------------
     #
     # persist_line and read_line are the one memory chain every run
-    # drives — untraced, traced, sampled, or crash-armed alike. Tracer
+    # drives — untraced, traced or crash-armed alike. Tracer
     # emissions sit behind ``if self.tracer.enabled:`` and crash probes
     # are always called, so observing a run never swaps in other code.
 

@@ -73,18 +73,6 @@ class MemoryController:
         # the bank count without re-threading the config. The "config"
         # namespace is exempt from warmup counter resets.
         stats.set("config", "n_banks", config.memory.n_banks)
-        if tracer.enabled:
-            tracer.register_gauge("wq.occupancy", lambda ts: len(self.wq))
-            for bank in self.banks:
-                tracer.register_gauge(
-                    f"bank.{bank.index}.busy_frac",
-                    (
-                        lambda ts, ns=f"bank.{bank.index}": (
-                            stats.get(ns, "busy_ns") / ts if ts > 0 else 0.0
-                        )
-                    ),
-                    track=f"bank.{bank.index}",
-                )
         #: Per-channel command-bus availability (request issue serialises
         #: within a channel; channels are independent). The paper's
         #: platform is single-channel, the default.
@@ -402,8 +390,6 @@ class MemoryController:
         """
         self.advance_to(t)
         tracer = self._tracer
-        if tracer.enabled:
-            tracer.sample_tick(t)
         wq = self.wq
         slots = 0 if (is_counter and wq.would_coalesce(line)) else 1
         append_time = self._make_space(t, slots, core) if slots else t
@@ -437,8 +423,6 @@ class MemoryController:
         """
         self.advance_to(t)
         tracer = self._tracer
-        if tracer.enabled:
-            tracer.sample_tick(t)
         wq = self.wq
         # Re-evaluate coalescibility every time we drain: issuing entries
         # to make space can consume the very counter entry the new counter
@@ -491,8 +475,6 @@ class MemoryController:
     ) -> float:
         """Service a demand read at time ``t``; returns its finish time."""
         self.advance_to(t)
-        if self._tracer.enabled:
-            self._tracer.sample_tick(t)
         if self.wq.find_line(line) is not None:
             self._vals[self._k_read_forwards] += 1
             return t + self._bus_ns

@@ -1,4 +1,4 @@
-"""Observability: event tracing, time-series sampling, and exporters.
+"""Observability: event tracing, the Chrome export, and trace analysis.
 
 The simulator's aggregate counters (:mod:`repro.common.stats`) answer *how
 much* — how many stalls, how many coalesced counter writes — but the
@@ -8,22 +8,22 @@ trajectory of bank occupancy over time. This package records those
 dynamics without perturbing them:
 
 * :class:`~repro.obs.tracer.Tracer` — a typed event recorder (write-queue
-  append/issue/stall, CWC coalesce, counter-cache hit/miss/evict, per-bank
-  busy intervals, OTP/AES latency, transaction spans) injected alongside
-  the shared :class:`~repro.common.stats.Stats` object.
+  append/issue/stall/occupancy, CWC coalesce, counter-cache
+  hit/miss/evict, per-bank busy intervals, OTP/AES latency, transaction
+  spans) injected alongside the shared :class:`~repro.common.stats.Stats`
+  object. Its event list is the only record it keeps.
 * :data:`~repro.obs.tracer.NULL_TRACER` — the disabled default. Every
-  component takes a tracer and defaults to this no-op singleton, so an
+  component takes a tracer and defaults to this singleton, so an
   un-traced run performs no recording at all (the no-op guarantee tested
   in ``tests/obs/test_noop.py``).
-* :class:`~repro.obs.sampler.TimeSeriesSampler` — gauge sampling (WQ
-  occupancy, per-bank busy fraction, counter-cache hit rate) on a
-  configurable simulated-ns interval.
 * :mod:`~repro.obs.export` — Chrome trace-event JSON (open in Perfetto or
-  ``chrome://tracing``) and compact JSONL.
-* :mod:`~repro.obs.report` — the ``repro trace-report`` analysis: time-
-  bucketed stall/occupancy/coalesce/bank-imbalance breakdown of a trace.
-* :class:`~repro.obs.histogram.Histogram` — the fixed-bucket latency
-  histograms the tracer keeps, with nearest-rank percentiles.
+  ``chrome://tracing``).
+* :mod:`~repro.obs.report` — the ``repro trace-report`` analysis: exact
+  transaction and stall percentiles plus a time-bucketed
+  stall/occupancy/coalesce/bank-imbalance breakdown, all derived from
+  the events.
+* :func:`~repro.obs.histogram.nearest_rank` — the percentile definition
+  shared with :class:`~repro.sim.metrics.SimResult`.
 
 Everything here observes one simulated machine. The sweep runner's own
 accounting (resumes, retries, timeouts, store lookups) lives on
@@ -42,8 +42,7 @@ from repro.obs.events import (
     CAT_WQ,
     TraceEvent,
 )
-from repro.obs.histogram import Histogram, nearest_rank
-from repro.obs.sampler import TimeSeriesSampler
+from repro.obs.histogram import nearest_rank
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 
 __all__ = [
@@ -53,10 +52,8 @@ __all__ = [
     "CAT_SAMPLE",
     "CAT_TXN",
     "CAT_WQ",
-    "Histogram",
     "NULL_TRACER",
     "NullTracer",
-    "TimeSeriesSampler",
     "TraceEvent",
     "Tracer",
     "nearest_rank",

@@ -10,7 +10,7 @@ Phases follow the Chrome trace-event format: ``B``/``E`` begin/end pairs
 always well nested), ``X`` complete events with a duration (crypto
 latency, transactions, stalls — these may overlap across cores), ``I``
 instants (appends, coalesces, cache hits), and ``C`` counter events
-(sampled gauges).
+(the write-queue occupancy, at every append and issue).
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ PH_COUNTER = "C"
 TRACK_WQ = "wq"
 TRACK_CC = "cc"
 TRACK_CRYPTO = "crypto"
-TRACK_METRICS = "metrics"
 TRACK_RECOVERY = "recovery"
 
 # Recovery event names (CAT_RECOVERY on TRACK_RECOVERY): one ``X`` span

@@ -1,14 +1,11 @@
-"""Trace exporters: Chrome trace-event JSON and compact JSONL.
+"""Trace export: Chrome trace-event JSON.
 
 The Chrome format (the JSON object form) is what Perfetto and
 ``chrome://tracing`` load directly: one process for the simulated machine,
 one thread per track (core, write queue, counter cache, crypto engine,
-bank), timestamps in microseconds. Extra top-level keys are permitted by
-the format, so the sampled gauge rows and latency histograms ride along in
-the same file — ``repro trace-report`` reads them back from there.
-
-The JSONL stream is the scripting-friendly alternative: one event object
-per line, timestamps kept in simulated nanoseconds, no envelope.
+bank), timestamps in microseconds. The file holds the event list and
+nothing else; ``repro trace-report`` derives its numbers from those
+events.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from repro.obs.tracer import Tracer
 #: The single simulated-machine process in the Chrome trace.
 PID = 1
 
-_TRACK_ORDER = ("core.", "wq", "cc", "crypto", "bank.", "metrics")
+_TRACK_ORDER = ("core.", "wq", "cc", "crypto", "bank.")
 
 
 def _track_sort_key(track: str):
@@ -92,18 +89,8 @@ def chrome_trace_events(tracer: Tracer) -> List[dict]:
 
 
 def chrome_trace_dict(tracer: Tracer) -> dict:
-    """The full Chrome-format JSON object, gauges and histograms included."""
-    payload = {
-        "displayTimeUnit": "ns",
-        "traceEvents": chrome_trace_events(tracer),
-        "histograms": {
-            name: hist.to_dict() for name, hist in tracer.histograms.items()
-        },
-    }
-    if tracer.sampler is not None:
-        payload["samples"] = tracer.sampler.to_dicts()
-        payload["sampleIntervalNs"] = tracer.sampler.interval_ns
-    return payload
+    """The full Chrome-format JSON object."""
+    return {"displayTimeUnit": "ns", "traceEvents": chrome_trace_events(tracer)}
 
 
 def write_chrome_trace(tracer: Tracer, path: str) -> int:
@@ -113,24 +100,3 @@ def write_chrome_trace(tracer: Tracer, path: str) -> int:
         json.dump(payload, fh)
     return len(payload["traceEvents"])
 
-
-def write_jsonl(tracer: Tracer, path: str) -> int:
-    """Write one JSON object per event (ns timestamps); returns the count."""
-    with open(path, "w") as fh:
-        for event in sorted(
-            tracer.events, key=lambda e: (e.ts, 0 if e.ph == PH_END else 1)
-        ):
-            record = {
-                "ts": event.ts,
-                "cat": event.cat,
-                "name": event.name,
-                "ph": event.ph,
-                "track": event.track,
-            }
-            if event.ph == PH_COMPLETE:
-                record["dur"] = event.dur
-            if event.args:
-                record["args"] = event.args
-            fh.write(json.dumps(record, separators=(",", ":")))
-            fh.write("\n")
-    return len(tracer.events)

@@ -4,14 +4,18 @@ Aggregate counters hide the dynamics the paper argues from: *when* the
 write queue saturated, how the CWC coalesce rate ramps as counter entries
 accumulate residency, whether XBank actually evened bank busy time out
 over the whole run or only on average. This module reads a Chrome trace
-JSON written by ``repro simulate --trace`` and folds its events into N
-equal time buckets ("phases"), reporting per phase:
+JSON written by ``repro simulate --trace`` and reports:
 
-* write-queue occupancy (mean and peak of the sampled gauge),
-* full-queue stall time,
-* counter-append and coalesce counts, and the coalesce rate,
-* per-bank busy time, folded into the hottest/mean imbalance factor.
+* exact transaction-latency and full-queue-stall percentiles, from the
+  durations of the ``txn`` and ``full_stall`` events (the nearest-rank
+  definition :class:`~repro.sim.metrics.SimResult` uses), and
+* the run folded into N equal time buckets ("phases"), per phase:
+  write-queue occupancy (mean and peak of the ``wq.occupancy`` counter),
+  full-queue stall time, counter-append and coalesce counts and the
+  coalesce rate, and per-bank busy time folded into the hottest/mean
+  imbalance factor.
 
+Stalls and bank busy intervals are spread over every phase they overlap.
 Everything derives from the event stream alone, so a trace file is a
 self-contained artefact: the report does not need the run's config.
 """
@@ -20,7 +24,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, Iterator, List, Tuple
+
+from repro.obs.histogram import nearest_rank
 
 
 @dataclass
@@ -36,6 +42,7 @@ class PhaseBucket:
     counter_appends: int = 0
     data_appends: int = 0
     coalesced: int = 0
+    #: Busy ns of every bank the trace declares; idle banks stay at 0.
     bank_busy_ns: Dict[int, float] = field(default_factory=dict)
 
     @property
@@ -51,7 +58,11 @@ class PhaseBucket:
 
     @property
     def bank_imbalance(self) -> float:
-        """Hottest bank's busy time over the mean (1.0 = perfectly even)."""
+        """Hottest bank's busy time over the mean of all banks.
+
+        1.0 is perfectly even. Idle banks count as 0, so one busy bank of
+        eight reads 8.0; a phase with no bank activity reads 0.0.
+        """
         if not self.bank_busy_ns:
             return 0.0
         mean = sum(self.bank_busy_ns.values()) / len(self.bank_busy_ns)
@@ -68,7 +79,17 @@ class TraceReport:
     total_counter_appends: int
     total_data_appends: int
     total_coalesced: int
-    histograms: Dict[str, dict]
+    #: Durations of every ``txn`` event, ascending.
+    txn_ns: List[float]
+    #: Durations of every ``full_stall`` event, ascending.
+    stall_durations_ns: List[float]
+
+
+def percentile(ordered: List[float], p: float) -> float:
+    """Nearest-rank percentile of an ascending list; 0.0 when empty."""
+    if not ordered:
+        return 0.0
+    return ordered[nearest_rank(p, len(ordered)) - 1]
 
 
 def load_chrome_trace(path: str) -> dict:
@@ -91,6 +112,11 @@ def build_report(payload: dict, n_buckets: int = 12) -> TraceReport:
         raise ValueError("need at least one bucket")
     events = payload.get("traceEvents", [])
     tracks = _thread_names(events)
+    banks = {
+        tid: int(name.split(".", 1)[1])
+        for tid, name in tracks.items()
+        if name.startswith("bank.")
+    }
     # Timestamps in the file are microseconds (Chrome convention).
     timed = [e for e in events if e.get("ph") != "M"]
     if not timed:
@@ -100,7 +126,11 @@ def build_report(payload: dict, n_buckets: int = 12) -> TraceReport:
     span = max(t1 - t0, 1.0)
     width = span / n_buckets
     buckets = [
-        PhaseBucket(start_ns=t0 + i * width, end_ns=t0 + (i + 1) * width)
+        PhaseBucket(
+            start_ns=t0 + i * width,
+            end_ns=t0 + (i + 1) * width,
+            bank_busy_ns=dict.fromkeys(banks.values(), 0.0),
+        )
         for i in range(n_buckets)
     ]
 
@@ -108,8 +138,19 @@ def build_report(payload: dict, n_buckets: int = 12) -> TraceReport:
         index = int((ts_ns - t0) / width)
         return buckets[min(max(index, 0), n_buckets - 1)]
 
+    def overlaps(begin: float, end: float) -> Iterator[Tuple[PhaseBucket, float]]:
+        """Each bucket the interval [begin, end) overlaps, with the overlap."""
+        first = int((begin - t0) / width)
+        last = int((end - t0) / width)
+        for index in range(max(first, 0), min(last, n_buckets - 1) + 1):
+            bucket = buckets[index]
+            overlap = min(end, bucket.end_ns) - max(begin, bucket.start_ns)
+            if overlap > 0:
+                yield bucket, overlap
+
     open_begins: Dict[int, List[float]] = {}
-    totals = {"stall": 0.0, "ctr": 0, "data": 0, "coal": 0}
+    txn_ns: List[float] = []
+    stall_durations: List[float] = []
     for event in timed:
         ph = event.get("ph")
         ts_ns = event["ts"] * 1000.0
@@ -119,60 +160,49 @@ def build_report(payload: dict, n_buckets: int = 12) -> TraceReport:
             bucket = bucket_of(ts_ns)
             if name == "counter_append":
                 bucket.counter_appends += 1
-                totals["ctr"] += 1
             elif name == "data_append":
                 bucket.data_appends += 1
-                totals["data"] += 1
             elif name == "cwc_coalesce":
                 bucket.coalesced += 1
-                totals["coal"] += 1
             elif name == "full_stall":
-                bucket.stall_ns += event.get("dur", 0.0) * 1000.0
-                totals["stall"] += event.get("dur", 0.0) * 1000.0
+                dur_ns = event.get("dur", 0.0) * 1000.0
+                stall_durations.append(dur_ns)
+                for phase, overlap in overlaps(ts_ns, ts_ns + dur_ns):
+                    phase.stall_ns += overlap
+        elif cat == "txn" and name == "txn":
+            txn_ns.append(event.get("dur", 0.0) * 1000.0)
         elif ph == "C" and name == "wq.occupancy":
             value = float(event["args"]["wq.occupancy"])
             bucket = bucket_of(ts_ns)
             bucket.wq_occ_sum += value
             bucket.wq_occ_n += 1
             bucket.wq_occ_max = max(bucket.wq_occ_max, value)
-        elif cat == "bank" and ph in ("B", "E"):
-            track = tracks.get(event["tid"], "")
-            if not track.startswith("bank."):
-                continue
-            bank = int(track.split(".", 1)[1])
+        elif cat == "bank" and ph in ("B", "E") and event["tid"] in banks:
             stack = open_begins.setdefault(event["tid"], [])
             if ph == "B":
                 stack.append(ts_ns)
             elif stack:
-                begin = stack.pop()
-                _fold_interval(buckets, t0, width, begin, ts_ns, bank)
+                bank = banks[event["tid"]]
+                for phase, overlap in overlaps(stack.pop(), ts_ns):
+                    phase.bank_busy_ns[bank] += overlap
     return TraceReport(
         span_ns=span,
         buckets=buckets,
-        total_stall_ns=totals["stall"],
-        total_counter_appends=totals["ctr"],
-        total_data_appends=totals["data"],
-        total_coalesced=totals["coal"],
-        histograms=payload.get("histograms", {}),
+        total_stall_ns=sum(stall_durations),
+        total_counter_appends=sum(b.counter_appends for b in buckets),
+        total_data_appends=sum(b.data_appends for b in buckets),
+        total_coalesced=sum(b.coalesced for b in buckets),
+        txn_ns=sorted(txn_ns),
+        stall_durations_ns=sorted(stall_durations),
     )
 
 
-def _fold_interval(
-    buckets: List[PhaseBucket],
-    t0: float,
-    width: float,
-    begin: float,
-    end: float,
-    bank: int,
-) -> None:
-    """Distribute one bank-busy interval across the buckets it overlaps."""
-    first = int((begin - t0) / width)
-    last = int((end - t0) / width)
-    for index in range(max(first, 0), min(last, len(buckets) - 1) + 1):
-        bucket = buckets[index]
-        overlap = min(end, bucket.end_ns) - max(begin, bucket.start_ns)
-        if overlap > 0:
-            bucket.bank_busy_ns[bank] = bucket.bank_busy_ns.get(bank, 0.0) + overlap
+def _latency_line(label: str, ordered: List[float]) -> str:
+    return (
+        f"{label}: n={len(ordered)} mean={sum(ordered) / len(ordered):.1f} ns "
+        f"p50={percentile(ordered, 50):.1f} p95={percentile(ordered, 95):.1f} "
+        f"p99={percentile(ordered, 99):.1f} max={ordered[-1]:.1f}"
+    )
 
 
 def render_report(payload: dict, n_buckets: int = 12) -> str:
@@ -188,18 +218,10 @@ def render_report(payload: dict, n_buckets: int = 12) -> str:
         f"coalesced={report.total_coalesced} "
         f"({(report.total_coalesced / ctr) if ctr else 0.0:.1%} of counter appends)",
     ]
-    txn = report.histograms.get("txn_latency_ns")
-    if txn and txn.get("n"):
-        lines.append(
-            f"txn latency: n={txn['n']} mean={txn['mean']:.0f} ns "
-            f"p50={txn['p50']:.0f} p95={txn['p95']:.0f} p99={txn['p99']:.0f}"
-        )
-    stall = report.histograms.get("wq_stall_ns")
-    if stall and stall.get("n"):
-        lines.append(
-            f"wq stalls: n={stall['n']} mean={stall['mean']:.0f} ns "
-            f"p99={stall['p99']:.0f} max={stall['max']:.0f}"
-        )
+    if report.txn_ns:
+        lines.append(_latency_line("txn latency", report.txn_ns))
+    if report.stall_durations_ns:
+        lines.append(_latency_line("wq stalls", report.stall_durations_ns))
     lines.append(
         f"{'phase':>5} | {'t_start ns':>12} | {'wq occ':>7} | {'wq max':>6} | "
         f"{'stall ns':>9} | {'ctr app':>7} | {'coal':>5} | {'coal %':>7} | "

@@ -1,4 +1,4 @@
-"""The event tracer and its disabled no-op twin.
+"""The event tracer and its disabled twin.
 
 Design rules:
 
@@ -7,21 +7,24 @@ Design rules:
   tracer, so a single call site records both the aggregate counter and the
   timestamped event.
 * **Zero overhead when disabled.** The default is :data:`NULL_TRACER`, a
-  singleton whose methods are all no-ops and whose ``enabled`` flag is
-  False. Hot paths guard event emission with ``if tracer.enabled:`` so a
-  disabled run performs at most an attribute load and a branch — and no
-  argument construction. Timing results are identical either way because
-  nothing in the timing model ever reads tracer state.
+  singleton whose ``enabled`` flag is False and which has no emitters.
+  Every emission site guards with ``if tracer.enabled:``, so a disabled
+  run performs at most an attribute load and a branch — and no argument
+  construction. Timing results are identical either way because nothing
+  in the timing model ever reads tracer state.
 * **Typed emitters, not a generic log call.** The tracer's surface is the
   event vocabulary of the simulated machine (``wq_append``, ``bank_busy``,
   ``cc_access``, ``crypto``, ``txn``, ...), which keeps instrumentation
-  sites honest about what they record and gives the exporters a stable
+  sites honest about what they record and gives the exporter a stable
   schema.
+* **One record.** The event list is the only thing a tracer keeps;
+  latency percentiles, per-phase stall time and bank imbalance are
+  derived from it afterwards (:mod:`repro.obs.report`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
 from repro.obs.events import (
     CAT_BANK,
@@ -42,32 +45,15 @@ from repro.obs.events import (
     bank_track,
     core_track,
 )
-from repro.obs.histogram import Histogram
-from repro.obs.sampler import TimeSeriesSampler
 
 
 class Tracer:
-    """Records typed events, latency histograms, and sampled gauges.
-
-    Parameters
-    ----------
-    sample_interval_ns:
-        When given, a :class:`TimeSeriesSampler` is attached and ticked
-        from the memory controller's request paths every ``interval`` of
-        simulated time. ``None`` disables gauge sampling (events and
-        histograms still record).
-    """
+    """Records the typed events of one simulated machine."""
 
     enabled = True
 
-    def __init__(self, sample_interval_ns: Optional[float] = None):
+    def __init__(self):
         self.events: List[TraceEvent] = []
-        self.histograms: Dict[str, Histogram] = {}
-        self.sampler: Optional[TimeSeriesSampler] = (
-            TimeSeriesSampler(sample_interval_ns)
-            if sample_interval_ns is not None
-            else None
-        )
 
     # ------------------------------------------------------------------
     # Low-level recording
@@ -87,12 +73,16 @@ class Tracer:
             TraceEvent(cat=cat, name=name, track=track, ts=ts, ph=ph, dur=dur, args=args)
         )
 
-    def histogram(self, name: str) -> Histogram:
-        """The named latency histogram, created on first use."""
-        hist = self.histograms.get(name)
-        if hist is None:
-            hist = self.histograms[name] = Histogram()
-        return hist
+    def _wq_occupancy(self, ts: float, occupancy: int) -> None:
+        """The queue depth as a Chrome counter event (Perfetto graphs it)."""
+        self._emit(
+            CAT_SAMPLE,
+            "wq.occupancy",
+            TRACK_WQ,
+            ts,
+            ph=PH_COUNTER,
+            args={"value": occupancy},
+        )
 
     # ------------------------------------------------------------------
     # Write queue
@@ -107,7 +97,7 @@ class Tracer:
             ts,
             args={"line": line, "occupancy": occupancy},
         )
-        self.gauge(ts, "wq.occupancy", occupancy, TRACK_WQ)
+        self._wq_occupancy(ts, occupancy)
 
     def wq_issue(
         self, ts: float, line: int, bank: int, is_counter: bool, occupancy: int
@@ -125,7 +115,7 @@ class Tracer:
                 "occupancy": occupancy,
             },
         )
-        self.gauge(ts, "wq.occupancy", occupancy, TRACK_WQ)
+        self._wq_occupancy(ts, occupancy)
 
     def wq_stall(self, ts: float, dur_ns: float, core: int = 0) -> None:
         """A full queue held up an append for ``dur_ns``."""
@@ -138,7 +128,6 @@ class Tracer:
             dur=dur_ns,
             args={"core": core},
         )
-        self.histogram("wq_stall_ns").record(dur_ns)
 
     def wq_coalesce(self, ts: float, line: int, policy: str) -> None:
         """CWC merged a counter write into an already-queued one."""
@@ -200,7 +189,6 @@ class Tracer:
             dur=dur_ns,
             args={"line": line},
         )
-        self.histogram("crypto_ns").record(dur_ns)
 
     # ------------------------------------------------------------------
     # Transactions
@@ -217,82 +205,18 @@ class Tracer:
             dur=end - start,
             args={"core": core},
         )
-        self.histogram("txn_latency_ns").record(end - start)
-
-    # ------------------------------------------------------------------
-    # Gauges / sampling
-    # ------------------------------------------------------------------
-
-    def gauge(self, ts: float, name: str, value: float, track: str) -> None:
-        """Record one gauge value as a Chrome counter event."""
-        self._emit(CAT_SAMPLE, name, track, ts, ph=PH_COUNTER, args={"value": value})
-
-    def register_gauge(
-        self, name: str, fn: Callable[[float], float], track: str = TRACK_WQ
-    ) -> None:
-        """Register a sampled gauge provider (no-op without a sampler)."""
-        if self.sampler is not None:
-            self.sampler.register(name, fn, track)
-
-    def sample_tick(self, ts: float) -> None:
-        """Give the sampler a chance to record (called from hot paths)."""
-        if self.sampler is not None:
-            self.sampler.tick(ts, emit=self.gauge)
 
 
 class NullTracer:
-    """The disabled tracer: every emitter is a no-op.
+    """The disabled tracer: it records nothing and has no emitters.
 
-    Components hold this by default, so building a system without tracing
-    records nothing and allocates nothing. ``enabled`` is False so hot
-    paths can skip argument construction entirely.
+    Components hold this by default. ``enabled`` is False, so every
+    emission site skips its call entirely; ``events`` is an empty list so
+    a reader of a disabled tracer sees an empty trace.
     """
 
     enabled = False
-
-    #: Shared empty collections so accidental reads behave sensibly.
     events: List[TraceEvent] = []
-    histograms: Dict[str, Histogram] = {}
-    sampler = None
-
-    def wq_append(self, ts, line, is_counter, occupancy) -> None:
-        pass
-
-    def wq_issue(self, ts, line, bank, is_counter, occupancy) -> None:
-        pass
-
-    def wq_stall(self, ts, dur_ns, core=0) -> None:
-        pass
-
-    def wq_coalesce(self, ts, line, policy) -> None:
-        pass
-
-    def bank_busy(self, start, end, bank, kind, row_hit=False) -> None:
-        pass
-
-    def cc_access(self, ts, page, hit, update) -> None:
-        pass
-
-    def cc_evict(self, ts, page, dirty) -> None:
-        pass
-
-    def cc_fetch(self, ts, line) -> None:
-        pass
-
-    def crypto(self, ts, dur_ns, kind, line) -> None:
-        pass
-
-    def txn(self, start, end, core) -> None:
-        pass
-
-    def gauge(self, ts, name, value, track) -> None:
-        pass
-
-    def register_gauge(self, name, fn, track=TRACK_WQ) -> None:
-        pass
-
-    def sample_tick(self, ts) -> None:
-        pass
 
 
 #: The process-wide disabled tracer every component defaults to.

@@ -38,8 +38,8 @@ class SimResult:
 
         The p-th percentile is the smallest recorded latency with at least
         ``p`` percent of the sample at or below it (rank ``ceil(p/100*n)``,
-        the shared :func:`repro.obs.histogram.nearest_rank` definition the
-        bucketed histograms also use); 0.0 when no transactions were
+        the shared :func:`repro.obs.histogram.nearest_rank` definition
+        ``repro trace-report`` also uses); 0.0 when no transactions were
         measured.
         """
         if not self.txn_latencies:

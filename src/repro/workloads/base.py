@@ -6,6 +6,7 @@ import abc
 import random
 from typing import ClassVar, Optional
 
+from repro.common.errors import ConfigError
 from repro.txn.transaction import TransactionManager
 from repro.workloads.heap import PersistentHeap
 
@@ -43,7 +44,9 @@ class Workload(abc.ABC):
         seed: int = 1,
     ):
         if request_size < 64:
-            raise ValueError("request_size must be at least one line (64 B)")
+            raise ConfigError(
+                f"request_size must be at least one line (64 B), got {request_size}"
+            )
         self.manager = manager
         self.domain = manager.domain
         self.heap = heap

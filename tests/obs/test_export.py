@@ -1,4 +1,4 @@
-"""Chrome trace-event and JSONL export validity.
+"""Chrome trace-event export validity.
 
 The Chrome test is the acceptance gate for ``repro simulate --trace``: a
 real SuperMem run must produce a JSON file whose every event carries the
@@ -13,12 +13,7 @@ import pytest
 
 from repro.core.schemes import Scheme
 from repro.obs import Tracer
-from repro.obs.export import (
-    assign_track_ids,
-    chrome_trace_dict,
-    write_chrome_trace,
-    write_jsonl,
-)
+from repro.obs.export import assign_track_ids, chrome_trace_dict, write_chrome_trace
 from repro.sim.simulator import simulate_workload
 
 REQUIRED_KEYS = {"ph", "ts", "pid", "tid", "name"}
@@ -26,7 +21,7 @@ REQUIRED_KEYS = {"ph", "ts", "pid", "tid", "name"}
 
 @pytest.fixture(scope="module")
 def traced_run():
-    tracer = Tracer(sample_interval_ns=2000.0)
+    tracer = Tracer()
     result = simulate_workload(
         "queue", Scheme.SUPERMEM, n_ops=40, request_size=1024, footprint=1 << 20,
         tracer=tracer,
@@ -100,25 +95,6 @@ def test_thread_metadata_names_every_track(traced_run):
     assert "core.0" in names
 
 
-def test_histograms_and_samples_ride_along(traced_run, tmp_path):
-    tracer, _ = traced_run
-    payload = chrome_trace_dict(tracer)
-    assert payload["histograms"]["txn_latency_ns"]["n"] == 40
-    assert payload["sampleIntervalNs"] == 2000.0
-    assert len(payload["samples"]) > 0
-
-
-def test_jsonl_stream_round_trips(traced_run, tmp_path):
-    tracer, _ = traced_run
-    path = tmp_path / "out.jsonl"
-    n_events = write_jsonl(tracer, str(path))
-    lines = path.read_text().splitlines()
-    assert len(lines) == n_events == len(tracer.events)
-    for line in lines[:200]:
-        record = json.loads(line)
-        assert {"ts", "cat", "name", "ph", "track"} <= set(record)
-
-
 def test_track_id_assignment_is_deterministic():
     tracks = ["bank.10", "bank.2", "wq", "core.1", "core.0", "cc", "crypto"]
     ids = assign_track_ids(tracks)
@@ -142,17 +118,11 @@ def test_empty_trace_exports_valid_chrome_json(tmp_path):
     # Only metadata (process/thread naming) — no recorded events.
     assert all(e["ph"] == "M" for e in payload["traceEvents"])
     assert payload["displayTimeUnit"] == "ns"
-    assert isinstance(payload["histograms"], dict)
+    assert set(payload) == {"displayTimeUnit", "traceEvents"}
 
 
-def test_empty_trace_exports_empty_jsonl(tmp_path):
-    path = tmp_path / "empty.jsonl"
-    assert write_jsonl(Tracer(), str(path)) == 0
-    assert path.read_text() == ""
-
-
-def test_single_event_export_has_valid_fields(tmp_path):
-    """One instant at ts=0 (a zero-duration run) round-trips both formats."""
+def test_single_event_export_has_valid_fields():
+    """One instant at ts=0 (a zero-duration run) exports validly."""
     from repro.obs.events import CAT_WQ, TRACK_WQ, TraceEvent
 
     tracer = Tracer()
@@ -169,16 +139,9 @@ def test_single_event_export_has_valid_fields(tmp_path):
     metadata = [e for e in payload["traceEvents"] if e["ph"] == "M"]
     assert any(e["args"]["name"] == TRACK_WQ for e in metadata)
 
-    path = tmp_path / "one.jsonl"
-    assert write_jsonl(tracer, str(path)) == 1
-    record = json.loads(path.read_text())
-    assert record == {
-        "ts": 0.0, "cat": "wq", "name": "data_append", "ph": "I", "track": "wq"
-    }
 
-
-def test_zero_duration_complete_event_is_exported(tmp_path):
-    """An X event with dur=0 keeps its (zero) duration in both formats."""
+def test_zero_duration_complete_event_is_exported():
+    """An X event with dur=0 keeps its (zero) duration."""
     from repro.obs.events import CAT_TXN, PH_COMPLETE, TraceEvent, core_track
 
     tracer = Tracer()
@@ -192,6 +155,3 @@ def test_zero_duration_complete_event_is_exported(tmp_path):
         e for e in chrome_trace_dict(tracer)["traceEvents"] if e["ph"] == "X"
     ]
     assert chrome[0]["dur"] == 0.0
-    path = tmp_path / "zero.jsonl"
-    write_jsonl(tracer, str(path))
-    assert json.loads(path.read_text())["dur"] == 0.0

@@ -24,14 +24,14 @@ KWARGS = dict(
     n_ops=40, request_size=1024, footprint=1 << 20, seed=3
 )
 
-#: sha256 of the traced event stream (sampler on, 1 us interval) of this
-#: file's point, per scheme. Any fidelity gives the same stream.
+#: sha256 of the traced event stream of this file's point, per scheme.
+#: Any fidelity gives the same stream.
 EVENT_STREAM_DIGESTS = {
     Scheme.SUPERMEM: (
-        "551fa047125a77b56f49d38160fe5dc8d4b386a6026b7b5f19affe44fe08b55a"
+        "b7c0144ee125ef6f52b9b989099affd6c5050fb1b030947316e63182057e16f2"
     ),
     Scheme.SUPERMEM_BMT: (
-        "044e722c1a67e695f210dbd65e0997c1d02b2ec9886995a4e8d0787ce42355da"
+        "d036a98f71bc7460d49446890781b95f08913311186f1dc45f3e47369c5f6df1"
     ),
 }
 
@@ -59,13 +59,12 @@ def test_disabled_tracer_is_bit_identical_to_no_tracer():
 @pytest.mark.parametrize("scheme", EVALUATED_SCHEMES, ids=lambda s: s.value)
 def test_enabled_tracer_does_not_perturb_results(scheme, fidelity):
     baseline = _run(scheme=scheme, fidelity=fidelity)
-    tracer = Tracer(sample_interval_ns=1000.0)
+    tracer = Tracer()
     traced = _run(tracer=tracer, scheme=scheme, fidelity=fidelity)
     assert traced.total_time_ns == baseline.total_time_ns
     assert traced.txn_latencies == baseline.txn_latencies
     assert traced.stats.snapshot() == baseline.stats.snapshot()
     assert len(tracer.events) > 0  # and it actually recorded
-    assert tracer.sampler.rows  # the sampler ticked too
     if scheme in EVENT_STREAM_DIGESTS:
         assert _event_digest(tracer.events) == EVENT_STREAM_DIGESTS[scheme]
 
@@ -83,4 +82,5 @@ def test_tracer_event_totals_match_aggregate_counters():
     assert len(coalesces) == result.coalesced_counter_writes
     assert len(stalls) == result.stats.get("wq", "full_stalls")
     assert sum(e.dur for e in stalls) == result.wq_stall_ns
-    assert tracer.histograms["txn_latency_ns"].n == result.n_txns
+    txns = [e for e in tracer.events if e.name == "txn"]
+    assert len(txns) == result.n_txns

@@ -1,8 +1,6 @@
-"""Tests for the typed event tracer and the time-series sampler."""
+"""Tests for the typed event tracer."""
 
-import pytest
-
-from repro.obs import NULL_TRACER, NullTracer, TimeSeriesSampler, Tracer
+from repro.obs import NULL_TRACER, NullTracer, Tracer
 from repro.obs.events import (
     CAT_BANK,
     CAT_CC,
@@ -20,17 +18,6 @@ def test_tracer_is_enabled_null_is_not():
     assert Tracer().enabled
     assert not NULL_TRACER.enabled
     assert isinstance(NULL_TRACER, NullTracer)
-
-
-def test_null_tracer_records_nothing():
-    NULL_TRACER.wq_append(1.0, 42, False, 3)
-    NULL_TRACER.bank_busy(0.0, 361.0, 2, "write")
-    NULL_TRACER.txn(0.0, 100.0, 0)
-    NULL_TRACER.gauge(0.0, "x", 1.0, "wq")
-    NULL_TRACER.sample_tick(5.0)
-    NULL_TRACER.register_gauge("x", lambda ts: 0.0)
-    assert NULL_TRACER.events == []
-    assert NULL_TRACER.histograms == {}
 
 
 def test_wq_append_emits_instant_and_gauge():
@@ -52,18 +39,17 @@ def test_bank_busy_emits_matched_pair():
     assert begin.cat == CAT_BANK
 
 
-def test_stall_crypto_txn_feed_histograms():
+def test_stall_crypto_txn_record_complete_events():
+    """Each timed emitter records one X event carrying its duration."""
     tr = Tracer()
     tr.wq_stall(0.0, 250.0, core=1)
     tr.crypto(5.0, 12.0, "otp_write", 0x80)
-    tr.txn(0.0, 4000.0, 0)
-    assert tr.histograms["wq_stall_ns"].n == 1
-    assert tr.histograms["crypto_ns"].n == 1
-    assert tr.histograms["txn_latency_ns"].n == 1
-    phases = {e.cat: e.ph for e in tr.events}
-    assert phases[CAT_WQ] == PH_COMPLETE
-    assert phases[CAT_CRYPTO] == PH_COMPLETE
-    assert phases[CAT_TXN] == PH_COMPLETE
+    tr.txn(1000.0, 5000.0, 0)
+    assert [(e.cat, e.name, e.ph, e.ts, e.dur) for e in tr.events] == [
+        (CAT_WQ, "full_stall", PH_COMPLETE, 0.0, 250.0),
+        (CAT_CRYPTO, "otp_write", PH_COMPLETE, 5.0, 12.0),
+        (CAT_TXN, "txn", PH_COMPLETE, 1000.0, 4000.0),
+    ]
 
 
 def test_cc_events():
@@ -73,37 +59,3 @@ def test_cc_events():
     tr.cc_fetch(2.0, 0x1000)
     assert [e.name for e in tr.events] == ["miss", "evict", "counter_fetch"]
     assert all(e.cat == CAT_CC for e in tr.events)
-
-
-def test_sampler_samples_on_interval():
-    sampler = TimeSeriesSampler(100.0)
-    values = iter(range(100))
-    sampler.register("g", lambda ts: next(values))
-    assert sampler.tick(0.0)  # first boundary
-    assert not sampler.tick(50.0)  # inside the interval
-    assert sampler.tick(100.0)
-    assert sampler.tick(1000.0)  # skips idle gap, one sample only
-    assert not sampler.tick(1050.0)
-    assert [ts for ts, _ in sampler.series("g")] == [0.0, 100.0, 1000.0]
-
-
-def test_sampler_rejects_bad_interval():
-    with pytest.raises(ValueError):
-        TimeSeriesSampler(0.0)
-
-
-def test_tracer_sampler_emits_counter_events():
-    tr = Tracer(sample_interval_ns=10.0)
-    tr.register_gauge("wq.occupancy", lambda ts: 7.0)
-    tr.sample_tick(25.0)
-    counters = [e for e in tr.events if e.ph == PH_COUNTER]
-    assert len(counters) == 1
-    assert counters[0].args == {"value": 7.0}
-    assert tr.sampler.rows[0].value == 7.0
-
-
-def test_tracer_without_sampler_ignores_gauges():
-    tr = Tracer()
-    tr.register_gauge("g", lambda ts: 1.0)
-    tr.sample_tick(1000.0)
-    assert tr.events == []

@@ -51,7 +51,7 @@ def test_interleaves_by_local_time():
 @pytest.mark.parametrize("n_programs", [1, 4, 8])
 @pytest.mark.parametrize("scheme", EVALUATED_SCHEMES, ids=lambda s: s.value)
 def test_fast_chain_matches_observed_chain(scheme, n_programs):
-    """An untraced run is bit-identical to a traced, sampled one."""
+    """An untraced run is bit-identical to a traced one."""
     kwargs = dict(
         n_programs=n_programs,
         n_ops=6,
@@ -60,7 +60,7 @@ def test_fast_chain_matches_observed_chain(scheme, n_programs):
         base_config=experiment_base_config(get_scale("smoke")),
     )
     untraced = simulate_multiprogrammed("hashtable", scheme, **kwargs)
-    tracer = Tracer(sample_interval_ns=500.0)
+    tracer = Tracer()
     traced = simulate_multiprogrammed("hashtable", scheme, tracer=tracer, **kwargs)
     assert untraced.total_time_ns == traced.total_time_ns
     assert untraced.txn_latencies == traced.txn_latencies

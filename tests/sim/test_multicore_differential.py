@@ -134,7 +134,7 @@ def test_replay_matches_per_op_oracle(n_cores, scheme, fidelity, traced, seed):
     traces = synthetic_traces(seed, n_cores, config.functional)
 
     def tracer():
-        return Tracer(sample_interval_ns=250.0) if traced else None
+        return Tracer() if traced else None
 
     oracle_tracer = tracer()
     expected = _observed(

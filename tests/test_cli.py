@@ -183,7 +183,6 @@ def test_simulate_trace_and_report(tmp_path, capsys):
     import json
 
     trace = tmp_path / "trace.json"
-    jsonl = tmp_path / "trace.jsonl"
     assert (
         main(
             [
@@ -195,17 +194,12 @@ def test_simulate_trace_and_report(tmp_path, capsys):
                 "1048576",
                 "--trace",
                 str(trace),
-                "--trace-jsonl",
-                str(jsonl),
-                "--sample-ns",
-                "2000",
             ]
         )
         == 0
     )
     payload = json.loads(trace.read_text())
     assert payload["traceEvents"]
-    assert jsonl.read_text().splitlines()
     capsys.readouterr()
 
     assert main(["trace-report", str(trace), "--buckets", "5"]) == 0
@@ -214,3 +208,43 @@ def test_simulate_trace_and_report(tmp_path, capsys):
     assert "wq occ" in report
     assert "coal %" in report
     assert "bank imbal" in report
+
+
+@pytest.mark.parametrize(
+    "argv,needle",
+    [
+        (["trace-report", "{missing}"], "missing.json"),
+        (["trace-report", "{trace}", "--buckets", "0"], "got 0"),
+        (["simulate", "queue", "--request-size", "0"], "got 0"),
+        (["recovery-report", "supermem", "--dirty-frac", "2"], "got 2.0"),
+        (["recovery-report", "supermem", "--log-lines", "1"], "got 1"),
+        (["recovery-report", "supermem", "--capacity", "1000"], "got 1000"),
+        (["recovery-report", "supermem", "--request-size", "0"], "got 0"),
+        (["cache", "{store}", "--cap-mb", "-1"], "got -1"),
+    ],
+    ids=[
+        "trace-report-missing-file",
+        "trace-report-zero-buckets",
+        "simulate-zero-request-size",
+        "recovery-dirty-frac",
+        "recovery-log-lines",
+        "recovery-capacity",
+        "recovery-zero-request-size",
+        "cache-negative-cap",
+    ],
+)
+def test_bad_arguments_exit_with_one_line(argv, needle, tmp_path):
+    """A bad argument value ends in a one-line message naming it, not a
+    traceback (and not, for --cap-mb, a silently negative cap)."""
+    trace = tmp_path / "t.json"
+    trace.write_text('{"traceEvents": [{"ph": "I", "ts": 0, "name": "x"}]}')
+    paths = {
+        "{missing}": str(tmp_path / "missing.json"),
+        "{trace}": str(trace),
+        "{store}": str(tmp_path / "store"),
+    }
+    with pytest.raises(SystemExit) as info:
+        main([paths.get(arg, arg) for arg in argv])
+    message = str(info.value.code)
+    assert needle in message
+    assert "\n" not in message

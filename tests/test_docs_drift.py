@@ -21,7 +21,8 @@ silently:
   names) must appear in ``docs/OBSERVABILITY.md`` or
   ``docs/PERFORMANCE.md`` — and, the reverse direction, every
   category in OBSERVABILITY.md's "Event types" table must be a
-  ``CAT_*`` value;
+  ``CAT_*`` value; the event names that table lists under each category
+  must equal the names a traced run and a priced recovery emit there;
 * every field of every configuration dataclass (``SimConfig`` and its
   sub-configs) must be named in backticks in ``docs/CONFIG.md`` — a new
   knob (``fidelity``, ``outcome_store``, ...) cannot land undocumented,
@@ -160,6 +161,50 @@ class TestObservabilityDoc:
         assert not unknown, (
             f"docs/OBSERVABILITY.md documents event categories that do not "
             f"exist: {unknown}"
+        )
+
+    def test_documented_event_names_match_emitted(self):
+        """Each "Event types" row's second column names exactly the events
+        emitted under its category, both ways: by one traced SuperMem
+        point on the smoke base config and by one priced recovery."""
+        from repro.core.recovery_cost import (
+            recovery_trace_events,
+            run_recovery_scenario,
+        )
+        from repro.core.schemes import Scheme
+        from repro.experiments.common import experiment_base_config, get_scale
+        from repro.obs import Tracer
+        from repro.sim.simulator import simulate_workload
+
+        scale = get_scale("smoke")
+        tracer = Tracer()
+        simulate_workload(
+            "hashtable",
+            Scheme.SUPERMEM,
+            n_ops=scale.n_ops,
+            footprint=scale.footprint,
+            base_config=experiment_base_config(scale),
+            tracer=tracer,
+        )
+        report, _recovered, _shadow = run_recovery_scenario(Scheme.SUPERMEM)
+        events = tracer.events + recovery_trace_events(report)
+        emitted = {(event.cat, event.name) for event in events}
+
+        text = (DOCS / "OBSERVABILITY.md").read_text(encoding="utf-8")
+        table = text.split("## Event types", 1)[1].split("\n## ", 1)[0]
+        documented = set()
+        for cats, names in re.findall(r"^\|([^|]*)\|([^|]*)\|", table, re.M):
+            for cat in re.findall(r"`([^`]+)`", cats):
+                documented.update(
+                    (cat, name) for name in re.findall(r"`([^`]+)`", names)
+                )
+        missing = sorted(emitted - documented)
+        stale = sorted(documented - emitted)
+        assert not missing, (
+            f"events missing from docs/OBSERVABILITY.md's event table: {missing}"
+        )
+        assert not stale, (
+            f"docs/OBSERVABILITY.md's event table names events nothing emits: {stale}"
         )
 
 
