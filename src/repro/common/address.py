@@ -205,8 +205,8 @@ class AddressMap:
                 bank = min(
                     self.n_banks - 1, (line * CACHE_LINE_SIZE) // self.bank_size
                 )
-            else:
-                bank = self.bank_of_page(self.page_of_line(line))
+            else:  # "page", inlined bank_of_page(page_of_line(line))
+                bank = (line // LINES_PER_PAGE) % self.n_banks
             memo[line] = bank
         return bank
 

@@ -169,6 +169,7 @@ class SecureMemorySystem:
         # is a TimingConfig property (a division per call) and the stat keys
         # below are bumped two-plus times per persist/read.
         self._functional = config.functional
+        self._lines_per_block = self.counters.lines_per_block
         self._aes_ns = config.timing.aes_ns
         self._encrypted = config.encrypted
         self._cc_write_through = self.counter_cache.write_through
@@ -234,31 +235,8 @@ class SecureMemorySystem:
             self.counters.serialize_block(block_key) if payload_wanted else None
         )
         return WQEntry(
-            line=placement.line,
-            bank=placement.bank,
-            row=placement.row,
-            is_counter=True,
-            enq_time=0.0,
-            payload=payload,
+            placement.line, placement.bank, placement.row, True, 0.0, payload
         )
-
-    def _data_entry(
-        self, line: int, payload: Optional[bytes], core: int
-    ) -> WQEntry:
-        return WQEntry(
-            line=line,
-            bank=self.amap.bank_of_line(line),
-            row=self.amap.row_of_line(line),
-            is_counter=False,
-            enq_time=0.0,
-            payload=payload,
-            core=core,
-        )
-
-    def _encrypt(self, line: int, payload: Optional[bytes]) -> Optional[bytes]:
-        if payload is None or self.cipher is None:
-            return payload
-        return self.cipher.encrypt(line, self.counters.counter_of_line(line), payload)
 
     def _fetch_counter_line(self, t: float, line: int, block_key: int) -> float:
         """Counter-cache miss: read the counter line from NVM."""
@@ -368,12 +346,14 @@ class SecureMemorySystem:
             crash_ctl.probe("after-data-append")
             return durable
 
-        # 1. advance the counter; handle minor overflow by re-encrypting.
-        block_key, slot, overflowed = self.counters.bump(line)
-        if overflowed:
+        # 1. advance the counter; handle minor overflow by re-encrypting
+        #    (which resets the same block's minors in place).
+        block_key = line // self._lines_per_block
+        slot = line % self._lines_per_block
+        block = self.counters.block(block_key)
+        if block.bump(slot):
             t = self.reencrypt_page(t, self.amap.page_of_line(line), core)
-            block_key, slot, overflowed = self.counters.bump(line)
-            if overflowed:  # pragma: no cover - fresh minors cannot saturate
+            if block.bump(slot):  # pragma: no cover - fresh minors cannot saturate
                 raise SimulationError("minor counter overflowed after re-encryption")
 
         # 2. counter cache (read-modify-write of the counter line).
@@ -387,7 +367,7 @@ class SecureMemorySystem:
         if writeback_page is not None:
             # Write-back mode: a dirty victim leaves the cache.
             victim = self._counter_entry(
-                line=writeback_page * self.counters.lines_per_block,
+                line=writeback_page * self._lines_per_block,
                 block_key=writeback_page,
                 payload_wanted=self._functional,
             )
@@ -396,12 +376,33 @@ class SecureMemorySystem:
             )
 
         # 3. OTP generation + encryption (AES pipeline latency).
-        ciphertext = self._encrypt(line, payload)
+        ciphertext = payload
+        if payload is not None and self.cipher is not None:
+            ciphertext = self.cipher.encrypt(
+                line, block.encryption_counter(slot), payload
+            )
         t_enc = t + self._aes_ns
         if self.tracer.enabled:
             self.tracer.crypto(t, self._aes_ns, "otp_write", line)
 
         # 4. persist.
+        if self._cc_write_through or (self._sca_mode and persistent):
+            # The pair to stage: the data line and its counter line (a
+            # counter entry carries no core).
+            amap = self.amap
+            bank = amap.bank_of_line(line)
+            placement = self.layout.placement(block_key, bank)
+            counter_entry = WQEntry(
+                placement.line,
+                placement.bank,
+                placement.row,
+                True,
+                0.0,
+                self.counters.serialize_block(block_key) if self._functional else None,
+            )
+            data_entry = WQEntry(
+                line, bank, amap.row_of_line(line), False, 0.0, ciphertext, core
+            )
         if self._cc_write_through:
             if self._integrity_tree:
                 # Tree walk starts once the counter is resolved; the line
@@ -415,16 +416,11 @@ class SecureMemorySystem:
                 self._vals[self._k_mac_writes] += 1
             else:
                 t_ready = t_enc
-            counter_entry = self._counter_entry(
-                line, block_key, payload_wanted=self._functional
-            )
             if self._it_shadow is not None and counter_entry.payload is not None:
                 self._it_shadow.update_leaf(block_key, counter_entry.payload)
             if self._atomicity_register:
                 # Figure 7: both staged, both appended as one unit.
-                durable = controller.append_pair(
-                    t_ready, self._data_entry(line, ciphertext, core), counter_entry
-                )
+                durable = controller.append_pair(t_ready, data_entry, counter_entry)
                 crash_ctl.probe("after-pair-append")
             else:
                 # Figure 6 (broken baseline): the counter is appended while
@@ -450,12 +446,7 @@ class SecureMemorySystem:
             # SCA: persistent (clwb-originated) writes carry their counter
             # into the ADR domain atomically; the cached copy is then
             # clean. Evictions fall through to the data-only path below.
-            counter_entry = self._counter_entry(
-                line, block_key, payload_wanted=self._functional
-            )
-            durable = controller.append_pair(
-                t_enc, self._data_entry(line, ciphertext, core), counter_entry
-            )
+            durable = controller.append_pair(t_enc, data_entry, counter_entry)
             self.counter_cache.mark_clean(block_key)
             self.stats.inc("secmem", "sca_pairs")
             crash_ctl.probe("after-pair-append")
@@ -517,7 +508,7 @@ class SecureMemorySystem:
         if not self._encrypted:
             return data_finish
 
-        block_key = self.counters.block_key_of_line(line)
+        block_key = line // self._lines_per_block
         hit, writeback_page, fetch = self.counter_cache.access(
             block_key, update=False, t=t
         )
@@ -539,7 +530,7 @@ class SecureMemorySystem:
             ctr_ready = t
         if writeback_page is not None:
             victim = self._counter_entry(
-                line=writeback_page * self.counters.lines_per_block,
+                line=writeback_page * self._lines_per_block,
                 block_key=writeback_page,
                 payload_wanted=self._functional,
             )
@@ -634,7 +625,15 @@ class SecureMemorySystem:
             )
             if self._it_shadow is not None and counter_entry.payload is not None:
                 self._it_shadow.update_leaf(page, counter_entry.payload)
-            data_entry = self._data_entry(line, ciphertext, core)
+            data_entry = WQEntry(
+                line,
+                self.amap.bank_of_line(line),
+                self.amap.row_of_line(line),
+                False,
+                0.0,
+                ciphertext,
+                core,
+            )
             if self.counter_cache.write_through:
                 t = self.controller.append_pair(t_ready, data_entry, counter_entry)
             else:

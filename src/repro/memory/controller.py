@@ -14,11 +14,15 @@ exposes exactly the operations the secure-memory layer needs:
 * :meth:`advance_to` — lazily simulate the background drain up to a given
   time: the scheduler repeatedly issues the queued write with the earliest
   feasible start (bank free, bus free), FIFO-tie-broken, which is
-  FR-FCFS restricted to writes.
+  FR-FCFS restricted to writes. Each pick scans the heads of the queue's
+  per-bank buckets afresh; nothing is memoized between picks.
 
 The whole paper plays out in this object's queueing behaviour: doubling
 appends (write-through counters) doubles queue pressure; CWC removes
 counter appends; XBank changes which bank each counter write occupies.
+These paths run once per request or issued write, so they read the
+queue's occupancy (``wq.n``) and per-line lists directly; the one query
+they make is :meth:`~repro.memory.write_queue.WriteQueue.cwc_target`.
 """
 
 from __future__ import annotations
@@ -33,6 +37,9 @@ from repro.memory.bank import Bank, RankState
 from repro.memory.nvm import NVMStore
 from repro.memory.write_queue import WQEntry, WriteQueue
 from repro.obs.tracer import NULL_TRACER
+
+#: Later than any start: the initial best in a candidate scan.
+_NEVER = float("inf")
 
 
 class MemoryController:
@@ -126,9 +133,6 @@ class MemoryController:
         self._k_full_stalls = ("wq", "full_stalls")
         self._k_stall_ns = ("wq", "stall_ns")
         self._bus_ns = config.timing.bus_ns
-        # Memoized result of the last candidate scan, as a
-        # ``(wq.version, start, entry)`` triple; see _best_candidate.
-        self._cand_cache: Optional[Tuple[int, float, WQEntry]] = None
 
     # ------------------------------------------------------------------
     # Drain engine
@@ -178,29 +182,12 @@ class MemoryController:
             return self._entry_start(entry), entry
         wq = self.wq
         clock = self.clock
-        # Reuse the previous scan while it provably still holds: the
-        # queue is unchanged (version match — appends, issues, and CWC
-        # removals all bump it; bank/bus state only moves on an issue or
-        # a demand read, which bump/invalidate too) and the clock has not
-        # passed the cached start. Every entry's start is a max over
-        # terms that include the clock, and every cached start is >= the
-        # cached minimum, so advancing the clock up to that minimum
-        # changes no start and therefore no argmin. advance_to() probes
-        # once per persist but issues far less often, so this converts
-        # the common "scan, then break on start > t" probe into O(1).
-        cached = self._cand_cache
-        if (
-            cached is not None
-            and cached[0] == wq.version
-            and clock <= cached[1]
-        ):
-            return cached[1], cached[2]
-
         defer = self._counter_defer_ns if self._policy == "defer-counters" else 0.0
         banks = self.banks
         bus_free_at = self.bus_free_at
         banks_per_channel = self._banks_per_channel
-        best_start = None
+        # Every start is finite, so the first bucket always wins this.
+        best_start = _NEVER
         best_seq = 0
         best_entry = None
         for bank, bucket in wq.data_by_bank.items():
@@ -210,11 +197,11 @@ class MemoryController:
             bus = bus_free_at[bank // banks_per_channel]
             if bus > start:
                 start = bus
-            if best_entry is None or start < best_start:
-                best_entry = next(iter(bucket.values()))
+            if start < best_start:
+                best_entry = bucket[0]
                 best_start, best_seq = start, best_entry.seq
             elif start == best_start:
-                entry = next(iter(bucket.values()))
+                entry = bucket[0]
                 if entry.seq < best_seq:
                     best_entry, best_seq = entry, entry.seq
         for bank, bucket in wq.counters_by_bank.items():
@@ -224,8 +211,7 @@ class MemoryController:
             bus = bus_free_at[bank // banks_per_channel]
             if bus > start:
                 start = bus
-            entries = iter(bucket.values())
-            entry = next(entries)
+            entry = bucket[0]
             if defer:
                 # A counter write is held back for a fixed coalescing
                 # window after its append; afterwards it competes like any
@@ -236,7 +222,7 @@ class MemoryController:
                     # Held back: a later entry appended earlier in time
                     # may start sooner. Strict < keeps the FIFO tie-break;
                     # reaching the base start cannot be beaten.
-                    for other in entries:
+                    for other in bucket:
                         other_deferred = other.enq_time + defer
                         if other_deferred < deferred:
                             entry, deferred = other, other_deferred
@@ -244,28 +230,22 @@ class MemoryController:
                                 break
                     if deferred > start:
                         start = deferred
-            if (
-                best_entry is None
-                or start < best_start
-                or (start == best_start and entry.seq < best_seq)
-            ):
+            if start < best_start or (start == best_start and entry.seq < best_seq):
                 best_start, best_seq, best_entry = start, entry.seq, entry
         if best_entry is None:
             return None
-        self._cand_cache = (wq.version, best_start, best_entry)
         return best_start, best_entry
 
     def _issue(self, entry: WQEntry, start: float) -> float:
         """Send one queued write to its bank; returns completion time."""
-        self.wq.remove(entry)
+        wq = self.wq
+        wq.remove(entry)
         bank = entry.bank
         self.bus_free_at[bank // self._banks_per_channel] = start + self._bus_ns
         end = self.banks[bank].service_write(start)
         self.nvm.write_line(entry.line, entry.payload)
         if self._tracer.enabled:
-            self._tracer.wq_issue(
-                start, entry.line, bank, entry.is_counter, len(self.wq)
-            )
+            self._tracer.wq_issue(start, entry.line, bank, entry.is_counter, wq.n)
         vals = self._vals
         vals[self._k_issued] += 1
         if entry.is_counter:
@@ -279,37 +259,26 @@ class MemoryController:
 
         Hysteresis: the drain engages when the queue reaches the high
         watermark and releases at the low one. This runs once per
-        request, so the two no-drain cases return in O(1) first: the
-        drain is disengaged below the high watermark, or it is engaged
-        above the low watermark but the memoized candidate (still valid:
-        version match, clock not past it) cannot start by ``t``. Either
-        way the loop below would break at once, changing only the clock.
+        request. While the drain is disengaged below the high watermark
+        it only moves the clock; otherwise each step picks the next write
+        afresh (:meth:`_best_candidate`, one scan of the bank buckets'
+        heads) and issues it if it can start by ``t``. The drain is
+        engaged on most calls under the figure sweeps, and a memo of the
+        last pick hit on only about a fifth of them and saved no wall
+        time, so there is none.
         """
         wq = self.wq
         draining = self._draining
-        if not draining:
-            if len(wq) < self.high_watermark:
-                if t > self.clock:
-                    self.clock = t
-                return
-        else:
-            cached = self._cand_cache
-            if (
-                cached is not None
-                and cached[1] > t
-                and cached[0] == wq.version
-                and self.clock <= cached[1]
-                and len(wq) > self.low_watermark
-            ):
-                if t > self.clock:
-                    self.clock = t
-                return
+        if not draining and wq.n < self.high_watermark:
+            if t > self.clock:
+                self.clock = t
+            return
         low = self.low_watermark
         high = self.high_watermark
         best_candidate = self._best_candidate
         issue = self._issue
         while True:
-            occupancy = len(wq)
+            occupancy = wq.n
             if occupancy == 0:
                 break
             if draining:
@@ -336,11 +305,8 @@ class MemoryController:
     def drain_all(self) -> float:
         """Issue everything; returns the completion time of the last write."""
         finish = self.clock
-        while len(self.wq) > 0:
-            candidate = self._best_candidate()
-            if candidate is None:  # pragma: no cover - queue always feasible
-                raise SimulationError("non-empty write queue with no candidate")
-            start, entry = candidate
+        while self.wq.n > 0:
+            start, entry = self._best_candidate()
             finish = max(finish, self._issue(entry, start))
             if start > self.clock:
                 self.clock = start
@@ -350,17 +316,25 @@ class MemoryController:
     # Append path (persistence domain entry)
     # ------------------------------------------------------------------
 
-    def _make_space(self, t: float, slots: int, core: int) -> float:
-        """Drain until ``slots`` queue slots are free; returns stall end."""
+    def _make_space(
+        self, t: float, slots: int, core: int, cwc_line: Optional[int] = None
+    ) -> float:
+        """Drain until ``slots`` queue slots are free; returns stall end.
+
+        With ``cwc_line``, one of the slots is for a counter write to that
+        line, which needs none while CWC would coalesce it. That is
+        re-checked after every issue: issuing can consume the very
+        counter entry the new write would have coalesced with.
+        """
         wq = self.wq
-        if wq.has_space(slots):
-            return t
         append_time = t
-        while not wq.has_space(slots):
-            candidate = self._best_candidate()
-            if candidate is None:  # pragma: no cover - full queue has entries
-                raise SimulationError("full write queue with no candidate")
-            start, entry = candidate
+        while True:
+            need = slots
+            if cwc_line is not None and wq.cwc_target(cwc_line) is not None:
+                need -= 1
+            if wq.n + need <= wq.capacity:
+                break
+            start, entry = self._best_candidate()
             self._issue(entry, start)
             if start > self.clock:
                 self.clock = start
@@ -389,23 +363,18 @@ class MemoryController:
         writes pass their explicit placement from the layout.
         """
         self.advance_to(t)
-        tracer = self._tracer
         wq = self.wq
-        slots = 0 if (is_counter and wq.would_coalesce(line)) else 1
-        append_time = self._make_space(t, slots, core) if slots else t
-        wq.append(
-            WQEntry(
-                line=line,
-                bank=self.amap.bank_of_line(line) if bank is None else bank,
-                row=self.amap.row_of_line(line) if row is None else row,
-                is_counter=is_counter,
-                enq_time=append_time,
-                payload=payload,
-                core=core,
-            )
-        )
-        if tracer.enabled:
-            tracer.wq_append(append_time, line, is_counter, len(wq))
+        append_time = t
+        # A counter write that CWC coalesces needs no free slot.
+        if wq.n >= wq.capacity and (not is_counter or wq.cwc_target(line) is None):
+            append_time = self._make_space(t, 1, core)
+        if bank is None:
+            bank = self.amap.bank_of_line(line)
+        if row is None:
+            row = self.amap.row_of_line(line)
+        wq.append(WQEntry(line, bank, row, is_counter, append_time, payload, core))
+        if self._tracer.enabled:
+            self._tracer.wq_append(append_time, line, is_counter, wq.n)
         return append_time
 
     def append_pair(
@@ -422,30 +391,13 @@ class MemoryController:
         stall is charged to ``data.core``.
         """
         self.advance_to(t)
-        tracer = self._tracer
         wq = self.wq
-        # Re-evaluate coalescibility every time we drain: issuing entries
-        # to make space can consume the very counter entry the new counter
-        # write would have coalesced with.
+        line = counter.line
+        coalesces = wq.cwc_target(line) is not None
         append_time = t
-        while True:
-            coalesces = wq.would_coalesce(counter.line)
-            if wq.has_space(1 if coalesces else 2):
-                break
-            candidate = self._best_candidate()
-            if candidate is None:  # pragma: no cover - full queue has entries
-                raise SimulationError("full write queue with no candidate")
-            start, entry = candidate
-            self._issue(entry, start)
-            if start > self.clock:
-                self.clock = start
-            if start > append_time:
-                append_time = start
-        if append_time > t:
-            self._vals[self._k_full_stalls] += 1
-            self._vals[self._k_stall_ns] += append_time - t
-            if tracer.enabled:
-                tracer.wq_stall(t, append_time - t, data.core)
+        if wq.n + 2 - coalesces > wq.capacity:
+            append_time = self._make_space(t, 2, data.core, line)
+            coalesces = wq.cwc_target(line) is not None
         data.enq_time = append_time
         counter.enq_time = append_time
         if coalesces:
@@ -455,10 +407,11 @@ class MemoryController:
         else:
             wq.append(data)
             wq.append(counter)
+        tracer = self._tracer
         if tracer.enabled:
-            occupancy = len(wq)
+            occupancy = wq.n
             tracer.wq_append(append_time, data.line, False, occupancy)
-            tracer.wq_append(append_time, counter.line, True, occupancy)
+            tracer.wq_append(append_time, line, True, occupancy)
         self._vals[self._k_pair_appends] += 1
         return append_time
 
@@ -475,7 +428,7 @@ class MemoryController:
     ) -> float:
         """Service a demand read at time ``t``; returns its finish time."""
         self.advance_to(t)
-        if self.wq.find_line(line) is not None:
+        if line in self.wq.by_line:
             self._vals[self._k_read_forwards] += 1
             return t + self._bus_ns
         bank_index = self.amap.bank_of_line(line) if bank is None else bank
@@ -486,9 +439,6 @@ class MemoryController:
             start = t
         self.bus_free_at[channel] = start + self._bus_ns
         end, _ = self.banks[bank_index].service_read(start, row_id)
-        # The read moved bank/bus availability without touching the
-        # queue, so the memoized candidate scan no longer holds.
-        self._cand_cache = None
         self._vals[self._k_mc_reads] += 1
         return end
 

@@ -44,7 +44,11 @@ class NVMStore:
 
     def write_line(self, line: int, payload: Optional[bytes]) -> None:
         """Persist one line. ``None`` payload counts wear only."""
-        self._wear[line] += 1
+        # get() rather than Counter's += 1: a first write to a line would
+        # otherwise call the Python-level Counter.__missing__, and over
+        # half of the writes a figure sweep issues are first writes.
+        wear = self._wear
+        wear[line] = wear.get(line, 0) + 1
         self._vals[self._k_writes] += 1
         if payload is not None:
             if len(payload) != CACHE_LINE_SIZE:

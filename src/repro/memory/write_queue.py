@@ -23,19 +23,22 @@ Durability: the queue sits inside the ADR domain — on a power failure the
 battery drains every entry to NVM. ``adr_flush_order()`` exposes the
 entries for crash modelling.
 
-Implementation: the FIFO is an insertion-ordered dict keyed by each
-entry's monotonic ``seq`` (Python dicts preserve insertion order, and
-deleting a key does not disturb it), plus two per-line indices kept in
-lockstep — ``line -> [entries in FIFO order]`` for read forwarding and
-``line -> [counter entries in FIFO order]`` for CWC. Appends, removals,
-:meth:`find_line`, and :meth:`_find_counter` are all O(1) amortised
-(per-line buckets hold at most a handful of entries), replacing the
-whole-queue linear scans the append/read/drain hot paths used to pay.
+Implementation: an occupancy count ``n`` plus three structures, each
+holding entries in FIFO (append) order: ``by_line`` maps a line to its
+queued entries (read forwarding takes the youngest, CWC the first
+counter entry), and ``data_by_bank``/``counters_by_bank`` map a bank to
+its queued data or counter entries (the drain scheduler reads their
+heads). A list holds a handful of entries, so :meth:`append` and
+:meth:`remove` are O(1) amortised, and each does its own bookkeeping.
+An entry's monotonic ``seq`` records the global append order; the cold
+paths that need it (iteration, :meth:`oldest`, :meth:`adr_flush_order`)
+derive it from the buckets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, Iterator, List, Optional
 
 from repro.common.errors import SimulationError
@@ -46,14 +49,17 @@ from repro.obs.tracer import NULL_TRACER
 CWC_REMOVE_OLDER = "remove-older"
 CWC_MERGE_IN_PLACE = "merge-in-place"
 
+_seq = attrgetter("seq")
 
-@dataclass(slots=True)
+
+@dataclass(slots=True, eq=False)
 class WQEntry:
     """One queued line write.
 
     ``slots=True``: hundreds of thousands of entries are constructed and
     field-scanned per run, so slot storage (no per-entry ``__dict__``)
-    measurably trims both allocation and attribute access.
+    measurably trims both allocation and attribute access. ``eq=False``:
+    the queue's lists find an entry by identity, never by field equality.
     """
 
     line: int
@@ -64,7 +70,7 @@ class WQEntry:
     payload: Optional[bytes] = None
     core: int = 0
     #: Monotonic sequence number preserving global append order.
-    seq: int = field(default=0)
+    seq: int = 0
 
 
 class WriteQueue:
@@ -83,25 +89,19 @@ class WriteQueue:
         self.capacity = capacity
         self.cwc_enabled = cwc_enabled
         self.cwc_policy = cwc_policy
-        self._stats = stats
         self._tracer = tracer
-        #: FIFO store: seq -> entry, in append (insertion) order.
-        self._entries: Dict[int, WQEntry] = {}
-        #: line -> queued entries for that line, FIFO order (read forwarding).
-        self._by_line: Dict[int, List[WQEntry]] = {}
-        #: line -> queued *counter* entries for that line, FIFO order (CWC).
-        self._counters_by_line: Dict[int, List[WQEntry]] = {}
-        #: bank -> seq-ordered {seq: entry} of queued *data* writes, and the
-        #: same for *counter* writes. The drain scheduler picks per bucket
-        #: (the FIFO-first entry, or a short walk of a held-back counter
-        #: bucket; see ``MemoryController._best_candidate``), so these
-        #: shrink its scan from O(queue) to O(banks).
-        self.data_by_bank: Dict[int, Dict[int, WQEntry]] = {}
-        self.counters_by_bank: Dict[int, Dict[int, WQEntry]] = {}
+        #: Occupancy: the number of queued entries.
+        self.n = 0
+        #: line -> queued entries for that line.
+        self.by_line: Dict[int, List[WQEntry]] = {}
+        #: bank -> queued *data* entries, and the same for *counter*
+        #: entries. The drain scheduler picks per bucket (the head, or a
+        #: short walk of a held-back counter bucket; see
+        #: ``MemoryController._best_candidate``), so these shrink its scan
+        #: from O(queue) to O(banks).
+        self.data_by_bank: Dict[int, List[WQEntry]] = {}
+        self.counters_by_bank: Dict[int, List[WQEntry]] = {}
         self._seq = 0
-        #: Bumped on every append/removal; the drain scheduler uses it to
-        #: reuse its last candidate scan while the queue is unchanged.
-        self.version = 0
         # Prebuilt (namespace, counter) keys bumped directly in the shared
         # Stats.raw() dict — exact inc()/maximize() semantics without a
         # method call per append (the append path is per-CLWB hot).
@@ -117,71 +117,14 @@ class WriteQueue:
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self.n
 
     @property
     def full(self) -> bool:
-        return len(self._entries) >= self.capacity
+        return self.n >= self.capacity
 
     def has_space(self, n: int = 1) -> bool:
-        return len(self._entries) + n <= self.capacity
-
-    # ------------------------------------------------------------------
-    # Index maintenance
-    # ------------------------------------------------------------------
-
-    def _index(self, entry: WQEntry) -> None:
-        # get-then-branch instead of setdefault: setdefault allocates a
-        # fresh empty container on *every* call just in case, and this
-        # runs once per append (the hottest queue path).
-        line = entry.line
-        bucket = self._by_line.get(line)
-        if bucket is None:
-            self._by_line[line] = [entry]
-        else:
-            bucket.append(entry)
-        if entry.is_counter:
-            bucket = self._counters_by_line.get(line)
-            if bucket is None:
-                self._counters_by_line[line] = [entry]
-            else:
-                bucket.append(entry)
-            bank_bucket = self.counters_by_bank.get(entry.bank)
-            if bank_bucket is None:
-                self.counters_by_bank[entry.bank] = {entry.seq: entry}
-            else:
-                bank_bucket[entry.seq] = entry
-        else:
-            bank_bucket = self.data_by_bank.get(entry.bank)
-            if bank_bucket is None:
-                self.data_by_bank[entry.bank] = {entry.seq: entry}
-            else:
-                bank_bucket[entry.seq] = entry
-
-    def _unindex(self, entry: WQEntry) -> None:
-        bucket = self._by_line[entry.line]
-        bucket.remove(entry)
-        if not bucket:
-            del self._by_line[entry.line]
-        if entry.is_counter:
-            bucket = self._counters_by_line[entry.line]
-            bucket.remove(entry)
-            if not bucket:
-                del self._counters_by_line[entry.line]
-            bank_bucket = self.counters_by_bank[entry.bank]
-            del bank_bucket[entry.seq]
-            if not bank_bucket:
-                del self.counters_by_bank[entry.bank]
-        else:
-            bank_bucket = self.data_by_bank[entry.bank]
-            del bank_bucket[entry.seq]
-            if not bank_bucket:
-                del self.data_by_bank[entry.bank]
-
-    def _delete(self, entry: WQEntry) -> None:
-        del self._entries[entry.seq]
-        self._unindex(entry)
-        self.version += 1
+        return self.n + n <= self.capacity
 
     # ------------------------------------------------------------------
     # Append path (with CWC)
@@ -191,13 +134,15 @@ class WriteQueue:
         """Append one entry; returns True if CWC coalesced an older one.
 
         The caller must have ensured space (after accounting for the
-        possible removal — use :meth:`would_coalesce` first when the queue
-        is full).
+        possible removal — use :meth:`cwc_target` first when the queue is
+        full).
         """
         vals = self._vals
+        vals[self._k_appends] += 1
         coalesced = False
-        if self.cwc_enabled and entry.is_counter:
-            older = self._find_counter(entry.line)
+        if entry.is_counter:
+            vals[self._k_counter_appends] += 1
+            older = self.cwc_target(entry.line)
             if older is not None:
                 coalesced = True
                 vals[self._k_cwc] += 1
@@ -205,65 +150,88 @@ class WriteQueue:
                     self._tracer.wq_coalesce(
                         entry.enq_time, entry.line, self.cwc_policy
                     )
-                if self.cwc_policy == CWC_REMOVE_OLDER:
-                    self._delete(older)
-                else:
-                    # merge-in-place: refresh the older slot and stop.
+                if self.cwc_policy == CWC_MERGE_IN_PLACE:
+                    # Refresh the older slot and stop.
                     older.payload = entry.payload
-                    self._count_append(entry)
-                    self.version += 1
                     return True
-        if self.full:
+                self.remove(older)
+            by_bank = self.counters_by_bank
+        else:
+            vals[self._k_data_appends] += 1
+            by_bank = self.data_by_bank
+        n = self.n
+        if n >= self.capacity:
             raise SimulationError("append to full write queue")
         entry.seq = self._seq
         self._seq += 1
-        self.version += 1
-        self._entries[entry.seq] = entry
-        self._index(entry)
-        self._count_append(entry)
-        occupancy = len(self._entries)
-        if occupancy > vals[self._k_peak]:
-            vals[self._k_peak] = occupancy
+        # get-then-branch instead of setdefault: setdefault allocates a
+        # fresh empty list on *every* call just in case.
+        bucket = self.by_line.get(entry.line)
+        if bucket is None:
+            self.by_line[entry.line] = [entry]
+        else:
+            bucket.append(entry)
+        bucket = by_bank.get(entry.bank)
+        if bucket is None:
+            by_bank[entry.bank] = [entry]
+        else:
+            bucket.append(entry)
+        n += 1
+        self.n = n
+        if n > vals[self._k_peak]:
+            vals[self._k_peak] = n
         return coalesced
 
-    def _count_append(self, entry: WQEntry) -> None:
-        vals = self._vals
-        vals[self._k_appends] += 1
-        if entry.is_counter:
-            vals[self._k_counter_appends] += 1
-        else:
-            vals[self._k_data_appends] += 1
+    def cwc_target(self, line: int) -> Optional[WQEntry]:
+        """The queued entry a counter write to ``line`` coalesces with.
+
+        The flag bit makes this a lookup in the line's short list: the
+        oldest queued counter entry for the line, or None (also when CWC
+        is off).
+        """
+        if self.cwc_enabled:
+            for entry in self.by_line.get(line, ()):
+                if entry.is_counter:
+                    return entry
+        return None
 
     def would_coalesce(self, line: int) -> bool:
         """Whether appending a counter write to ``line`` frees a slot."""
-        return self.cwc_enabled and self._find_counter(line) is not None
-
-    def _find_counter(self, line: int) -> Optional[WQEntry]:
-        # The flag bit makes this an O(1) index lookup; the oldest queued
-        # counter entry for the line (FIFO order) is the coalesce target.
-        bucket = self._counters_by_line.get(line)
-        return bucket[0] if bucket else None
+        return self.cwc_target(line) is not None
 
     # ------------------------------------------------------------------
     # Drain side
     # ------------------------------------------------------------------
 
-    def __iter__(self) -> Iterator[WQEntry]:
-        return iter(self._entries.values())
-
     def remove(self, entry: WQEntry) -> None:
-        """Pop a specific entry chosen by the drain scheduler."""
-        if self._entries.get(entry.seq) is not entry:
+        """Pop a specific entry chosen by the drain scheduler (or CWC)."""
+        by_bank = self.counters_by_bank if entry.is_counter else self.data_by_bank
+        bucket = by_bank.get(entry.bank)
+        if bucket is None:
             raise ValueError("entry not in write queue")
-        self._delete(entry)
+        # By identity (eq=False); raises ValueError before any change.
+        bucket.remove(entry)
+        if not bucket:
+            del by_bank[entry.bank]
+        bucket = self.by_line[entry.line]
+        bucket.remove(entry)
+        if not bucket:
+            del self.by_line[entry.line]
+        self.n -= 1
 
     def find_line(self, line: int) -> Optional[WQEntry]:
         """Youngest queued write to ``line`` (for read forwarding)."""
-        bucket = self._by_line.get(line)
+        bucket = self.by_line.get(line)
         return bucket[-1] if bucket else None
 
     def oldest(self) -> Optional[WQEntry]:
-        return next(iter(self._entries.values())) if self._entries else None
+        """The queued entry appended first (the ``fifo`` drain's pick)."""
+        heads = [bucket[0] for bucket in self.data_by_bank.values()]
+        heads += [bucket[0] for bucket in self.counters_by_bank.values()]
+        return min(heads, key=_seq, default=None)
+
+    def __iter__(self) -> Iterator[WQEntry]:
+        return iter(self.adr_flush_order())
 
     # ------------------------------------------------------------------
     # Crash behaviour (ADR)
@@ -271,12 +239,12 @@ class WriteQueue:
 
     def adr_flush_order(self) -> List[WQEntry]:
         """Entries in the order the ADR battery drains them on a failure."""
-        return list(self._entries.values())
+        entries = [entry for bucket in self.by_line.values() for entry in bucket]
+        entries.sort(key=_seq)
+        return entries
 
     def clear(self) -> None:
-        self._entries.clear()
-        self._by_line.clear()
-        self._counters_by_line.clear()
+        self.n = 0
+        self.by_line.clear()
         self.data_by_bank.clear()
         self.counters_by_bank.clear()
-        self.version += 1

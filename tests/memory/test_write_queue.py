@@ -144,6 +144,22 @@ def test_remove_specific_entry():
     assert [e.line for e in wq] == [2]
 
 
+def test_remove_rejects_field_equal_foreign_entry():
+    """Removal is by identity: an equal-looking stranger is not queued."""
+    wq, _ = make_wq()
+    queued = entry(1, is_counter=True, payload=b"x")
+    wq.append(queued)
+    stranger = entry(1, is_counter=True, payload=b"x")
+    stranger.seq = queued.seq
+    with pytest.raises(ValueError):
+        wq.remove(stranger)
+    assert len(wq) == 1
+    assert list(wq) == [queued] and list(wq)[0] is queued
+    assert wq.find_line(1) is queued
+    wq.remove(queued)
+    assert len(wq) == 0
+
+
 def test_adr_flush_order_preserves_fifo():
     wq, _ = make_wq()
     wq.append(entry(1))

@@ -1,11 +1,12 @@
 """Differential test: indexed WriteQueue vs a naive list-scan reference.
 
-The production queue keeps dict indices (seq -> entry FIFO, line -> entries,
-line -> counter entries) to make append/find/remove O(1). This file pits it
-against ``NaiveWriteQueue`` — a faithful copy of the original O(n) list-scan
-implementation — on randomized append/coalesce/remove/find sequences. Every
-observable must match exactly: entry order, per-entry fields, coalesce
-decisions, forwarding lookups, and the stats counters experiments read.
+The production queue keeps per-line and per-bank lists in FIFO order
+(line -> entries, bank -> data entries, bank -> counter entries) to make
+append/find/remove O(1). This file pits it against ``NaiveWriteQueue`` — a
+faithful copy of the original O(n) list-scan implementation — on randomized
+append/coalesce/remove/find sequences. Every observable must match
+exactly: entry order, per-entry fields, coalesce decisions, forwarding
+lookups, and the stats counters experiments read.
 """
 
 import random
@@ -207,7 +208,8 @@ def test_indexes_empty_after_drain():
     while queue.oldest() is not None:
         queue.remove(queue.oldest())
     assert len(queue) == 0
-    assert queue._by_line == {}
-    assert queue._counters_by_line == {}
+    assert queue.by_line == {}
+    assert queue.data_by_bank == {}
+    assert queue.counters_by_bank == {}
     assert queue.find_line(0) is None
     assert not queue.would_coalesce(0)

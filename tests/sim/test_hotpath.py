@@ -2,8 +2,8 @@
 
 The production scheduler
 (:meth:`~repro.memory.controller.MemoryController._best_candidate`)
-picks the next write from per-bank buckets with a memoized result. A
-naive full-queue scan (:func:`naive_best_candidate`, kept here as the
+picks the next write from the heads of per-bank buckets. A naive
+full-queue scan (:func:`naive_best_candidate`, kept here as the
 differential oracle) computes every entry's start and takes the
 ``(start, seq)`` minimum. Nothing about the *model* may differ, so:
 
@@ -12,8 +12,8 @@ differential oracle) computes every entry's start and takes the
   4096 B point that keeps the write queue at capacity (the regime that
   exercises the per-bank scan and make-space loops);
 * the per-bank scan picks the exact same entry as the naive scan under
-  randomized append/read/drain interleavings (which also exercises the
-  candidate-cache invalidation rules);
+  randomized append/read/drain interleavings, each of which moves the
+  queue or the bank and bus state the pick depends on;
 * out-of-order appends from several per-core clocks (the multicore
   case) still match the naive scan, including picks where a held-back
   counter bucket's FIFO-first entry loses to a later one.
@@ -78,7 +78,7 @@ class TestSimulationEquivalence:
             ("array", Scheme.SUPERMEM_BMT, 256),
             ("btree", Scheme.SUPERMEM_BMT, 1024),
             # Large requests keep the write queue saturated: the per-bank
-            # scan, candidate cache, and make-space loop all run hot.
+            # scan and the make-space loop both run hot.
             ("array", Scheme.WT_BASE, 4096),
             ("btree", Scheme.WT_BASE, 4096),
             ("array", Scheme.SUPERMEM, 4096),
@@ -113,10 +113,9 @@ class TestCandidateScan:
     def test_randomized_interleaving_matches_reference(self):
         """Per-bank scan == naive scan after every mutation.
 
-        Mutations cover all the candidate-cache invalidation paths:
-        appends (queue version), issues via advance_to (version + bank/
-        bus state), and demand reads (bank/bus state with *no* version
-        bump — the explicit invalidation).
+        Mutations cover everything a pick depends on: appends (the
+        queue), issues via advance_to (the queue plus bank and bus
+        state), and demand reads (bank and bus state, queue untouched).
         """
         rng = random.Random(99)
         mc = _controller()
@@ -139,14 +138,14 @@ class TestCandidateScan:
         assert len(mc.wq) == 0
 
     def test_repeated_probe_uses_consistent_candidate(self):
-        """Back-to-back scans (cache hit path) stay equal to the naive scan."""
+        """Back-to-back scans of an unchanged queue stay equal to the naive scan."""
         mc = _controller()
         for line in range(6):
             mc.append_write(float(line), line)
         for _ in range(5):
             _assert_same_candidate(mc)
 
-    @pytest.mark.parametrize("policy", ["defer-counters", "frfcfs"])
+    @pytest.mark.parametrize("policy", ["defer-counters", "frfcfs", "fifo"])
     def test_out_of_order_appends_match_reference(self, policy):
         """Per-bank pick == naive scan after every mutation, out of order.
 
@@ -154,7 +153,9 @@ class TestCandidateScan:
         appends arrive out of time order exactly as under multicore
         interleaving: a later counter entry can then carry an earlier
         ``enq_time`` than its bucket's FIFO-first entry, and under
-        ``defer-counters`` it can win the pick.
+        ``defer-counters`` it can win the pick. Under ``fifo`` the pick is
+        the queue's oldest entry, derived from the bucket heads; it must be
+        the smallest ``seq`` in the whole queue.
         """
         rng = random.Random(2019)
         cfg = SimConfig()
@@ -201,10 +202,13 @@ class TestCandidateScan:
             else:
                 mc.advance_to(t)
             _assert_same_candidate(mc)
+            if policy == "fifo":
+                oldest = min(mc.wq, key=lambda entry: entry.seq, default=None)
+                assert mc.wq.oldest() is oldest
             ref = naive_best_candidate(mc)
             if ref is not None and ref[1].is_counter:
                 bucket = mc.wq.counters_by_bank[ref[1].bank]
-                non_head_picks += next(iter(bucket.values())) is not ref[1]
+                non_head_picks += bucket[0] is not ref[1]
         assert any(b < a for a, b in zip(enq_times, enq_times[1:]))
         if policy == "defer-counters":
             # The bucket walk, not just the FIFO-first entry, was needed.
