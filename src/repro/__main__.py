@@ -201,16 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="total execution attempts per sweep point before it is "
         "reported as failed (default 3; 1 disables retry)",
     )
-    run_parser.add_argument(
-        "--outcome-store",
-        default=None,
-        metavar="DIR",
-        help="share generated traces and recorded cache-walk outcome "
-        "streams across processes through an on-disk store: a 4-job "
-        "sweep (or a second invocation) records each (trace, geometry) "
-        "once fleet-wide, with bit-identical results (inspect the store "
-        "with `repro cache`)",
-    )
 
     bench_parser = sub.add_parser(
         "bench-sweep",
@@ -232,41 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--output",
         default="BENCH_SWEEP.json",
         help="JSON output path (default: BENCH_SWEEP.json)",
-    )
-    bench_parser.add_argument(
-        "--outcome-store",
-        default=None,
-        metavar="DIR",
-        help="directory for the shared-record/shared-outcomes legs' "
-        "on-disk outcome store (default: a per-run temp directory)",
-    )
-
-    cache_parser = sub.add_parser(
-        "cache",
-        help="inspect or prune an on-disk outcome store (see --outcome-store)",
-    )
-    cache_parser.add_argument(
-        "store_dir",
-        help="outcome-store directory (as passed to --outcome-store)",
-    )
-    cache_parser.add_argument(
-        "--prune",
-        action="store_true",
-        help="evict least-recently-used entries beyond the size cap "
-        "(with --cap-mb 0: remove every entry)",
-    )
-    cache_parser.add_argument(
-        "--cap-mb",
-        type=int,
-        default=None,
-        metavar="MB",
-        help="size cap in MiB for --prune and the reported headroom "
-        "(default: the store's built-in 256 MiB cap)",
-    )
-    cache_parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the store summary as JSON instead of text",
     )
 
     sim_parser = sub.add_parser("simulate", help="simulate one workload/scheme point")
@@ -369,8 +324,6 @@ def main(argv=None) -> int:
         return _cmd_recovery_report(args)
     if args.command == "bench-sweep":
         return _cmd_bench_sweep(args)
-    if args.command == "cache":
-        return _cmd_cache(args)
     if args.command == "list":
         for name in EXPERIMENTS:
             print(f"{name:10s} {_DESCRIPTIONS[name]}")
@@ -378,7 +331,6 @@ def main(argv=None) -> int:
 
     jobs = _parse_jobs(args.jobs)
     _install_policy(args)
-    _install_outcome_store(args)
     names = EXPERIMENTS if args.experiment == "all" else (args.experiment,)
     json_path = args.json if len(names) == 1 else None
     sections = []
@@ -424,14 +376,6 @@ def _install_policy(args) -> None:
     )
 
 
-def _install_outcome_store(args) -> None:
-    """Map ``--outcome-store`` onto the experiments' default base config,
-    so every spec (and through pickling, every worker) carries the path."""
-    from repro.experiments.common import set_default_outcome_store
-
-    set_default_outcome_store(args.outcome_store)
-
-
 def _parse_jobs(value: str) -> int:
     """Parse a ``--jobs`` value: a positive integer or ``auto``."""
     if value == "auto":
@@ -459,38 +403,9 @@ def _cmd_bench_sweep(args) -> int:
         scale=args.scale,
         jobs=jobs,
         output=args.output,
-        outcome_store=args.outcome_store,
     )
     print(format_summary(payload))
     print(f"[repro] wrote {args.output}", file=sys.stderr)
-    return 0
-
-
-def _cmd_cache(args) -> int:
-    import json
-
-    from repro.sim.outcome_store import OutcomeStore
-
-    if args.cap_mb is not None and args.cap_mb < 0:
-        raise SystemExit(f"--cap-mb must be >= 0, got {args.cap_mb}")
-    cap_bytes = args.cap_mb << 20 if args.cap_mb is not None else None
-    store = OutcomeStore(args.store_dir, cap_bytes=cap_bytes)
-    pruned = store.gc() if args.prune else 0
-    stats = store.stats()
-    if args.prune:
-        stats["pruned"] = pruned
-    if args.json:
-        print(json.dumps(stats, indent=2, sort_keys=True))
-        return 0
-    print(f"outcome store: {stats['root']}")
-    print(
-        f"  {stats['entries']} entries, {stats['bytes']} bytes "
-        f"(cap {stats['cap_bytes']})"
-    )
-    for kind, bucket in sorted(stats["by_kind"].items()):
-        print(f"  {kind:>9}: {bucket['entries']} entries, {bucket['bytes']} bytes")
-    if args.prune:
-        print(f"  pruned {pruned} entries")
     return 0
 
 

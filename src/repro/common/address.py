@@ -109,10 +109,6 @@ class AddressMap:
                 f"bank_mapping must be one of {BANK_MAPPINGS}, got "
                 f"{self.bank_mapping!r}"
             )
-        # bank_of_line() sits on the per-persisted-line hot path and is a
-        # pure function of this (frozen) map, so memoize it. Not a field:
-        # it never participates in eq/hash/repr.
-        object.__setattr__(self, "_bank_of_line_memo", {})
 
     # ------------------------------------------------------------------
     # Size-derived properties
@@ -196,19 +192,12 @@ class AddressMap:
 
     def bank_of_line(self, line: int) -> int:
         """Bank serving line ``line`` under the configured interleaving."""
-        memo = self._bank_of_line_memo
-        bank = memo.get(line)
-        if bank is None:
-            if self.bank_mapping == "line":
-                bank = line % self.n_banks
-            elif self.bank_mapping == "contiguous":
-                bank = min(
-                    self.n_banks - 1, (line * CACHE_LINE_SIZE) // self.bank_size
-                )
-            else:  # "page", inlined bank_of_page(page_of_line(line))
-                bank = (line // LINES_PER_PAGE) % self.n_banks
-            memo[line] = bank
-        return bank
+        if self.bank_mapping == "line":
+            return line % self.n_banks
+        if self.bank_mapping == "contiguous":
+            return min(self.n_banks - 1, (line * CACHE_LINE_SIZE) // self.bank_size)
+        # "page", inlined bank_of_page(page_of_line(line))
+        return (line // LINES_PER_PAGE) % self.n_banks
 
     def bank_of_addr(self, addr: int) -> int:
         """Bank serving byte address ``addr``."""

@@ -342,13 +342,6 @@ class SimConfig:
     #: ``tests/sim/test_fidelity.py``). Crash/recovery/Table-1 harnesses
     #: force ``"full"`` because they audit recovered plaintext.
     fidelity: str = "full"
-    #: Directory of the cross-process on-disk outcome store
-    #: (:mod:`repro.sim.outcome_store`); ``None`` disables the disk tier.
-    #: A harness knob, not a model knob: it cannot change simulated
-    #: results (store hits are bit-identical to the compute path) and is
-    #: therefore excluded from journal content digests
-    #: (:func:`repro.experiments.journal.spec_digest`).
-    outcome_store: str | None = None
 
     def __post_init__(self) -> None:
         if not 1 <= self.minor_counter_bits <= 16:

@@ -68,9 +68,6 @@ class CrashController:
         self._seen[point] = 0
         self.fired = False
 
-    def disarm(self) -> None:
-        self._armed_point = None
-
     def probe(self, point: str, detail: str = "") -> None:
         """Called by components at vulnerable points; may raise."""
         self._seen[point] += 1
@@ -125,7 +122,3 @@ class DurableImage:
     def written_data_lines(self, n_data_lines: int) -> List[int]:
         """Sorted data-region line indices with a persistent image."""
         return sorted(line for line in self.nvm if line < n_data_lines)
-
-    def written_counter_lines(self, n_data_lines: int) -> List[int]:
-        """Sorted counter-region line indices with a persistent image."""
-        return sorted(line for line in self.nvm if line >= n_data_lines)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set, Tuple
 
-from repro.common.address import AddressMap, LINES_PER_PAGE
+from repro.common.address import AddressMap
 from repro.common.errors import SimulationError
 from repro.crypto.counters import CounterBlock
 from repro.crypto.otp import LineCipher
@@ -133,10 +133,6 @@ class RecoveredSystem:
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-
-    def raw_line(self, line: int) -> Optional[bytes]:
-        """Persistent (possibly ciphertext) image, None if never written."""
-        return self._nvm.get(line)
 
     def plaintext_of(self, line: int) -> bytes:
         """Decrypted content of ``line``; never-written lines read zero.

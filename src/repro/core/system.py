@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.common.address import AddressMap, CACHE_LINE_SIZE
+from repro.common.address import AddressMap
 from repro.common.config import SimConfig
 from repro.common.errors import SimulationError
 from repro.common.stats import Stats
@@ -130,9 +130,6 @@ class CounterStore:
             )
         else:
             self._blocks[key] = MonolithicCounterBlock.from_bytes(image)
-
-    def known_blocks(self) -> Dict[int, object]:
-        return dict(self._blocks)
 
 
 class SecureMemorySystem:

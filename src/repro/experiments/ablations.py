@@ -23,7 +23,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import List
 
-from repro.core.schemes import Scheme, scheme_config
+from repro.core.schemes import Scheme
 from repro.experiments.common import Scale, experiment_base_config, get_scale
 from repro.experiments.report import render_table
 from repro.experiments.runner import PointSpec, run_points

@@ -18,21 +18,6 @@ differ only in harness state. In execution order:
     The timing-fidelity sweep again with the trace cache warm from the
     previous leg: every trace, op array and hierarchy outcome stream is
     cached, so the leg is the timing replay alone.
-``shared-record``
-    A *cold* fleet member against an (empty) on-disk outcome store
-    (:mod:`repro.sim.outcome_store`): process cache cleared, one
-    SuperMem point per fig13 cell — the recording owner's share of a
-    fleet sweep. Generates every trace, records every hierarchy walk,
-    and writes both to the store. The single-scheme subset isolates the
-    per-(trace, geometry) work the store deduplicates; in the full
-    seven-scheme sweep that work is only 1/7 of the points and the
-    ratio would drown in scheme-replay time both members pay alike.
-``shared-outcomes``
-    The same single-scheme subset, process cache cleared again, store
-    warm: a *second* fleet member. Zero trace generations and zero
-    outcome recordings — every trace and recording loads from the
-    store's binary entries, bit-identically. CI asserts
-    ``shared_vs_record`` >= 1.15 (``tools/check_bench_ratio.py``).
 ``parallel``
     Process fan-out over the production configuration.
 
@@ -40,10 +25,8 @@ The fig-recovery and fig-channels sweeps are not legs: CI runs each as
 its own step, and ``bench/run.py`` times both. Resume is checked by
 CI's resume drill, not timed here.
 
-Every full-sweep leg simulates the exact same results — the
-golden-digest guarantee — so those legs differ only in wall clock; the
-two ``shared-*`` legs run the same single-scheme subset of that grid
-(cold store vs warm store, results bit-identical to each other). Each record follows
+Every leg simulates the exact same results — the golden-digest
+guarantee — so the legs differ only in wall clock. Each record follows
 the schema ``{name, scale, jobs, wall_s, points, runner}`` where
 ``runner`` is the :meth:`~repro.experiments.runner.RunnerReport.to_dict`
 accounting of that leg; the ``speedup`` block reports the headline
@@ -54,10 +37,8 @@ Run via ``python -m repro bench-sweep``.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
-import tempfile
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -94,56 +75,14 @@ def _timed_sweep(
     return wall, len(points), report.to_dict() if report is not None else None
 
 
-def _store_config(scale: str, store_dir: str):
-    """The production config with the on-disk outcome store configured
-    (the ``shared-record``/``shared-outcomes`` legs)."""
-    from repro.experiments.common import experiment_base_config, get_scale
-
-    return dataclasses.replace(
-        experiment_base_config(get_scale(scale)), outcome_store=store_dir
-    )
-
-
-def _timed_store_leg(
-    name: str,
-    scale: str,
-    request_sizes: Sequence[int],
-    store_cfg,
-) -> Tuple[float, int, Optional[Dict[str, object]]]:
-    """One outcome-store leg: the SuperMem point of every fig13 cell.
-
-    Clears the process trace cache first, so the leg pays (cold store)
-    or loads (warm store) every trace and recording — exactly the work
-    a fresh fleet member does for the cells it records on behalf of the
-    fleet. ``store_cfg`` carries ``outcome_store``; the store's state
-    (empty vs populated) is what distinguishes the two legs.
-    """
-    from repro.core.schemes import Scheme
-    from repro.experiments import fig13, runner
-    from repro.sim import trace_cache
-
-    trace_cache.clear()
-    _, point_specs = fig13.specs(
-        scale, request_sizes=tuple(request_sizes), base_config=store_cfg
-    )
-    subset = [spec for spec in point_specs if spec.scheme is Scheme.SUPERMEM]
-    started = time.perf_counter()
-    results = runner.run_points(subset, jobs=1, label=name)
-    wall = time.perf_counter() - started
-    report = runner.last_report()
-    return wall, len(results), report.to_dict() if report is not None else None
-
-
 def run_sweep_benchmark(
     scale: str = "smoke",
     jobs: int = 4,
     request_sizes: Sequence[int] = BENCH_REQUEST_SIZES,
     output: Optional[str] = "BENCH_SWEEP.json",
-    outcome_store: Optional[str] = None,
 ) -> Dict[str, object]:
     """Benchmark the fig13 sweep across the legs described in the module
-    docstring: full/timing fidelity, warm, the outcome store cold and
-    warm, and parallel.
+    docstring: full/timing fidelity, warm, and parallel.
 
     Returns the payload written to ``output`` (pass ``None`` to skip the
     file). Simulated results are identical across the runs — only
@@ -176,59 +115,17 @@ def run_sweep_benchmark(
         )
         return wall
 
-    with tempfile.TemporaryDirectory(prefix="bench-sweep-") as tmp:
-        full_fidelity = record("full-fidelity", 1, fidelity="full")
-        timing_fidelity = record("timing-fidelity", 1)
-        # The same production sweep with every trace and outcome stream
-        # warm: the timing replay alone.
-        record("warm", 1, clear_cache=False)
-        # The cross-process outcome store, on the single-scheme subset
-        # (one SuperMem point per cell — the recording owner's share of
-        # a fleet sweep): a cold member generates, records, and writes
-        # the store...
-        store_dir = outcome_store or os.path.join(tmp, "outcome-store")
-        store_cfg = _store_config(scale, store_dir)
-        shared_record, store_points, store_acct = _timed_store_leg(
-            "shared-record", scale, request_sizes, store_cfg
-        )
-        runs.append(
-            {
-                "name": "shared-record",
-                "scale": scale,
-                "jobs": 1,
-                "wall_s": round(shared_record, 3),
-                "points": store_points,
-                "runner": store_acct,
-            }
-        )
-        # ...then a warm second member: process cache cleared again, so
-        # every trace and recording must come from the store — zero
-        # generations, zero walks, bit-identical results.
-        shared_outcomes, store_points, store_acct = _timed_store_leg(
-            "shared-outcomes", scale, request_sizes, store_cfg
-        )
-        runs.append(
-            {
-                "name": "shared-outcomes",
-                "scale": scale,
-                "jobs": 1,
-                "wall_s": round(shared_outcomes, 3),
-                "points": store_points,
-                "runner": store_acct,
-            }
-        )
-        parallel = record("parallel", jobs)
+    full_fidelity = record("full-fidelity", 1, fidelity="full")
+    timing_fidelity = record("timing-fidelity", 1)
+    # The same production sweep with every trace and outcome stream
+    # warm: the timing replay alone.
+    record("warm", 1, clear_cache=False)
+    parallel = record("parallel", jobs)
 
     payload: Dict[str, object] = {
         "benchmark": "fig13-sweep",
         "runs": runs,
         "speedup": {
-            # A warm fleet member (store hits only) vs a cold one
-            # (generate + record + store writes). CI enforces >= 1.15
-            # (tools/check_bench_ratio.py).
-            "shared_vs_record": (
-                round(shared_record / shared_outcomes, 3) if shared_outcomes else 0.0
-            ),
             # Timing-only fidelity vs the full functional byte path on
             # the same production simulator. CI enforces >= 1.4
             # (tools/check_bench_ratio.py).
@@ -272,7 +169,6 @@ def format_summary(payload: Dict[str, object]) -> str:
     lines.append(
         f"{'speedup':>16}: "
         f"timing-vs-full {speedup['timing_vs_full']}x, "
-        f"shared-store {speedup['shared_vs_record']}x, "
         f"parallel {speedup['parallel_vs_serial']}x "
         f"({payload['host_cpus']} host CPUs)"
     )

@@ -20,9 +20,7 @@ same shapes.
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.common.config import MemoryConfig, SimConfig
 
@@ -100,30 +98,6 @@ def get_scale(name: str) -> Scale:
         raise KeyError(f"unknown scale {name!r}; expected one of {sorted(SCALES)}") from None
 
 
-#: Process default for ``SimConfig.outcome_store``, set by the CLI's
-#: ``--outcome-store`` flag before any experiment builds its base config.
-_default_outcome_store: Optional[str] = None
-
-
-def set_default_outcome_store(path: Optional[str]) -> None:
-    """Set (or clear, with ``None``) the default on-disk outcome store.
-
-    Every :func:`experiment_base_config` built afterwards carries the
-    path in ``SimConfig.outcome_store``, so it reaches each
-    :class:`~repro.experiments.runner.PointSpec` — and through pickling,
-    every parallel worker: a ``--jobs 4`` sweep shares one store
-    fleet-wide. The path is absolutised so worker processes agree on it
-    regardless of working directory.
-    """
-    global _default_outcome_store
-    _default_outcome_store = os.path.abspath(path) if path else None
-
-
-def default_outcome_store() -> Optional[str]:
-    """The process-default outcome-store path, if one is set."""
-    return _default_outcome_store
-
-
 def experiment_base_config(
     scale: Scale,
     write_queue_entries: int = 32,
@@ -133,9 +107,7 @@ def experiment_base_config(
 
     The counter cache defaults to the scale's footprint-proportional size
     (see :class:`Scale`); pass an explicit ``counter_cache_size`` to
-    override (the Figure 17 sweep does). When a default outcome store is
-    set (:func:`set_default_outcome_store`), the returned config carries
-    its path.
+    override (the Figure 17 sweep does).
     """
     if counter_cache_size is None:
         counter_cache_size = scale.counter_cache_size
@@ -144,7 +116,6 @@ def experiment_base_config(
             capacity=scale.capacity,
             write_queue_entries=write_queue_entries,
         ),
-        outcome_store=_default_outcome_store,
     )
     if counter_cache_size != base.counter_cache.size:
         assoc = min(8, max(1, counter_cache_size // 64))

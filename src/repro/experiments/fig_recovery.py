@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
-from repro.common.config import MemoryConfig, SimConfig
 from repro.core.schemes import RECOVERY_SCHEMES, Scheme, recovery_path
 from repro.experiments.common import Scale, experiment_base_config, get_scale
 from repro.experiments.report import render_table

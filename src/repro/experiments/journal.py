@@ -76,17 +76,9 @@ def spec_digest(spec, salt: Optional[str] = None) -> str:
     ``SimConfig`` — is equal, so a journal lookup can never confuse two
     points that would simulate differently.
     """
-    spec_dict = dataclasses.asdict(spec)
-    base_config = spec_dict.get("base_config")
-    if isinstance(base_config, dict):
-        # The outcome-store path is a harness knob: store hits are
-        # bit-identical to the compute path, so runs with and without a
-        # configured store must share digests (and digests must match
-        # journals written before the field existed — no salt bump).
-        base_config.pop("outcome_store", None)
     payload = {
         "salt": salt if salt is not None else digest_salt(),
-        "spec": spec_dict,
+        "spec": dataclasses.asdict(spec),
     }
     canon = json.dumps(payload, sort_keys=True, default=_jsonify)
     return hashlib.sha256(canon.encode()).hexdigest()

@@ -42,12 +42,12 @@ Serial runs share the parent process's cache the same way.
 
 Accounting: the returned :class:`RunnerReport` is the sweep's one
 ledger. Progress is logged to stderr, closed by one accounting line per
-sweep when it resumed, retried, timed out, fell back to serial, dropped
-torn journal lines, or looked anything up in the outcome store; the line
-prints the report's counts. Simulation-time tracers
-(:class:`repro.obs.Tracer`) remain per-run objects and are not supported
-across process boundaries — trace a single point with ``repro simulate
---trace`` instead (see ``docs/PERFORMANCE.md``).
+sweep when it resumed, retried, timed out, fell back to serial, or
+dropped torn journal lines; the line prints the report's counts.
+Simulation-time tracers (:class:`repro.obs.Tracer`) remain per-run
+objects and are not supported across process boundaries — trace a
+single point with ``repro simulate --trace`` instead (see
+``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
@@ -193,10 +193,6 @@ class RunnerReport:
     jobs: int
     n_points: int
     wall_s: float = 0.0
-    #: On-disk outcome-store counter delta (hits/misses by entry kind,
-    #: bytes by direction; see
-    #: :func:`repro.sim.outcome_store.store_stats`), serial runs only.
-    outcome_store: Dict[str, int] = field(default_factory=dict)
     #: Failed attempts that were retried (includes timeouts).
     retries: int = 0
     #: Attempts killed by the per-point wall-clock timeout.
@@ -225,7 +221,6 @@ class RunnerReport:
             "resumed": self.resumed,
             "serial_fallbacks": self.serial_fallbacks,
             "torn_tails": self.torn_tails,
-            "outcome_store": dict(self.outcome_store),
             "failures": [f.to_dict() for f in self.failures],
             "journal": self.journal_path,
         }
@@ -254,11 +249,6 @@ def set_default_policy(policy: RunnerPolicy) -> None:
     """
     global _default_policy
     _default_policy = policy
-
-
-def default_policy() -> RunnerPolicy:
-    """The currently installed default :class:`RunnerPolicy`."""
-    return _default_policy
 
 
 def last_report() -> Optional[RunnerReport]:
@@ -316,19 +306,11 @@ def _log_progress(label: str, done: int, total: int, jobs: int) -> None:
     )
 
 
-#: The :attr:`RunnerReport.outcome_store` lookup counters the accounting
-#: line prints, in print order.
-_STORE_LOOKUPS = ("trace_hits", "trace_misses", "outcome_hits", "outcome_misses")
-
-
 def _log_accounting(report: RunnerReport) -> None:
-    """One stderr line of a sweep's resume, fault and store accounting.
+    """One stderr line of a sweep's resume and fault accounting.
 
     Printed only when the sweep resumed, retried, timed out, fell back
-    to serial, dropped torn journal lines, or looked anything up in the
-    outcome store. The store counts are this process's lookups, so a
-    parallel sweep's workers are not in them (see
-    :attr:`RunnerReport.outcome_store`).
+    to serial, or dropped torn journal lines.
     """
     counts = [
         ("resumed", report.resumed),
@@ -337,9 +319,6 @@ def _log_accounting(report: RunnerReport) -> None:
         ("serial_fallbacks", report.serial_fallbacks),
         ("torn_tails", report.torn_tails),
     ]
-    lookups = [(key, report.outcome_store.get(key, 0)) for key in _STORE_LOOKUPS]
-    if any(count for _, count in lookups):
-        counts += lookups
     if any(count for _, count in counts):
         fields = " ".join(f"{key}={count}" for key, count in counts)
         print(f"[runner] {report.label}: {fields}", file=sys.stderr)
@@ -558,9 +537,6 @@ def _run_serial(
     faults: Optional[FaultPlan],
     on_done: Callable[[int, SimResult], None],
 ) -> None:
-    from repro.sim import trace_cache
-
-    store0 = trace_cache.store_stats()
     for index in indices:
         spec = specs[index]
         last_exc = ("", "")
@@ -592,10 +568,6 @@ def _run_serial(
                     traceback_tail=last_exc[1],
                 )
             )
-    store1 = trace_cache.store_stats()
-    report.outcome_store = {
-        key: store1[key] - store0.get(key, 0) for key in store1
-    }
 
 
 # ----------------------------------------------------------------------

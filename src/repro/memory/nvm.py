@@ -84,10 +84,6 @@ class NVMStore:
         """Store the ECC/MAC check bits of ``line``."""
         self._macs[line] = bytes(mac)
 
-    def get_mac(self, line: int) -> Optional[bytes]:
-        """Check bits of ``line`` (None if never written with a MAC)."""
-        return self._macs.get(line)
-
     def snapshot_macs(self) -> Dict[int, bytes]:
         """Copy of all per-line check bits."""
         return dict(self._macs)

@@ -100,8 +100,7 @@ class TraceArrays:
 #
 # Single-core, the whole L1/L2/L3 walk is recorded: per-op resolved kind,
 # SRAM latency, write-back victims, plus the total cache-stat delta.
-# Resolved kinds (``BK_*``; also the on-disk outcome-store format),
-# ordered so the common cases compare first:
+# Resolved kinds (``BK_*``), ordered so the common cases compare first:
 BK_MEM_HIT = 0  #: load/store, SRAM hit, no memory write-back
 BK_CLWB_DIRTY = 1  #: clwb of a dirty line (persist required)
 BK_MEM_MISS = 2  #: load/store, missed all levels, no write-back

@@ -57,7 +57,6 @@ from repro.sim.batch import (
     PK_L2_HIT,
     PK_L2_HIT_PUSH,
     PK_L3_LOOKUP,
-    PK_L3_LOOKUP_PUSH,
     OutcomeSegment,
 )
 from repro.txn.persist import OP_CLWB, OP_STORE

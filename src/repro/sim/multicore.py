@@ -62,7 +62,6 @@ from repro.sim.trace_cache import (
     store_trace_outcomes,
     trace_arrays,
     trace_outcomes,
-    use_store,
 )
 from repro.txn.persist import OP_CLWB, OP_STORE, TraceOp
 
@@ -238,7 +237,6 @@ def simulate_multiprogrammed(
         raise ConfigError("need at least one program")
 
     cfg = dataclasses.replace(scheme_config(scheme, base_config), fidelity=fidelity)
-    use_store(cfg.outcome_store)
     amap = cfg.address_map()
     if footprint is None:
         footprint = amap.bank_size

@@ -31,7 +31,6 @@ from repro.sim.trace_cache import (
     store_trace_outcomes,
     trace_arrays,
     trace_outcomes,
-    use_store,
     warmup_trace_arrays,
 )
 from repro.txn.persist import TraceOp
@@ -201,9 +200,6 @@ def simulate_workload(
     generates the trace once and replays it under each scheme.
     """
     cfg = dataclasses.replace(scheme_config(scheme, base_config), fidelity=fidelity)
-    # The config is the single source of truth for the disk tier: a run
-    # without a configured store never reads or writes one.
-    use_store(cfg.outcome_store)
     trace = cached_generate_trace(
         workload,
         n_ops=n_ops,

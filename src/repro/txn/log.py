@@ -156,10 +156,6 @@ class LogRegion:
         self._cursor += need
         return addr
 
-    def header_addresses(self) -> range:
-        """Every line-aligned address in the region (scan candidates)."""
-        return range(self.base_addr, self.end_addr, CACHE_LINE_SIZE)
-
 
 def scan_log(
     region: LogRegion,

@@ -5,8 +5,10 @@ import json
 
 from repro.common.stats import Stats
 from repro.core.schemes import Scheme
+from repro.experiments import fig13
 from repro.experiments.common import experiment_base_config, get_scale
 from repro.experiments.journal import (
+    JOURNAL_SALT,
     SweepJournal,
     digest_salt,
     result_from_record,
@@ -65,6 +67,17 @@ class TestSpecDigest:
         spec = _spec()
         assert spec_digest(spec) == spec_digest(spec, salt=digest_salt())
         assert spec_digest(spec) != spec_digest(spec, salt="other-version")
+
+    def test_digest_is_pinned(self):
+        """A digest input that moves silently orphans every ``--resume``
+        journal. A change that moves the digest on purpose re-pins it
+        here and bumps ``JOURNAL_SALT`` in the same change."""
+        _, specs = fig13.specs("smoke", request_sizes=(1024,))
+        assert specs[0].label() == "array/unsec/1024B"
+        assert JOURNAL_SALT == "supermem-journal-v6"
+        assert spec_digest(specs[0], salt="pin") == (
+            "5db68b7e6d7ace5663d0d636364cdc56b2edf54278a299d5c340a538756cdc34"
+        )
 
 
 class TestResultRoundTrip:

@@ -21,7 +21,7 @@ import pytest
 from repro.common.config import SimConfig
 from repro.common.errors import SimulationError
 from repro.core.schemes import EVALUATED_SCHEMES, Scheme, scheme_config
-from repro.sim import outcome_store, trace_cache
+from repro.sim import trace_cache
 from repro.sim.batch import OutcomeSegment, ReplayOutcomes, build_arrays
 from repro.sim.multicore import simulate_multiprogrammed
 from repro.sim.simulator import Simulator, simulate_workload
@@ -149,23 +149,15 @@ class TestCacheCounters:
         assert trace_cache.array_stats() == (1, 1)
         assert trace_cache.outcome_stats() == (1, 1)
 
-    def test_multicore_cell_records_each_core_walk_once(self, tmp_path):
+    def test_multicore_cell_records_each_core_walk_once(self):
         # A seven-scheme Figure 14 cell: the first scheme decodes each
         # core's trace and records its private walk, the other six reuse
-        # both. Private walks stay in process, even with a store active.
-        outcome_store.reset_store_stats()
-        base = SimConfig(outcome_store=str(tmp_path))
-        try:
-            for scheme in EVALUATED_SCHEMES:
-                simulate_multiprogrammed(
-                    "array", scheme, n_programs=2, n_ops=20, request_size=256,
-                    seed=1, base_config=base,
-                )
-        finally:
-            trace_cache.use_store(None)
+        # both.
+        for scheme in EVALUATED_SCHEMES:
+            simulate_multiprogrammed(
+                "array", scheme, n_programs=2, n_ops=20, request_size=256,
+                seed=1,
+            )
         reuses = 2 * (len(EVALUATED_SCHEMES) - 1)
         assert trace_cache.array_stats() == (reuses, 2)
         assert trace_cache.outcome_stats() == (reuses, 2)
-        store = outcome_store.store_stats()
-        assert store["trace_misses"] == 2
-        assert store["outcome_hits"] == store["outcome_misses"] == 0

@@ -71,18 +71,6 @@ def test_ablations_rerun_accounts_every_sweep(tmp_path):
     assert all(fields["retries"] == "0" for fields in lines.values())
 
 
-def test_warm_outcome_store_run_reports_store_hits(tmp_path):
-    """A second process over the same outcome store loads the trace and
-    the recorded cache walk, and says so on its accounting line."""
-    args = ("run", "ablations", "--scale", "smoke", "--output", str(tmp_path / "a.md"))
-    store = ("--outcome-store", str(tmp_path / "store"))
-    cold = _accounting(run_cli(*args, *store).stderr)["ablation:cwc-policy"]
-    assert int(cold["trace_misses"]) >= 1
-    warm = _accounting(run_cli(*args, *store).stderr)["ablation:cwc-policy"]
-    assert int(warm["trace_hits"]) >= 1
-    assert warm["trace_misses"] == warm["outcome_misses"] == "0"
-
-
 def test_output_file(tmp_path):
     out = tmp_path / "t1.md"
     assert main(["run", "table1", "--output", str(out)]) == 0
@@ -220,7 +208,6 @@ def test_simulate_trace_and_report(tmp_path, capsys):
         (["recovery-report", "supermem", "--log-lines", "1"], "got 1"),
         (["recovery-report", "supermem", "--capacity", "1000"], "got 1000"),
         (["recovery-report", "supermem", "--request-size", "0"], "got 0"),
-        (["cache", "{store}", "--cap-mb", "-1"], "got -1"),
     ],
     ids=[
         "trace-report-missing-file",
@@ -230,18 +217,16 @@ def test_simulate_trace_and_report(tmp_path, capsys):
         "recovery-log-lines",
         "recovery-capacity",
         "recovery-zero-request-size",
-        "cache-negative-cap",
     ],
 )
 def test_bad_arguments_exit_with_one_line(argv, needle, tmp_path):
     """A bad argument value ends in a one-line message naming it, not a
-    traceback (and not, for --cap-mb, a silently negative cap)."""
+    traceback."""
     trace = tmp_path / "t.json"
     trace.write_text('{"traceEvents": [{"ph": "I", "ts": 0, "name": "x"}]}')
     paths = {
         "{missing}": str(tmp_path / "missing.json"),
         "{trace}": str(trace),
-        "{store}": str(tmp_path / "store"),
     }
     with pytest.raises(SystemExit) as info:
         main([paths.get(arg, arg) for arg in argv])

@@ -25,10 +25,10 @@ silently:
   must equal the names a traced run and a priced recovery emit there;
 * every field of every configuration dataclass (``SimConfig`` and its
   sub-configs) must be named in backticks in ``docs/CONFIG.md`` — a new
-  knob (``fidelity``, ``outcome_store``, ...) cannot land undocumented,
-  and every backticked name in the first column of a CONFIG.md field
-  table must be a field of its dataclass, so a deleted knob cannot
-  linger in the docs;
+  knob (``fidelity``, ...) cannot land undocumented, and every
+  backticked name in the first column of a CONFIG.md field table must
+  be a field of its dataclass, so a deleted knob cannot linger in the
+  docs;
 * every CI-ratcheted bench-sweep ratio (``tools/check_bench_ratio.py``
   FLOORS) and every benchmark leg name must appear in
   ``docs/PERFORMANCE.md`` — a new ratchet or leg cannot land without its
@@ -289,7 +289,7 @@ class TestPerformanceDoc:
         trajectory, so an undocumented ratchet is drift by definition."""
         module = self._ratchet_module()
         keys = sorted(module.FLOORS)
-        assert len(keys) >= 2, keys
+        assert len(keys) >= 1, keys
         missing = [key for key in keys if f"`{key}`" not in perf_text]
         assert not missing, (
             f"ratcheted ratios undocumented in docs/PERFORMANCE.md: {missing}"

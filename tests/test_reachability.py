@@ -11,9 +11,15 @@ import fails here.
 The walk is static (AST only, nothing is imported). Importing
 ``a.b.c`` also runs the ``__init__`` of ``a`` and ``a.b``, so a reached
 module marks its parent packages reached too.
+
+Because the walk follows import statements, an import nothing uses
+could keep a dead module "reached". A second guard therefore fails on
+any name a module imports and never uses (package ``__init__`` files
+are exempt: they import to re-export).
 """
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -65,3 +71,44 @@ def test_every_module_is_reached_from_the_cli():
         f"modules no CLI command or experiment imports: {unreached} — "
         "wire each into a command or delete it"
     )
+
+
+def _unused_imports(path: Path):
+    """``(line, name)`` of every name ``path`` imports and never uses.
+
+    Every import statement counts, function-level ones included. A name
+    is used if some ``ast.Name`` has it as its id or a string annotation
+    mentions it.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = []
+    used = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound.append((node.lineno, alias.asname or alias.name.split(".")[0]))
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound.append((node.lineno, alias.asname or alias.name))
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+    for annotation in annotations:
+        for sub in ast.walk(annotation):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                used.update(re.findall(r"[A-Za-z_]\w*", sub.value))
+    return [(line, name) for line, name in bound if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = [
+        f"{path.relative_to(SRC)}:{line} {name}"
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        if path.name != "__init__.py"
+        for line, name in _unused_imports(path)
+    ]
+    assert not unused, f"unused imports (delete them): {unused}"

@@ -64,10 +64,10 @@ class TestFindRegressions:
         assert mod.find_regressions(history, _record(timing_vs_full=0.1)) == []
 
     def test_drop_in_higher_is_better_ratio_is_flagged(self, mod):
-        history = [_record(shared_vs_record=4.0) for _ in range(3)]
-        flags = mod.find_regressions(history, _record(shared_vs_record=2.0))
+        history = [_record(parallel_vs_serial=4.0) for _ in range(3)]
+        flags = mod.find_regressions(history, _record(parallel_vs_serial=2.0))
         assert len(flags) == 1
-        assert "shared_vs_record" in flags[0]
+        assert "parallel_vs_serial" in flags[0]
         assert "below" in flags[0]
 
     def test_rise_in_overhead_ratio_is_flagged(self, mod):
@@ -78,8 +78,8 @@ class TestFindRegressions:
         assert "above" in flags[0]
 
     def test_good_directions_are_not_flagged(self, mod):
-        history = [_record(shared_vs_record=4.0, probe_overhead=1.0)] * 3
-        current = _record(shared_vs_record=8.0, probe_overhead=0.5)
+        history = [_record(parallel_vs_serial=4.0, probe_overhead=1.0)] * 3
+        current = _record(parallel_vs_serial=8.0, probe_overhead=0.5)
         assert mod.find_regressions(history, current) == []
 
     def test_within_tolerance_is_not_flagged(self, mod):

@@ -8,16 +8,12 @@ machine, so the check is robust to absolute runner speed (hosted CI
 machines vary a lot) while still catching a real regression in the
 harness state each pair isolates.
 
-Current floors:
+Current floor:
 
 * ``timing_vs_full >= 1.4`` — the timing-fidelity sweep must stay at
   least 1.4x faster than the same sweep at full fidelity (measured
   ~1.87x on a 2-CPU host at introduction): functional byte work must
   stay off the timing-only path.
-* ``shared_vs_record >= 1.15`` — a warm fleet member reading every trace
-  and recording from the on-disk outcome store (the ``shared-outcomes``
-  leg) must stay at least 1.15x faster than a cold member that
-  generates, records, and writes the store (``shared-record``).
 
 Usage::
 
@@ -32,7 +28,6 @@ import sys
 #: speedup-key -> minimum acceptable ratio.
 FLOORS = {
     "timing_vs_full": 1.4,
-    "shared_vs_record": 1.15,
 }
 
 
