@@ -28,7 +28,6 @@ def _run_experiment(
     json_path: str | None = None,
     jobs: int = 1,
     journal: str | None = None,
-    fidelity: str = "timing",
 ) -> str:
     """Run one experiment by name; returns rendered markdown.
 
@@ -38,11 +37,6 @@ def _run_experiment(
     (results are bit-identical to serial; see docs/PERFORMANCE.md).
     ``journal`` enables ``--resume``: completed sweep points are appended
     to that JSONL file and skipped on a re-run (see docs/CLI.md).
-    ``fidelity`` selects the simulation fidelity for the fig13-17 sweep
-    grids ("timing" or "full"; identical results either way — see
-    docs/PERFORMANCE.md). Crash/recovery experiments (table1,
-    fig-recovery, related) inspect recovered bytes and always run at
-    full fidelity regardless of this flag.
     """
     from repro.experiments import (
         ablations,
@@ -71,22 +65,22 @@ def _run_experiment(
             related_work.run_recovery(),
         )
     elif name == "fig13":
-        points = fig13.run(scale, jobs=jobs, journal=journal, fidelity=fidelity)
+        points = fig13.run(scale, jobs=jobs, journal=journal)
         rendered = fig13.render(points)
     elif name == "fig14":
-        points = fig14.run(scale, jobs=jobs, journal=journal, fidelity=fidelity)
+        points = fig14.run(scale, jobs=jobs, journal=journal)
         rendered = fig14.render(points)
     elif name == "fig15":
-        points = fig15.run(scale, jobs=jobs, journal=journal, fidelity=fidelity)
+        points = fig15.run(scale, jobs=jobs, journal=journal)
         rendered = fig15.render(points)
     elif name == "fig16":
-        points = fig16.run(scale, jobs=jobs, journal=journal, fidelity=fidelity)
+        points = fig16.run(scale, jobs=jobs, journal=journal)
         rendered = fig16.render(points)
     elif name == "fig17":
-        points = fig17.run(scale, jobs=jobs, journal=journal, fidelity=fidelity)
+        points = fig17.run(scale, jobs=jobs, journal=journal)
         rendered = fig17.render(points)
     elif name == "fig-channels":
-        points = fig_channels.run(scale, jobs=jobs, journal=journal, fidelity=fidelity)
+        points = fig_channels.run(scale, jobs=jobs, journal=journal)
         rendered = fig_channels.render(points)
     elif name == "fig-recovery":
         points = fig_recovery.run(scale, jobs=jobs, journal=journal)
@@ -185,43 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
         "wall-clock budget (default: no timeout)",
     )
     run_parser.add_argument(
-        "--fidelity",
-        choices=("timing", "full"),
-        default="timing",
-        help="simulation fidelity for sweep experiments: 'timing' (default) "
-        "skips functional byte-level crypto/NVM payloads for speed; 'full' "
-        "carries payloads end to end — results are bit-identical either way "
-        "(crash/recovery experiments always run full)",
-    )
-    run_parser.add_argument(
         "--retries",
         type=int,
         default=3,
         metavar="N",
         help="total execution attempts per sweep point before it is "
         "reported as failed (default 3; 1 disables retry)",
-    )
-
-    bench_parser = sub.add_parser(
-        "bench-sweep",
-        help="time the fig13 sweep across harness states and --jobs (BENCH_SWEEP.json)",
-    )
-    bench_parser.add_argument(
-        "--scale",
-        choices=("smoke", "default", "full"),
-        default="smoke",
-        help="run size preset (default: smoke)",
-    )
-    bench_parser.add_argument(
-        "--jobs",
-        default="4",
-        metavar="N",
-        help="worker processes for the parallel leg ('auto' = CPU count; default 4)",
-    )
-    bench_parser.add_argument(
-        "--output",
-        default="BENCH_SWEEP.json",
-        help="JSON output path (default: BENCH_SWEEP.json)",
     )
 
     sim_parser = sub.add_parser("simulate", help="simulate one workload/scheme point")
@@ -233,13 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim_parser.add_argument("--request-size", type=int, default=1024)
     sim_parser.add_argument("--footprint", type=int, default=4 << 20)
     sim_parser.add_argument("--seed", type=int, default=1)
-    sim_parser.add_argument(
-        "--fidelity",
-        choices=("timing", "full"),
-        default="timing",
-        help="'timing' (default) skips functional byte work; 'full' runs "
-        "the byte-level crypto path — identical timing/stats either way",
-    )
     sim_parser.add_argument(
         "--profile", action="store_true", help="print the bank/WQ profile"
     )
@@ -322,8 +278,6 @@ def main(argv=None) -> int:
         return _cmd_trace_report(args)
     if args.command == "recovery-report":
         return _cmd_recovery_report(args)
-    if args.command == "bench-sweep":
-        return _cmd_bench_sweep(args)
     if args.command == "list":
         for name in EXPERIMENTS:
             print(f"{name:10s} {_DESCRIPTIONS[name]}")
@@ -347,7 +301,6 @@ def main(argv=None) -> int:
                 json_path=json_path,
                 jobs=jobs,
                 journal=args.resume,
-                fidelity=args.fidelity,
             )
         )
         print(
@@ -391,24 +344,6 @@ def _parse_jobs(value: str) -> int:
     return jobs
 
 
-def _cmd_bench_sweep(args) -> int:
-    from repro.experiments.bench import format_summary, run_sweep_benchmark
-
-    jobs = _parse_jobs(args.jobs)
-    print(
-        f"[repro] benchmarking fig13 sweep (scale={args.scale}, jobs={jobs})...",
-        file=sys.stderr,
-    )
-    payload = run_sweep_benchmark(
-        scale=args.scale,
-        jobs=jobs,
-        output=args.output,
-    )
-    print(format_summary(payload))
-    print(f"[repro] wrote {args.output}", file=sys.stderr)
-    return 0
-
-
 def _cmd_simulate(args) -> int:
     import json
 
@@ -441,7 +376,6 @@ def _cmd_simulate(args) -> int:
             footprint=args.footprint,
             seed=args.seed,
             tracer=tracer,
-            fidelity=args.fidelity,
         )
     except ConfigError as exc:
         raise SystemExit(str(exc))

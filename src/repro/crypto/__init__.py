@@ -2,13 +2,9 @@
 
 This package implements the cryptographic substrate of SuperMem:
 
-* :mod:`repro.crypto.aes` — a self-contained AES-128 block cipher
-  (FIPS-197), used as the reference one-time-pad generator;
-* :mod:`repro.crypto.engine` — pluggable pad engines. The default for
-  simulation is a SHA-256 PRF engine, which preserves the property counter
-  mode needs (a unique pseudorandom pad per ``(key, line address, counter)``)
-  at a small fraction of pure-Python AES's cost. The AES engine validates
-  the same plumbing in tests;
+* :mod:`repro.crypto.engine` — the pad engine: a SHA-256 PRF standing in
+  for the paper's AES pipeline, which preserves the property counter mode
+  needs (a unique pseudorandom pad per ``(key, line address, counter)``);
 * :mod:`repro.crypto.counters` — the split-counter layout: one 64-bit major
   counter per 4 KB page plus 64 seven-bit minor counters, all packed in one
   64 B memory line (paper Figure 9);
@@ -16,18 +12,13 @@ This package implements the cryptographic substrate of SuperMem:
   (paper Figure 3).
 """
 
-from repro.crypto.aes import AES128
 from repro.crypto.counters import CounterBlock, MINOR_COUNTER_MAX
-from repro.crypto.engine import AESPadEngine, PadEngine, PRFPadEngine, make_engine
+from repro.crypto.engine import PRFPadEngine
 from repro.crypto.otp import LineCipher
 
 __all__ = [
-    "AES128",
     "CounterBlock",
     "MINOR_COUNTER_MAX",
-    "AESPadEngine",
-    "PadEngine",
     "PRFPadEngine",
-    "make_engine",
     "LineCipher",
 ]

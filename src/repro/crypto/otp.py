@@ -1,8 +1,8 @@
 """Line-level counter-mode encryption (paper Figure 3).
 
 A :class:`LineCipher` encrypts and decrypts whole 64 B memory lines by
-XOR with a one-time pad derived from ``(key, line address, counter)`` by a
-:class:`~repro.crypto.engine.PadEngine`. Encryption and decryption are the
+XOR with a one-time pad derived from ``(key, line address, counter)`` by
+:class:`~repro.crypto.engine.PRFPadEngine`. Encryption and decryption are the
 same XOR, as in any stream construction; what distinguishes them in the
 memory system is *which* counter value is used — the caller must bump the
 counter before encrypting a new write and must use the stored counter when
@@ -17,11 +17,11 @@ split-counter bump/overflow logic never reuses a pad.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Set, Tuple
 
 from repro.common.address import CACHE_LINE_SIZE
 from repro.common.errors import SecurityError
-from repro.crypto.engine import PadEngine, make_engine
+from repro.crypto.engine import PRFPadEngine
 
 
 def xor_bytes(data: bytes, pad: bytes) -> bytes:
@@ -44,13 +44,8 @@ class LineCipher:
 
     Parameters
     ----------
-    engine:
-        Pad generator; defaults to the fast PRF engine with ``key``.
     key:
-        Key handed to :func:`~repro.crypto.engine.make_engine` when no
-        engine instance is supplied.
-    engine_kind:
-        ``"prf"`` (default) or ``"aes"``.
+        Secret key of the :class:`~repro.crypto.engine.PRFPadEngine`.
     track_pad_reuse:
         When True, every encryption records its ``(address, counter)`` pair
         and a repeat raises :class:`SecurityError`.
@@ -59,15 +54,9 @@ class LineCipher:
     def __init__(
         self,
         key: bytes = b"supermem-default-key",
-        engine: Optional[PadEngine] = None,
-        engine_kind: str = "prf",
         track_pad_reuse: bool = False,
     ):
-        if engine is None:
-            if engine_kind == "aes":
-                key = (key * 16)[:16]
-            engine = make_engine(engine_kind, key)
-        self._engine = engine
+        self._engine = PRFPadEngine(key)
         self._track = track_pad_reuse
         self._used_pads: Set[Tuple[int, int]] = set()
 
@@ -99,8 +88,8 @@ class LineCipher:
 
         Recovery scans decrypt whole pages (or the full written image) in
         one pass; batching routes all pad derivations through
-        :meth:`PadEngine.pads`, which binds the hash primitive once instead
-        of per-line.
+        :meth:`PRFPadEngine.pads`, which binds the hash primitive once
+        instead of per-line.
         """
         triples = list(items)
         for _, _, ciphertext in triples:

@@ -37,7 +37,6 @@ class Fig13Point:
 def specs(
     scale: str | Scale = "default",
     request_sizes=REQUEST_SIZES,
-    fidelity: str = "timing",
     base_config=None,
 ) -> tuple:
     """The Figure 13 grid as ``(cells, point_specs)``.
@@ -61,7 +60,6 @@ def specs(
             footprint=scale.footprint,
             base_config=base,
             seed=1,
-            fidelity=fidelity,
         )
         for (workload, size) in cells
         for scheme in EVALUATED_SCHEMES
@@ -74,15 +72,12 @@ def run(
     request_sizes=REQUEST_SIZES,
     jobs: int = 1,
     journal: str | None = None,
-    fidelity: str = "timing",
     base_config=None,
 ) -> List[Fig13Point]:
     """Run the full Figure 13 sweep; returns one point per cell.
 
-    ``fidelity`` selects the simulation fidelity for every point
-    (``"timing"`` — the default, functional byte work skipped — or
-    ``"full"``); both produce bit-identical results. ``base_config``
-    overrides the scale's default :class:`SimConfig`.
+    Every point runs at timing fidelity, the simulators' default.
+    ``base_config`` overrides the scale's default :class:`SimConfig`.
     """
     if EVALUATED_SCHEMES[0] is not Scheme.UNSEC:
         # The first scheme of each cell is the normalization baseline; a
@@ -95,7 +90,6 @@ def run(
     cells, point_specs = specs(
         scale,
         request_sizes=request_sizes,
-        fidelity=fidelity,
         base_config=base_config,
     )
     results = iter(run_points(point_specs, jobs=jobs, label="fig13", journal=journal))

@@ -38,7 +38,6 @@ def run(
     request_size: int = 1024,
     jobs: int = 1,
     journal: str | None = None,
-    fidelity: str = "timing",
 ) -> List[Fig14Point]:
     scale = get_scale(scale) if isinstance(scale, str) else scale
     base = experiment_base_config(scale)
@@ -56,7 +55,6 @@ def run(
             footprint=None,
             base_config=base,
             seed=1,
-            fidelity=fidelity,
             n_programs=n_programs,
         )
         for (workload, n_programs) in cells

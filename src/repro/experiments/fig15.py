@@ -34,7 +34,6 @@ def run(
     request_sizes=REQUEST_SIZES,
     jobs: int = 1,
     journal: str | None = None,
-    fidelity: str = "timing",
 ) -> List[Fig15Point]:
     scale = get_scale(scale) if isinstance(scale, str) else scale
     base = experiment_base_config(scale)
@@ -48,7 +47,6 @@ def run(
             footprint=scale.footprint,
             base_config=base,
             seed=1,
-            fidelity=fidelity,
         )
         for (workload, size) in cells
         for scheme in EVALUATED_SCHEMES

@@ -35,7 +35,6 @@ def run(
     request_size: int = 1024,
     jobs: int = 1,
     journal: str | None = None,
-    fidelity: str = "timing",
 ) -> List[Fig16Point]:
     scale = get_scale(scale) if isinstance(scale, str) else scale
     cells = [
@@ -52,7 +51,6 @@ def run(
             footprint=scale.footprint,
             base_config=experiment_base_config(scale, write_queue_entries=entries),
             seed=1,
-            fidelity=fidelity,
         )
         for (workload, entries) in cells
         for scheme in (Scheme.WT_BASE, Scheme.SUPERMEM)

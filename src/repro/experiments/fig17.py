@@ -37,7 +37,6 @@ def run(
     request_size: int = 1024,
     jobs: int = 1,
     journal: str | None = None,
-    fidelity: str = "timing",
 ) -> List[Fig17Point]:
     scale = get_scale(scale) if isinstance(scale, str) else scale
     cells = [(workload, size) for workload in WORKLOAD_NAMES for size in cache_sizes]
@@ -53,7 +52,6 @@ def run(
             footprint=scale.footprint,
             base_config=experiment_base_config(scale, counter_cache_size=size),
             seed=1,
-            fidelity=fidelity,
             warmup_ops=scale.n_ops,
         )
         for (workload, size) in cells

@@ -60,7 +60,6 @@ def run(
     request_size: int = 1024,
     jobs: int = 1,
     journal: Optional[str] = None,
-    fidelity: str = "timing",
 ) -> List[FigChannelsPoint]:
     """Execute the sweep through the supervised runner pool."""
     scale = get_scale(scale) if isinstance(scale, str) else scale
@@ -82,7 +81,6 @@ def run(
                 memory=dataclasses.replace(base.memory, n_channels=n_channels),
             ),
             seed=1,
-            fidelity=fidelity,
         )
         for (workload, n_channels) in cells
         for scheme in SCHEMES

@@ -53,7 +53,9 @@ from repro.sim.metrics import SimResult
 #: results are bit-identical, the asdict() shape changed.
 #: v6: runs with a warm-up record ``wq.carried_in`` for write
 #: conservation; a v5 record of such a run lacks it and fails validation.
-JOURNAL_SALT = "supermem-journal-v6"
+#: v7: PointSpec lost ``fidelity`` (sweeps always run at timing
+#: fidelity); results are bit-identical, the asdict() shape changed.
+JOURNAL_SALT = "supermem-journal-v7"
 
 
 def _jsonify(obj: object) -> object:

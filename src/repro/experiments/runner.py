@@ -4,7 +4,9 @@ Every experiment in the suite is an embarrassingly parallel grid of
 independent simulation points — fig13 alone is 5 workloads x 3 sizes x 7
 schemes = 105 serial runs. This module turns such grids into lists of
 picklable :class:`PointSpec` records and executes them either in-process
-(``jobs=1``, the default) or across a pool of worker processes.
+(``jobs=1``, the default) or across a pool of worker processes. Every
+point runs at timing fidelity, the simulators' default, except that the
+recovery kernel forces full fidelity because it audits recovered bytes.
 
 Determinism: results are keyed by spec position, never by completion
 order — ``run_points`` returns ``results[i]`` for ``specs[i]`` regardless
@@ -94,7 +96,8 @@ class PointSpec:
     ``n_programs`` selects the kernel: ``None`` runs the single-core
     :func:`~repro.sim.simulator.simulate_workload`; an integer runs the
     multi-programmed :func:`~repro.sim.multicore.simulate_multiprogrammed`
-    with that many copies of ``workload``.
+    with that many copies of ``workload``. A spec names no fidelity: both
+    kernels run at timing fidelity, which gives the same results as full.
     """
 
     workload: str
@@ -116,11 +119,6 @@ class PointSpec:
     #: Kernel-specific knobs as a tuple of ``(key, value)`` pairs — kept
     #: hashable and picklable so specs stay frozen and journal-digestable.
     kernel_params: Tuple[Tuple[str, object], ...] = ()
-    #: Simulation fidelity: ``"timing"`` (default — skip functional byte
-    #: work, identical timing/stats) or ``"full"``. Ignored by the
-    #: recovery kernel, which always runs full fidelity. Part of the spec
-    #: so the journal digest distinguishes the two modes.
-    fidelity: str = "timing"
 
     def label(self) -> str:
         """Short human label for progress/failure reporting."""
@@ -209,22 +207,6 @@ class RunnerReport:
     #: Journal file completed points were appended to, if any.
     journal_path: Optional[str] = None
 
-    def to_dict(self) -> Dict[str, object]:
-        """Machine-readable accounting (surfaced by ``bench-sweep``)."""
-        return {
-            "label": self.label,
-            "jobs": self.jobs,
-            "n_points": self.n_points,
-            "wall_s": round(self.wall_s, 3),
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "resumed": self.resumed,
-            "serial_fallbacks": self.serial_fallbacks,
-            "torn_tails": self.torn_tails,
-            "failures": [f.to_dict() for f in self.failures],
-            "journal": self.journal_path,
-        }
-
 
 #: Called after each completed point with (done, total).
 ProgressFn = Callable[[int, int], None]
@@ -235,11 +217,6 @@ _CORRUPT_SENTINEL = "<corrupt-result>"
 
 _default_policy = RunnerPolicy()
 
-#: The report of the most recent run_points_report call in this process.
-#: ``bench-sweep`` reads it after driving an experiment whose public API
-#: returns only points (fig13.run and friends).
-_last_report: Optional[RunnerReport] = None
-
 
 def set_default_policy(policy: RunnerPolicy) -> None:
     """Install the policy used when ``run_points`` gets ``policy=None``.
@@ -249,11 +226,6 @@ def set_default_policy(policy: RunnerPolicy) -> None:
     """
     global _default_policy
     _default_policy = policy
-
-
-def last_report() -> Optional[RunnerReport]:
-    """The :class:`RunnerReport` of the most recent sweep, if any."""
-    return _last_report
 
 
 def _run_point(spec: PointSpec) -> SimResult:
@@ -276,7 +248,6 @@ def _run_point(spec: PointSpec) -> SimResult:
             footprint=spec.footprint,
             base_config=spec.base_config,
             seed=spec.seed,
-            fidelity=spec.fidelity,
         )
     from repro.sim.simulator import simulate_workload
 
@@ -290,7 +261,6 @@ def _run_point(spec: PointSpec) -> SimResult:
         seed=spec.seed,
         warmup_ops=spec.warmup_ops,
         counter_organization=spec.counter_organization,
-        fidelity=spec.fidelity,
     )
 
 
@@ -421,7 +391,6 @@ def run_points_report(
     defaults to the ``REPRO_FAULT`` environment plan (see
     :mod:`repro.experiments.faults`).
     """
-    global _last_report
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     policy = policy if policy is not None else _default_policy
@@ -497,7 +466,6 @@ def run_points_report(
 
     report.wall_s = time.perf_counter() - started
     _log_accounting(report)
-    _last_report = report
     return results, report
 
 

@@ -1,17 +1,16 @@
-"""Tests for the pluggable pad engines."""
+"""Tests for the PRF pad engine."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.address import CACHE_LINE_SIZE
 from repro.common.errors import ConfigError
-from repro.crypto.engine import AESPadEngine, PRFPadEngine, make_engine
+from repro.crypto.engine import PRFPadEngine
 
 
-@pytest.fixture(params=["prf", "aes"])
+@pytest.fixture(params=["prf"])
 def engine(request):
-    key = b"0123456789abcdef" if request.param == "aes" else b"prf-key"
-    return make_engine(request.param, key)
+    return PRFPadEngine(b"prf-key")
 
 
 def test_pad_length(engine):
@@ -41,16 +40,6 @@ def test_pads_batch_matches_individual(engine):
     assert engine.pads(pairs) == [engine.pad(*pair) for pair in pairs]
 
 
-def test_make_engine_rejects_unknown():
-    with pytest.raises(ConfigError):
-        make_engine("rot13", b"key")
-
-
-def test_aes_engine_needs_16_byte_key():
-    with pytest.raises(ConfigError):
-        AESPadEngine(b"short")
-
-
 def test_prf_engine_needs_nonempty_key():
     with pytest.raises(ConfigError):
         PRFPadEngine(b"")
@@ -63,23 +52,10 @@ def test_engines_produce_independent_streams():
     assert a != b
 
 
-def test_aes_and_prf_engines_disagree():
-    """AES and PRF are different constructions — guard against one
-    silently delegating to the other."""
-    key = bytes(range(16))
-    assert AESPadEngine(key).pad(5, 5) != PRFPadEngine(key).pad(5, 5)
-
-
 def test_large_counter_values_supported():
     engine = PRFPadEngine(b"key")
     big = (1 << 62) + 3
     assert engine.pad(0, big) != engine.pad(0, big - 1)
-
-
-def test_aes_engine_counter_wraps_at_56_bits():
-    """The AES seed packs a 56-bit counter; values beyond that alias."""
-    engine = AESPadEngine(b"0123456789abcdef")
-    assert engine.pad(0, 1 << 56) == engine.pad(0, 0)
 
 
 @settings(max_examples=50, deadline=None)

@@ -74,9 +74,9 @@ class TestSpecDigest:
         here and bumps ``JOURNAL_SALT`` in the same change."""
         _, specs = fig13.specs("smoke", request_sizes=(1024,))
         assert specs[0].label() == "array/unsec/1024B"
-        assert JOURNAL_SALT == "supermem-journal-v6"
+        assert JOURNAL_SALT == "supermem-journal-v7"
         assert spec_digest(specs[0], salt="pin") == (
-            "5db68b7e6d7ace5663d0d636364cdc56b2edf54278a299d5c340a538756cdc34"
+            "360413c94349a5b8def28626ac27048bacb7ee52547703cb9740cc46951048c9"
         )
 
 

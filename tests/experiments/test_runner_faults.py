@@ -24,7 +24,6 @@ from repro.experiments.runner import (
     PointFailure,
     PointSpec,
     RunnerPolicy,
-    RunnerReport,
     run_points,
     run_points_report,
 )
@@ -188,7 +187,6 @@ class TestJournalResume:
         _assert_identical(first, resumed)
         assert report.resumed == 2
         assert report.torn_tails == 1
-        assert report.to_dict()["torn_tails"] == 1
         (line,) = [
             line
             for line in capsys.readouterr().err.splitlines()
@@ -214,18 +212,3 @@ class TestJournalResume:
         results, report = run_points_report(specs, jobs=1, journal=path)
         assert report.resumed == len(specs) - 1 and not report.failures
         _assert_identical(run_points(specs, jobs=1), results)
-
-
-class TestReportSurface:
-    def test_to_dict_round_trips_through_json(self):
-        import json
-
-        report = RunnerReport(label="x", jobs=2, n_points=1)
-        report.failures.append(
-            PointFailure(
-                index=0, digest="d", label="l", attempts=2, exc_type="E"
-            )
-        )
-        payload = json.loads(json.dumps(report.to_dict()))
-        assert payload["failures"][0]["attempts"] == 2
-        assert payload["jobs"] == 2

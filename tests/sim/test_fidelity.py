@@ -9,8 +9,12 @@ results are bit-for-bit the same, only cheaper. These tests pin that:
   counter agree between ``full`` and ``timing`` across schemes and
   workloads (including the ``array`` workload, whose op stream once
   diverged between the modes — see ``ArrayWorkload.run_op``);
-* sweep-level: the fig13 smoke golden digest is the same under both
-  fidelities, and equals the pinned constant in test_runner.py;
+* sweep-level: the fig13 smoke sweep (always timing fidelity) keeps the
+  golden digest pinned in test_runner.py, and every point of its grid
+  simulates identically at full fidelity;
+* no byte work: at timing fidelity no pad, counter-block image, tree
+  leaf or MAC is built, and no replayed trace carries a payload, for
+  every scheme on both the single-core and the multi-programmed kernel;
 * config plumbing: ``functional`` is derived from ``fidelity`` alone,
   so replacing a timing config's fidelity with ``"full"`` restores the
   functional byte path.
@@ -23,10 +27,16 @@ import pytest
 from repro.common.config import SimConfig
 from repro.common.errors import ConfigError
 from repro.core.schemes import Scheme
-from repro.core.system import SecureMemorySystem
+from repro.core.system import CounterStore, SecureMemorySystem
+from repro.crypto.engine import PRFPadEngine
+from repro.crypto.integrity import MerkleCounterTree
 from repro.experiments import fig13
 from repro.experiments.common import experiment_base_config, get_scale
+from repro.memory.nvm import NVMStore
+from repro.sim import multicore, simulator
+from repro.sim.multicore import simulate_multiprogrammed
 from repro.sim.simulator import simulate_workload
+from repro.sim.trace_cache import trace_arrays
 
 from tests.experiments.test_runner import FIG13_SMOKE_1KB_DIGEST, _digest
 
@@ -88,10 +98,71 @@ class TestPointEquivalence:
         assert full.stats.snapshot() == timing.stats.snapshot()
 
 
+def _simulate_spec(spec, fidelity: str):
+    return simulate_workload(
+        spec.workload,
+        spec.scheme,
+        n_ops=spec.n_ops,
+        request_size=spec.request_size,
+        footprint=spec.footprint,
+        base_config=spec.base_config,
+        seed=spec.seed,
+        warmup_ops=spec.warmup_ops,
+        counter_organization=spec.counter_organization,
+        fidelity=fidelity,
+    )
+
+
 class TestSweepDigest:
     @pytest.mark.slow
     def test_fig13_smoke_digest_identical_across_fidelities(self):
-        timing = fig13.run("smoke", request_sizes=(1024,), fidelity="timing")
-        full = fig13.run("smoke", request_sizes=(1024,), fidelity="full")
-        assert _digest(timing) == FIG13_SMOKE_1KB_DIGEST
-        assert _digest(full) == FIG13_SMOKE_1KB_DIGEST
+        points = fig13.run("smoke", request_sizes=(1024,))
+        assert _digest(points) == FIG13_SMOKE_1KB_DIGEST
+        _, specs = fig13.specs("smoke", request_sizes=(1024,))
+        for spec in specs:
+            full = _simulate_spec(spec, "full")
+            timing = _simulate_spec(spec, "timing")
+            assert full.total_time_ns == timing.total_time_ns, spec.label()
+            assert full.txn_latencies == timing.txn_latencies, spec.label()
+            assert full.stats.snapshot() == timing.stats.snapshot(), spec.label()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("timing fidelity did functional byte work")
+
+
+class TestTimingDoesNoByteWork:
+    """Timing fidelity charges the crypto and metadata latencies without
+    building a pad, a counter-block image, a tree leaf or a MAC."""
+
+    @pytest.fixture
+    def replayed(self, monkeypatch):
+        """Make every byte-work entry point raise; collect the traces
+        the kernels replay."""
+        for owner, name in (
+            (PRFPadEngine, "pad"),
+            (PRFPadEngine, "pads"),
+            (CounterStore, "serialize_block"),
+            (MerkleCounterTree, "update_leaf"),
+            (NVMStore, "set_mac"),
+        ):
+            monkeypatch.setattr(owner, name, _refuse)
+        traces = []
+        for module in (simulator, multicore):
+
+            def capture(*args, _generate=module.cached_generate_trace, **kwargs):
+                trace = _generate(*args, **kwargs)
+                traces.append(trace)
+                return trace
+
+            monkeypatch.setattr(module, "cached_generate_trace", capture)
+        return traces
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_default_points_complete(self, scheme, replayed):
+        simulate_workload("hashtable", scheme, n_ops=40)
+        simulate_multiprogrammed("hashtable", scheme, n_programs=2, n_ops=20)
+        assert len(replayed) == 3
+        for trace in replayed:
+            assert all(len(op) < 3 or op[2] is None for op in trace.ops)
+            assert trace_arrays(trace).payloads is None
