@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.common.config import SimConfig
 from repro.common.errors import CrashInjected
@@ -105,19 +105,6 @@ class DurableImage:
     #: in a small NVRAM/fuse cell across power loss; recovery rebuilds
     #: the tree from the persisted counter region and must reproduce it.
     tree_root: Optional[bytes] = None
-    #: Cost-accounting hook: called with the line index on every
-    #: :meth:`line` access. The recovery-cost model installs a
-    #: :class:`~repro.core.recovery_cost.RecoveryMeter` charge here so
-    #: every recovery-path read of the durable image is billed a
-    #: PCM-latency-model bank read. Excluded from equality (two images
-    #: with the same durable contents are the same image).
-    on_read: Optional[Callable[[int], None]] = field(default=None, compare=False)
-
-    def line(self, line_index: int) -> Optional[bytes]:
-        """Persistent image of one line, or None if never written."""
-        if self.on_read is not None:
-            self.on_read(line_index)
-        return self.nvm.get(line_index)
 
     def written_data_lines(self, n_data_lines: int) -> List[int]:
         """Sorted data-region line indices with a persistent image."""

@@ -147,9 +147,33 @@ class RecoveryMeter:
         self.hash_ops += n
         self._hash_ns += n * self.timing.hash_ns
 
-    def charge_image_read(self, line: int) -> None:
-        """:attr:`DurableImage.on_read` hook: classify and charge a read."""
-        self.nvm_read(line, counter=line >= self.amap.n_lines)
+    def scan_counter_lines(self, first: int, count: int) -> None:
+        """Charge ``count`` counter-line reads from ``first``, each verified.
+
+        Prices ``nvm_read(line, counter=True)`` then ``aes()`` for every
+        line in order, with the same float additions, so the timelines
+        end bit-identical to the per-line calls.
+        """
+        if self.frozen:
+            return
+        self.nvm_reads += count
+        self.counter_line_reads += count
+        self.aes_ops += count
+        bus_step = self.timing.bus_ns
+        read_ns = self.timing.read_service_ns
+        aes_ns = self.timing.aes_ns
+        bank_of_line = self.amap.bank_of_line
+        bank_free = self._bank_free
+        bus = self._bus_ns
+        crypto = self._crypto_ns
+        for line in range(first, first + count):
+            issue = bus
+            bus += bus_step
+            bank = bank_of_line(line)
+            bank_free[bank] = max(issue, bank_free[bank]) + read_ns
+            crypto += aes_ns
+        self._bus_ns = bus
+        self._crypto_ns = crypto
 
     def freeze(self) -> None:
         """Stop accounting (audits after this point are free)."""
@@ -445,8 +469,27 @@ DEFAULT_RSR = "off"
 DEFAULT_DIRTY_FRAC = 0.0
 
 
+#: ``bytes.translate`` table taking a draw ``r`` in 0..254 to ``r + 1``.
+_DRAW_TO_BYTE = bytes(range(1, 256)) + b"\x00"
+
+
 def _payload(rng: random.Random, size: int) -> bytes:
-    return bytes(rng.randrange(1, 256) for _ in range(size))
+    """``size`` bytes in 1..255, exactly ``randrange(1, 256)`` drawn per byte.
+
+    ``randrange(1, 256)`` is ``1 + getrandbits(8)``, drawn again while the
+    draw is 255, and ``getrandbits(8)`` is the top byte of one 32-bit
+    generator output. ``getrandbits(32 * n)`` returns ``n`` consecutive
+    outputs, the first in the lowest word, so byte ``4 * i + 3`` of its
+    little-endian image is the ``i``-th ``getrandbits(8)`` draw. Drawing
+    only as many outputs as bytes are still missing consumes the generator
+    exactly as the per-byte loop would.
+    """
+    out = b""
+    while len(out) < size:
+        need = size - len(out)
+        draws = rng.getrandbits(32 * need).to_bytes(4 * need, "little")[3::4]
+        out += draws.translate(_DRAW_TO_BYTE, b"\xff")
+    return out
 
 
 def run_recovery_scenario(

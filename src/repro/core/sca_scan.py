@@ -11,9 +11,10 @@ time grows linearly with capacity whether or not the crash left anything
 dirty.
 
 :class:`ScaScanRecovery` performs that walk over a
-:class:`~repro.core.crash.DurableImage`, billing each step to a
-:class:`~repro.core.recovery_cost.RecoveryMeter` through the image's
-``on_read`` hook. The scan itself recovers no data — the transaction-log
+:class:`~repro.core.crash.DurableImage` and prices it with one
+:meth:`~repro.core.recovery_cost.RecoveryMeter.scan_counter_lines` call:
+a read plus an AES verification per counter line, whatever the line
+holds. The scan itself recovers no data — the transaction-log
 replay afterwards does, exactly as on the SuperMem path — it is pure,
 capacity-proportional latency.
 """
@@ -33,10 +34,6 @@ class ScaScanReport:
 
     #: Counter-region lines walked — always ``n_pages`` of the capacity.
     scanned_lines: int = 0
-    #: Counter lines that had a durable image (written pages).
-    present_lines: int = 0
-    #: Counter lines read as all-zero / never written.
-    empty_lines: int = 0
 
 
 class ScaScanRecovery:
@@ -47,7 +44,6 @@ class ScaScanRecovery:
             raise SimulationError("durable image carries no configuration")
         if not image.config.encrypted:
             raise SimulationError("counter-region scan on an unencrypted image")
-        self.image = image
         self.meter = meter
         self.amap: AddressMap = image.config.address_map()
 
@@ -59,22 +55,7 @@ class ScaScanRecovery:
         untouched without looking), which is precisely why this path
         scales with memory size.
         """
-        report = ScaScanReport()
-        base = self.amap.n_lines
-        previous_hook = self.image.on_read
+        n_pages = self.amap.n_pages
         if self.meter is not None:
-            self.image.on_read = self.meter.charge_image_read
-        try:
-            for page in range(self.amap.n_pages):
-                payload = self.image.line(base + page)
-                report.scanned_lines += 1
-                if payload is None:
-                    report.empty_lines += 1
-                else:
-                    report.present_lines += 1
-                if self.meter is not None:
-                    # Integrity verification of the (possibly zero) block.
-                    self.meter.aes()
-        finally:
-            self.image.on_read = previous_hook
-        return report
+            self.meter.scan_counter_lines(self.amap.n_lines, n_pages)
+        return ScaScanReport(scanned_lines=n_pages)

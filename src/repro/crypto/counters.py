@@ -38,6 +38,31 @@ from repro.common.errors import ConfigError
 MINOR_COUNTER_MAX = (1 << 7) - 1
 
 
+def _lanes(width: int, group: int, offset: int) -> int:
+    """``width`` one-bits at ``offset`` in every ``group``-bit group of 512."""
+    lane = ((1 << width) - 1) << offset
+    return sum(lane << start for start in range(0, 8 * LINES_PER_PAGE, group))
+
+
+#: The 64 packed 7-bit minors take 56 bytes.
+_PACKED_MINOR_BYTES = 7 * LINES_PER_PAGE // 8
+#: The low 7 bits of every byte lane.
+_LANES_7 = _lanes(7, 8, 0)
+#: Six halvings from 64 byte lanes to one 448-bit run. Step ``k`` joins
+#: the two ``width``-bit runs of every ``2 * half``-bit group: the low one
+#: stays, the high one moves down by ``half - width`` bits to sit right
+#: above it. Each step is ``(shift, low mask, high mask after the shift)``.
+_COMPACT_STEPS = tuple(
+    (half - width, _lanes(width, 2 * half, 0), _lanes(width, 2 * half, width))
+    for width, half in ((7 << k, 8 << k) for k in range(6))
+)
+#: The same steps undone in reverse: ``(shift, low mask, high mask before
+#: the shift)``.
+_SPREAD_STEPS = tuple(
+    (shift, low, high << shift) for shift, low, high in reversed(_COMPACT_STEPS)
+)
+
+
 @dataclass
 class CounterBlock:
     """The split counters of one page: a major and 64 minors.
@@ -126,22 +151,17 @@ class CounterBlock:
 
     def to_bytes(self) -> bytes:
         """Serialise to the 64 B memory-line image stored in NVM."""
-        out = bytearray(struct.pack("<Q", self.major & ((1 << 64) - 1)))
+        major = struct.pack("<Q", self.major & ((1 << 64) - 1))
         if self.minor_bits == 7:
-            bits = 0
-            nbits = 0
-            for minor in self.minors:
-                bits |= (minor & 0x7F) << nbits
-                nbits += 7
-                while nbits >= 8:
-                    out.append(bits & 0xFF)
-                    bits >>= 8
-                    nbits -= 8
-            if nbits:
-                out.append(bits & 0xFF)
-        else:
-            for minor in self.minors:
-                out += struct.pack("<H", minor)
+            # One byte lane per minor, low 7 bits kept, lanes compacted to
+            # 7 bits each: minor ``i`` lands at bit ``7 * i``.
+            packed = int.from_bytes(bytes(self.minors), "little") & _LANES_7
+            for shift, low, high in _COMPACT_STEPS:
+                packed = (packed & low) | ((packed >> shift) & high)
+            return major + packed.to_bytes(_PACKED_MINOR_BYTES, "little")
+        out = bytearray(major)
+        for minor in self.minors:
+            out += struct.pack("<H", minor)
         return bytes(out)
 
     @classmethod
@@ -150,17 +170,10 @@ class CounterBlock:
         major = struct.unpack_from("<Q", data, 0)[0]
         minors: List[int] = []
         if minor_bits == 7:
-            bits = 0
-            nbits = 0
-            pos = 8
-            while len(minors) < LINES_PER_PAGE:
-                while nbits < 7:
-                    bits |= data[pos] << nbits
-                    nbits += 8
-                    pos += 1
-                minors.append(bits & 0x7F)
-                bits >>= 7
-                nbits -= 7
+            packed = int.from_bytes(data[8 : 8 + _PACKED_MINOR_BYTES], "little")
+            for shift, low, high in _SPREAD_STEPS:
+                packed = (packed & low) | ((packed << shift) & high)
+            minors = list(packed.to_bytes(LINES_PER_PAGE, "little"))
         else:
             for slot in range(LINES_PER_PAGE):
                 minors.append(struct.unpack_from("<H", data, 8 + 2 * slot)[0])

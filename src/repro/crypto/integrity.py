@@ -70,16 +70,17 @@ class MerkleCounterTree:
         while size < n_leaves:
             size *= 2
         self.n_leaves = size
-        self._empty = _h(b"empty-counter-block")
-        # nodes[level][index]; level 0 = leaves, top level = root.
+        # nodes[level][index]; level 0 = leaves, top level = root. Every
+        # node of an all-empty level hashes the same pair, so each level
+        # is one digest repeated, in a list of its own.
         self._levels: List[List[bytes]] = []
-        level = [self._empty] * size
-        self._levels.append(level)
-        while len(level) > 1:
-            level = [
-                _h(level[2 * i] + level[2 * i + 1]) for i in range(len(level) // 2)
-            ]
-            self._levels.append(level)
+        node = _h(b"empty-counter-block")
+        while True:
+            self._levels.append([node] * size)
+            if size == 1:
+                break
+            node = _h(node + node)
+            size //= 2
 
     @property
     def root(self) -> bytes:

@@ -185,12 +185,9 @@ class PointFailure:
 
 @dataclass
 class RunnerReport:
-    """Wall-clock + fault/resume accounting for one :func:`run_points` call."""
+    """Fault/resume accounting for one :func:`run_points` call."""
 
     label: str
-    jobs: int
-    n_points: int
-    wall_s: float = 0.0
     #: Failed attempts that were retried (includes timeouts).
     retries: int = 0
     #: Attempts killed by the per-point wall-clock timeout.
@@ -204,8 +201,6 @@ class RunnerReport:
     torn_tails: int = 0
     #: Points that exhausted every attempt (run_points raises on these).
     failures: List[PointFailure] = field(default_factory=list)
-    #: Journal file completed points were appended to, if any.
-    journal_path: Optional[str] = None
 
 
 #: Called after each completed point with (done, total).
@@ -403,9 +398,6 @@ def run_points_report(
     total = len(specs)
     report = RunnerReport(
         label=label,
-        jobs=jobs,
-        n_points=total,
-        journal_path=journal.path if journal is not None else None,
         torn_tails=journal.torn_tails if journal is not None else 0,
     )
     reporter: Optional[_ProgressReporter] = None
@@ -415,7 +407,6 @@ def run_points_report(
         reporter = _ProgressReporter(label, total, jobs)
         progress = reporter.update
 
-    started = time.perf_counter()
     results: List[Optional[SimResult]] = [None] * total
     digests = [spec_digest(spec) for spec in specs]
 
@@ -464,7 +455,6 @@ def run_points_report(
             file=sys.stderr,
         )
 
-    report.wall_s = time.perf_counter() - started
     _log_accounting(report)
     return results, report
 

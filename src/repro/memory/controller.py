@@ -279,8 +279,6 @@ class MemoryController:
         issue = self._issue
         while True:
             occupancy = wq.n
-            if occupancy == 0:
-                break
             if draining:
                 if occupancy <= low:
                     draining = False

@@ -7,12 +7,16 @@ SCA scan linear, Osiris pricing a trial per written line, and the log /
 RSR knobs moving only SuperMem's own terms.
 """
 
+import random
+
 import pytest
 
-from repro.common.config import MemoryConfig, SimConfig
+from repro.common.address import BANK_MAPPINGS
+from repro.common.config import MemoryConfig, SimConfig, TimingConfig
 from repro.common.errors import ConfigError, SimulationError
 from repro.core.recovery_cost import (
     RecoveryMeter,
+    _payload,
     recovery_trace_events,
     run_recovery_scenario,
 )
@@ -71,13 +75,44 @@ class TestRecoveryMeter:
         assert meter.aes_ops == 100
         assert meter.time_ns == 100 * config.timing.aes_ns
 
-    def test_charge_image_read_classifies_by_region(self):
-        config = _config()
-        meter = RecoveryMeter(config)
-        meter.charge_image_read(0)
-        meter.charge_image_read(config.address_map().n_lines)
-        assert meter.data_line_reads == 1
-        assert meter.counter_line_reads == 1
+    @pytest.mark.parametrize("bank_mapping", BANK_MAPPINGS)
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize(
+        "timing",
+        # The defaults add exactly; the other's sums round, so any change
+        # to the order of the float additions shows.
+        [
+            TimingConfig(),
+            TimingConfig(
+                cpu_freq_ghz=3.0, aes_cycles=25, trcd_ns=47.3, tcl_ns=15.1, bus_ns=0.7
+            ),
+        ],
+    )
+    def test_counter_scan_prices_like_per_line_reads_and_verifies(
+        self, bank_mapping, frozen, timing
+    ):
+        config = SimConfig(
+            memory=MemoryConfig(capacity=8 << 20, bank_mapping=bank_mapping),
+            timing=timing,
+        )
+        n_lines = config.address_map().n_lines
+        one_call, per_line = RecoveryMeter(config), RecoveryMeter(config)
+        for meter in (one_call, per_line):
+            # Charges already on every timeline before the scan starts.
+            for line in (0, 4096, 70_000):
+                meter.nvm_read(line)
+                meter.nvm_write(line + 1)
+            meter.aes(3)
+            meter.hash(2)
+            if frozen:
+                meter.freeze()
+        first, count = n_lines + 5, 700
+        one_call.scan_counter_lines(first, count)
+        for line in range(first, first + count):
+            per_line.nvm_read(line, counter=True)
+            per_line.aes()
+        assert vars(one_call) == vars(per_line)
+        assert one_call.counter_line_reads == (0 if frozen else count)
 
     def test_freeze_stops_all_accounting(self):
         meter = RecoveryMeter(_config())
@@ -94,6 +129,16 @@ class TestRecoveryMeter:
     def test_requires_a_configuration(self):
         with pytest.raises(SimulationError):
             RecoveryMeter(None)
+
+
+class TestPayload:
+    @pytest.mark.parametrize("seed", [1, 2, 3, 99])
+    def test_draws_exactly_what_randrange_draws(self, seed):
+        fast, reference = random.Random(seed), random.Random(seed)
+        for size in (0, 1, 2, 63, 64, 255, 256, 1000, 4096):
+            payload = _payload(fast, size)
+            assert payload == bytes(reference.randrange(1, 256) for _ in range(size))
+            assert fast.getstate() == reference.getstate()
 
 
 class TestScenarioValidation:

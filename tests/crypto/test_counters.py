@@ -1,5 +1,8 @@
 """Tests for the split-counter and monolithic counter blocks."""
 
+import random
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -90,6 +93,77 @@ def test_serialization_roundtrip():
     parsed = CounterBlock.from_bytes(block.to_bytes())
     assert parsed.major == block.major
     assert parsed.minors == block.minors
+
+
+def _reference_to_bytes(block: CounterBlock) -> bytes:
+    """The 7-bit wire format, one minor and one output byte at a time."""
+    out = bytearray(struct.pack("<Q", block.major & ((1 << 64) - 1)))
+    bits = 0
+    nbits = 0
+    for minor in block.minors:
+        bits |= (minor & 0x7F) << nbits
+        nbits += 7
+        while nbits >= 8:
+            out.append(bits & 0xFF)
+            bits >>= 8
+            nbits -= 8
+    if nbits:
+        out.append(bits & 0xFF)
+    return bytes(out)
+
+
+def _reference_from_bytes(data: bytes):
+    """``(major, minors)`` of a 7-bit image, one input byte at a time."""
+    major = struct.unpack_from("<Q", data, 0)[0]
+    minors = []
+    bits = 0
+    nbits = 0
+    pos = 8
+    while len(minors) < LINES_PER_PAGE:
+        while nbits < 7:
+            bits |= data[pos] << nbits
+            nbits += 8
+            pos += 1
+        minors.append(bits & 0x7F)
+        bits >>= 7
+        nbits -= 7
+    return major, minors
+
+
+#: ``to_bytes`` of :func:`_golden_block`, as the bit loop produced it.
+GOLDEN_IMAGE_HEX = (
+    "efcdab89674523010b5855ff21a61d336c5f7464476c5b4049f9a6e4bc035453"
+    "7ee1850d2b685df323275c537c477866c4ac7b5051fda065fd23645b72e3064c"
+)
+
+
+def _golden_block() -> CounterBlock:
+    # A major past 64 bits and minors past 7 bits: both are truncated.
+    return CounterBlock(
+        major=(1 << 64) + 0x0123456789ABCDEF,
+        minors=[(i * 37 + 11) % 256 for i in range(LINES_PER_PAGE)],
+    )
+
+
+def test_serialization_matches_the_golden_image():
+    image = _golden_block().to_bytes()
+    assert image.hex() == GOLDEN_IMAGE_HEX
+    parsed = CounterBlock.from_bytes(image)
+    assert parsed.major == 0x0123456789ABCDEF
+    assert parsed.minors == [(i * 37 + 11) % 128 for i in range(LINES_PER_PAGE)]
+
+
+def test_serialization_matches_the_bit_loop_on_random_blocks():
+    rng = random.Random(7)
+    for _ in range(2000):
+        block = CounterBlock(
+            major=rng.getrandbits(rng.choice((1, 7, 63, 64, 80))),
+            minors=[rng.randrange(256) for _ in range(LINES_PER_PAGE)],
+        )
+        image = block.to_bytes()
+        assert image == _reference_to_bytes(block)
+        parsed = CounterBlock.from_bytes(image)
+        assert (parsed.major, parsed.minors) == _reference_from_bytes(image)
 
 
 def test_copy_is_independent():

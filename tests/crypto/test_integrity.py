@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConfigError, SecurityError
-from repro.crypto.integrity import IntegrityEngine, LineMAC, MerkleCounterTree
+from repro.crypto.integrity import IntegrityEngine, LineMAC, MerkleCounterTree, _h
 
 CT = bytes(range(64))
 
@@ -42,7 +42,47 @@ class TestLineMAC:
             LineMAC(b"")
 
 
+def _reference_levels(n_leaves: int):
+    """Every level of an all-empty tree, hashing every node's pair."""
+    size = 1
+    while size < n_leaves:
+        size *= 2
+    level = [_h(b"empty-counter-block")] * size
+    levels = [level]
+    while len(level) > 1:
+        level = [_h(level[2 * i] + level[2 * i + 1]) for i in range(len(level) // 2)]
+        levels.append(level)
+    return levels
+
+
+def _reference_path(levels, index: int):
+    path = []
+    for level in levels[:-1]:
+        sibling = index ^ 1
+        path.append((level[sibling], sibling > index))
+        index //= 2
+    return path
+
+
 class TestMerkleCounterTree:
+    @pytest.mark.parametrize("n_leaves", [1, 3, 5, 64, 4096])
+    def test_empty_tree_matches_the_full_construction(self, n_leaves):
+        levels = _reference_levels(n_leaves)
+        tree = MerkleCounterTree(n_leaves)
+        assert tree._levels == levels
+        assert tree.root == levels[-1][0]
+        for index in range(tree.n_leaves):
+            assert tree.audit_path(index) == _reference_path(levels, index)
+
+    @pytest.mark.parametrize("n_leaves", [1, 5, 64])
+    def test_updates_touch_only_their_own_tree(self, n_leaves):
+        touched = MerkleCounterTree(n_leaves)
+        untouched = MerkleCounterTree(n_leaves)
+        for index in range(touched.n_leaves):
+            touched.update_leaf(index, bytes([index % 256]) * 64)
+        assert untouched._levels == _reference_levels(n_leaves)
+        assert touched.root != untouched.root
+
     def test_rounds_up_to_power_of_two(self):
         assert MerkleCounterTree(5).n_leaves == 8
         assert MerkleCounterTree(8).n_leaves == 8

@@ -5,19 +5,21 @@ The load-bearing guarantees:
 * ``jobs=N`` output is **bit-identical** to serial — point for point,
   including every stats counter an experiment's ``render`` might read;
 * results come back in spec order, never completion order;
-* fixed-seed golden digests pin the fig13 and fig14 smoke numbers, so
-  neither the runner, the trace cache, the write-queue indexing, nor the
-  multicore interleave can silently shift results.
+* fixed-seed golden digests pin the fig13, fig14 and fig-recovery smoke
+  numbers, so neither the runner, the trace cache, the write-queue
+  indexing, the multicore interleave, nor the recovery kernel can
+  silently shift results.
 """
 
 import dataclasses
+import enum
 import hashlib
 
 import pytest
 
 from repro.common.errors import ConfigError
 from repro.core.schemes import EVALUATED_SCHEMES, Scheme
-from repro.experiments import fig13, fig14
+from repro.experiments import fig13, fig14, fig_recovery
 from repro.experiments.common import experiment_base_config, get_scale
 from repro.experiments.runner import (
     PointSpec,
@@ -25,6 +27,7 @@ from repro.experiments.runner import (
     run_points,
     run_points_report,
 )
+from repro.sim.metrics import SimResult
 
 #: sha256 over the canonical serialization in :func:`_digest` for
 #: ``fig13.run("smoke", request_sizes=(1024,))``. Regenerate ONLY for an
@@ -48,6 +51,18 @@ FIG14_SMOKE_DIGEST = (
 FIG14_SMOKE_SUBSET = dict(workloads=("array", "hashtable"), program_counts=(1, 8))
 
 
+#: The same over every field of every point of
+#: ``fig_recovery.run("smoke")``: the priced recovery times and counts of
+#: all four recovery paths. Regenerate ONLY for an intentional model
+#: change:
+#:   PYTHONPATH=src python -c "from tests.experiments.test_runner import \
+#:       _recovery_digest; from repro.experiments import fig_recovery; \
+#:       print(_recovery_digest(fig_recovery.run('smoke')))"
+FIG_RECOVERY_SMOKE_DIGEST = (
+    "3c697a7b76c3a70e7b632d3745cc08f5b0c13394c2a2cf197fded439b1142945"
+)
+
+
 def _digest(points) -> str:
     canon = "\n".join(
         f"{p.workload}/{p.request_size}/{p.scheme.value}"
@@ -61,6 +76,17 @@ def _fig14_digest(points) -> str:
     canon = "\n".join(
         f"{p.workload}/{p.n_programs}/{p.scheme.value}"
         f"={p.avg_latency_ns!r}/{p.normalized!r}"
+        for p in points
+    )
+    return hashlib.sha256(canon.encode()).hexdigest()
+
+
+def _recovery_digest(points) -> str:
+    canon = "\n".join(
+        "/".join(
+            value.value if isinstance(value, enum.Enum) else repr(value)
+            for value in (getattr(p, f.name) for f in dataclasses.fields(p))
+        )
         for p in points
     )
     return hashlib.sha256(canon.encode()).hexdigest()
@@ -153,8 +179,8 @@ class TestRunPoints:
         results, report = run_points_report(specs, jobs=1, label="unit")
         assert isinstance(report, RunnerReport)
         assert report.label == "unit"
-        assert report.n_points == len(specs) == len(results)
-        assert report.wall_s > 0
+        assert len(results) == len(specs)
+        assert all(isinstance(result, SimResult) for result in results)
         # 2 workloads x 3 schemes: each workload's trace is generated,
         # decoded and walked once, then reused by the other two schemes.
         assert trace_cache.cache_stats() == (4, 2)
@@ -193,3 +219,10 @@ class TestFig14Determinism:
         points = fig14.run("smoke", **FIG14_SMOKE_SUBSET)
         assert {p.n_programs for p in points} == {1, 8}
         assert _fig14_digest(points) == FIG14_SMOKE_DIGEST
+
+
+class TestFigRecoveryDeterminism:
+    def test_golden(self):
+        points = fig_recovery.run("smoke")
+        assert len(points) == 18
+        assert _recovery_digest(points) == FIG_RECOVERY_SMOKE_DIGEST

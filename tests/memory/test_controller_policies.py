@@ -39,6 +39,24 @@ def test_explicit_watermarks_respected():
     assert len(mc.wq) == 1  # drained down to low=1
 
 
+@pytest.mark.parametrize("low", [0, 1])
+def test_drain_releases_at_the_low_watermark_even_when_it_empties(low):
+    """A drain that empties the queue disengages: the next lone write,
+    below the high watermark, stays queued."""
+    mc, stats = make_mc(
+        write_queue_entries=8, wq_high_watermark=4, wq_low_watermark=low
+    )
+    for i in range(4):
+        mc.append_write(0.0, line=i)  # reaches high=4
+    mc.advance_to(100 * WS)
+    assert len(mc.wq) == low
+    issued = stats.get("wq", "issued")
+    mc.append_write(mc.clock, line=4)
+    mc.advance_to(mc.clock + 100 * WS)
+    assert stats.get("wq", "issued") == issued
+    assert len(mc.wq) == low + 1
+
+
 def test_bad_watermarks_rejected():
     with pytest.raises(SimulationError):
         make_mc(write_queue_entries=8, wq_high_watermark=2, wq_low_watermark=4)
