@@ -47,12 +47,12 @@ class CounterCache:
         self._stats = stats
         self._tracer = tracer
         self._cache = SetAssociativeCache(config, stats, "cc")
-        # Prebuilt keys into Stats.raw() — access() runs once per data
-        # write (and once per read-path OTP), so the inc() call overhead
-        # is measurable; semantics are identical.
-        self._vals = stats.raw()
-        self._k_updates = ("cc", "updates")
-        self._k_writebacks = ("cc", "writebacks")
+        # Stat slots — access() runs once per data write (and once per
+        # read-path OTP), so the inc() call overhead is measurable;
+        # semantics are identical.
+        self._vals = stats.values
+        self._k_updates = stats.slot("cc", "updates")
+        self._k_writebacks = stats.slot("cc", "writebacks")
         self._is_wt = config.mode is CounterCacheMode.WRITE_THROUGH
 
     @property

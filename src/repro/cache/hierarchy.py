@@ -124,7 +124,7 @@ class CacheHierarchy:
         shared_l3: Optional[SetAssociativeCache] = None,
         name_prefix: str = "",
     ):
-        self._vals = stats.raw()
+        self._vals = stats.values
         self.l1 = SetAssociativeCache(l1, stats, f"{name_prefix}l1")
         self.l2 = SetAssociativeCache(l2, stats, f"{name_prefix}l2")
         # An explicit None check: SetAssociativeCache defines __len__, so an
@@ -136,10 +136,10 @@ class CacheHierarchy:
         )
         self._levels = [self.l1, self.l2, self.l3]
         self._walk_ns = walk_latencies_ns(l1, l2, self.l3.config, timing)
-        self._k_memory_writebacks = ("hierarchy", "memory_writebacks")
-        self._k_clwb = ("hierarchy", "clwb")
-        self._k_clwb_dirty = ("hierarchy", "clwb_dirty")
-        self._k_clflush = ("hierarchy", "clflush")
+        self._k_memory_writebacks = stats.slot("hierarchy", "memory_writebacks")
+        self._k_clwb = stats.slot("hierarchy", "clwb")
+        self._k_clwb_dirty = stats.slot("hierarchy", "clwb_dirty")
+        self._k_clflush = stats.slot("hierarchy", "clflush")
 
     # ------------------------------------------------------------------
     # Loads and stores

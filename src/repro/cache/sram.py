@@ -10,9 +10,9 @@ most-recently-used position in O(1)).
 
 This class is on the per-op critical path (three lookups per load/store),
 so it is written for speed: ``__slots__`` keeps attribute access on the
-fast path, stat keys are prebuilt tuples bumped directly in the shared
-``Stats.raw()`` dict, and the evicted-line record is a NamedTuple rather
-than a dataclass.
+fast path, stat counters are slots of the shared :class:`Stats` bumped
+by list index, and the evicted-line record is a NamedTuple rather than a
+dataclass.
 """
 
 from __future__ import annotations
@@ -60,18 +60,18 @@ class SetAssociativeCache:
     def __init__(self, config: CacheConfig, stats: Stats, name: str):
         self.config = config
         self.name = name
-        self._vals = stats.raw()
+        self._vals = stats.values
         self._n_sets = config.n_sets
         self._assoc = config.assoc
         # set index -> {line: dirty}; dict order is LRU order (oldest first)
         self._sets: list[Dict[int, bool]] = [dict() for _ in range(self._n_sets)]
-        # Prebuilt (namespace, counter) keys: raw()[key] += 1 has the exact
-        # semantics of stats.inc without the call and tuple allocation.
-        self._k_accesses = (name, "accesses")
-        self._k_hits = (name, "hits")
-        self._k_misses = (name, "misses")
-        self._k_evictions = (name, "evictions")
-        self._k_dirty_evictions = (name, "dirty_evictions")
+        # Stat slots: values[slot] += 1 counts like stats.inc without the
+        # call and the tuple-keyed lookup.
+        self._k_accesses = stats.slot(name, "accesses")
+        self._k_hits = stats.slot(name, "hits")
+        self._k_misses = stats.slot(name, "misses")
+        self._k_evictions = stats.slot(name, "evictions")
+        self._k_dirty_evictions = stats.slot(name, "dirty_evictions")
 
     # ------------------------------------------------------------------
     # Lookup helpers

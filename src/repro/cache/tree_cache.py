@@ -43,10 +43,10 @@ class TreeNodeCache:
         self.config = config
         self._stats = stats
         self._cache = SetAssociativeCache(config, stats, "it")
-        self._vals = stats.raw()
-        self._k_updates = ("it", "node_updates")
-        self._k_writebacks = ("it", "node_writebacks")
-        self._k_coalesced = ("it", "coalesced_updates")
+        self._vals = stats.values
+        self._k_updates = stats.slot("it", "node_updates")
+        self._k_writebacks = stats.slot("it", "node_writebacks")
+        self._k_coalesced = stats.slot("it", "coalesced_updates")
 
     # ------------------------------------------------------------------
     # Access paths

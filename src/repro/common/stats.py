@@ -9,15 +9,33 @@ the statistics, so recording can never perturb results.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Dict, Iterator, List, Mapping, Set, Tuple
+
+Key = Tuple[str, str]
+
+#: The process-wide slot registry: ``(namespace, counter)`` -> slot index,
+#: and each slot's key. One registry per process, not per instance, keeps
+#: each point's ``Stats`` down to its value list. Slots are only ever
+#: appended, so an index stays valid for the life of the process.
+_SLOT_OF: Dict[Key, int] = {}
+_KEY_OF: List[Key] = []
 
 
 class Stats:
-    """A flat ``(namespace, counter) -> value`` store with helpers.
+    """A ``(namespace, counter) -> value`` store with helpers.
 
     Counter values are numeric (int or float). Namespaces are free-form
     strings such as ``"wq"`` or ``"bank.3"``.
+
+    The values live in one flat list, :attr:`values`, indexed by slots of
+    the process-wide registry. Hot components look their slots up once
+    with :meth:`slot` and bump ``values[slot] += n`` directly. A slot starts
+    at ``0.0`` and only ever gains positive amounts that way, so a counter
+    is reported (by iteration, :meth:`snapshot`, :meth:`namespace` and
+    :meth:`get`) once its slot is nonzero or once :meth:`inc` or
+    :meth:`set` has written it, even to zero. Pickling carries keys by
+    name, so a ``Stats`` survives the trip between processes whose
+    registries differ.
 
     Examples
     --------
@@ -28,78 +46,90 @@ class Stats:
     3
     """
 
+    __slots__ = ("values", "_written")
+
     def __init__(self) -> None:
-        self._values: Dict[Tuple[str, str], float] = defaultdict(float)
+        #: One value per registry slot (possibly shorter than the
+        #: registry); only ever extended in place, never replaced.
+        self.values: List[float] = []
+        self._written: Set[int] = set()
 
-    def raw(self) -> Dict[Tuple[str, str], float]:
-        """The live underlying ``defaultdict``.
-
-        Hot components prebuild their ``(namespace, counter)`` key tuples
-        once and bump ``raw()[key] += n`` directly, which has exactly the
-        semantics of :meth:`inc` without a method call and tuple allocation
-        per event. Mutating the returned mapping *is* mutating this Stats.
-        """
-        return self._values
+    def slot(self, namespace: str, counter: str) -> int:
+        """The index of a counter in :attr:`values`, registering it."""
+        key = (namespace, counter)
+        index = _SLOT_OF.get(key)
+        if index is None:
+            index = _SLOT_OF[key] = len(_KEY_OF)
+            _KEY_OF.append(key)
+        values = self.values
+        if index >= len(values):
+            values.extend([0.0] * (len(_KEY_OF) - len(values)))
+        return index
 
     def inc(self, namespace: str, counter: str, amount: float = 1) -> None:
         """Add ``amount`` to a counter (creating it at zero)."""
-        self._values[(namespace, counter)] += amount
+        index = self.slot(namespace, counter)
+        self.values[index] += amount
+        self._written.add(index)
 
     def set(self, namespace: str, counter: str, value: float) -> None:
         """Overwrite a counter with ``value``."""
-        self._values[(namespace, counter)] = value
+        index = self.slot(namespace, counter)
+        self.values[index] = value
+        self._written.add(index)
 
-    def maximize(self, namespace: str, counter: str, value: float) -> None:
-        """Keep the running maximum of ``value`` in the counter."""
-        key = (namespace, counter)
-        if key not in self._values or value > self._values[key]:
-            self._values[key] = value
+    def _items(self) -> Iterator[Tuple[Key, float]]:
+        """``(key, value)`` of every reported counter, in slot order."""
+        written = self._written
+        for index, value in enumerate(self.values):
+            if value or index in written:
+                yield _KEY_OF[index], value
+
+    def _value(self, namespace: str, counter: str, default: float) -> float:
+        index = _SLOT_OF.get((namespace, counter))
+        if index is not None and index < len(self.values):
+            value = self.values[index]
+            if value or index in self._written:
+                return value
+        return default
 
     def get(self, namespace: str, counter: str, default: float = 0) -> float:
         """Read a counter, returning ``default`` when absent."""
-        value = self._values.get((namespace, counter), default)
+        value = self._value(namespace, counter, default)
         return int(value) if float(value).is_integer() else value
 
     def namespace(self, namespace: str) -> Dict[str, float]:
         """All counters of one namespace as a plain dict."""
         return {
             counter: value
-            for (space, counter), value in self._values.items()
+            for (space, counter), value in self._items()
             if space == namespace
         }
 
     def ratio(self, namespace: str, num: str, den: str) -> float:
         """``num / den`` within a namespace, 0.0 when the denominator is 0."""
-        d = self._values.get((namespace, den), 0)
+        d = self._value(namespace, den, 0)
         if not d:
             return 0.0
-        return self._values.get((namespace, num), 0) / d
+        return self._value(namespace, num, 0) / d
 
-    def merge(self, other: "Stats") -> None:
-        """Add every counter of ``other`` into this object."""
-        for key, value in other._values.items():
-            self._values[key] += value
-
-    def reset(self) -> None:
-        """Drop all counters."""
-        self._values.clear()
-
-    def snapshot(self) -> Mapping[Tuple[str, str], float]:
-        """An immutable copy of the raw store (for assertions in tests)."""
-        return dict(self._values)
+    def snapshot(self) -> Mapping[Key, float]:
+        """A plain ``{(namespace, counter): value}`` copy of every counter."""
+        return dict(self._items())
 
     def __iter__(self) -> Iterator[Tuple[str, str, float]]:
-        for (space, counter), value in sorted(self._values.items()):
+        for (space, counter), value in sorted(self._items()):
             yield space, counter, value
 
-    def format(self, prefix: str = "") -> str:
-        """Human-readable dump, optionally filtered by namespace prefix."""
-        lines = []
-        for space, counter, value in self:
-            if not space.startswith(prefix):
-                continue
-            if float(value).is_integer():
-                lines.append(f"{space}.{counter} = {int(value)}")
-            else:
-                lines.append(f"{space}.{counter} = {value:.4f}")
-        return "\n".join(lines)
+    def __reduce__(self):
+        # By key name, not slot index: a receiving process's registry may
+        # number its slots differently.
+        return _restore, (self.snapshot(),)
+
+
+def _restore(counters: Mapping[Key, float]) -> Stats:
+    """Rebuild a pickled :class:`Stats`."""
+    stats = Stats()
+    for (namespace, counter), value in counters.items():
+        stats.set(namespace, counter, value)
+    return stats

@@ -163,7 +163,7 @@ class SecureMemorySystem:
             LineCipher() if (config.encrypted and config.functional) else None
         )
         # Per-op hoists: SimConfig is frozen, so these cannot drift. aes_ns
-        # is a TimingConfig property (a division per call) and the stat keys
+        # is a TimingConfig property (a division per call) and the stat slots
         # below are bumped two-plus times per persist/read.
         self._functional = config.functional
         self._lines_per_block = self.counters.lines_per_block
@@ -173,11 +173,11 @@ class SecureMemorySystem:
         self._atomicity_register = config.atomicity_register
         self._sca_mode = config.sca_mode
         self._osiris_stop_loss = config.osiris_stop_loss
-        self._vals = self.stats.raw()
-        self._k_data_writes = ("secmem", "data_writes")
-        self._k_data_reads = ("secmem", "data_reads")
-        self._k_cc_read_accesses = ("cc", "read_accesses")
-        self._k_cc_read_hits = ("cc", "read_hits")
+        self._vals = self.stats.values
+        self._k_data_writes = self.stats.slot("secmem", "data_writes")
+        self._k_data_reads = self.stats.slot("secmem", "data_reads")
+        self._k_cc_read_accesses = self.stats.slot("cc", "read_accesses")
+        self._k_cc_read_hits = self.stats.slot("cc", "read_hits")
         # Integrity layer (the SuperMem+BMT scheme): a timed Bonsai
         # Merkle counter tree updated through a write-back node cache
         # with coalesced ancestor updates, plus per-line MAC latency.
@@ -203,10 +203,10 @@ class SecureMemorySystem:
             self._tree_geom = TreeGeometry(self.amap.n_pages, amap=self.amap)
             if config.functional:
                 self._it_shadow = MerkleCounterTree(self.amap.n_pages)
-        self._k_mac_writes = ("it", "mac_writes")
-        self._k_mac_verifies = ("it", "mac_verifies")
-        self._k_node_fetches = ("it", "node_fetches")
-        self._k_path_verifies = ("it", "path_verifies")
+        self._k_mac_writes = self.stats.slot("it", "mac_writes")
+        self._k_mac_verifies = self.stats.slot("it", "mac_verifies")
+        self._k_node_fetches = self.stats.slot("it", "node_fetches")
+        self._k_path_verifies = self.stats.slot("it", "path_verifies")
         #: In-flight page re-encryption (None when idle).
         self.rsr: Optional[RSRRecord] = None
         #: Osiris stop-loss bookkeeping: updates per counter block since

@@ -71,14 +71,14 @@ class Bank:
         # Service routines run once per drained write / demand read, so
         # the derived-per-call values are hoisted once here: the
         # TimingConfig-derived service latencies (properties computing
-        # sums/divisions) and prebuilt Stats.raw() keys.
-        self._vals = stats.raw()
+        # sums/divisions) and the stat slots.
+        self._vals = stats.values
         ns = f"bank.{index}"
-        self._k_writes = (ns, "writes")
-        self._k_reads = (ns, "reads")
-        self._k_busy_ns = (ns, "busy_ns")
-        self._k_row_hits = (ns, "row_hits")
-        self._k_row_misses = (ns, "row_misses")
+        self._k_writes = stats.slot(ns, "writes")
+        self._k_reads = stats.slot(ns, "reads")
+        self._k_busy_ns = stats.slot(ns, "busy_ns")
+        self._k_row_hits = stats.slot(ns, "row_hits")
+        self._k_row_misses = stats.slot(ns, "row_misses")
         self._write_service_ns = timing.write_service_ns
         self._read_service_ns = timing.read_service_ns
         self._read_hit_service_ns = timing.read_hit_service_ns

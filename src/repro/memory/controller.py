@@ -121,17 +121,17 @@ class MemoryController:
             )
         self._counter_defer_ns = defer
         # Hoists: the drain scheduler runs once per issued write and the
-        # append/read paths once per request, so prebuilt stat keys and a
+        # append/read paths once per request, so stat slots and a
         # cached bus latency replace per-call property and stats walks.
-        self._vals = stats.raw()
-        self._k_issued = ("wq", "issued")
-        self._k_counter_issued = ("wq", "counter_issued")
-        self._k_data_issued = ("wq", "data_issued")
-        self._k_mc_reads = ("mc", "reads")
-        self._k_read_forwards = ("wq", "read_forwards")
-        self._k_pair_appends = ("wq", "pair_appends")
-        self._k_full_stalls = ("wq", "full_stalls")
-        self._k_stall_ns = ("wq", "stall_ns")
+        self._vals = stats.values
+        self._k_issued = stats.slot("wq", "issued")
+        self._k_counter_issued = stats.slot("wq", "counter_issued")
+        self._k_data_issued = stats.slot("wq", "data_issued")
+        self._k_mc_reads = stats.slot("mc", "reads")
+        self._k_read_forwards = stats.slot("wq", "read_forwards")
+        self._k_pair_appends = stats.slot("wq", "pair_appends")
+        self._k_full_stalls = stats.slot("wq", "full_stalls")
+        self._k_stall_ns = stats.slot("wq", "stall_ns")
         self._bus_ns = config.timing.bus_ns
 
     # ------------------------------------------------------------------

@@ -34,9 +34,9 @@ class NVMStore:
         self._lines: Dict[int, bytes] = {}
         self._wear: Counter[int] = Counter()
         self._stats = stats or Stats()
-        self._vals = self._stats.raw()
-        self._k_writes = ("nvm", "writes")
-        self._k_reads = ("nvm", "reads")
+        self._vals = self._stats.values
+        self._k_writes = self._stats.slot("nvm", "writes")
+        self._k_reads = self._stats.slot("nvm", "reads")
         # Per-line ECC/MAC side storage: physically these bits live in the
         # NVM array next to the line, so they persist with it. Used by the
         # Osiris-style recovery (trial decryption against the check bits).

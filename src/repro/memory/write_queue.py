@@ -102,15 +102,15 @@ class WriteQueue:
         self.data_by_bank: Dict[int, List[WQEntry]] = {}
         self.counters_by_bank: Dict[int, List[WQEntry]] = {}
         self._seq = 0
-        # Prebuilt (namespace, counter) keys bumped directly in the shared
-        # Stats.raw() dict — exact inc()/maximize() semantics without a
-        # method call per append (the append path is per-CLWB hot).
-        self._vals = stats.raw()
-        self._k_appends = ("wq", "appends")
-        self._k_counter_appends = ("wq", "counter_appends")
-        self._k_data_appends = ("wq", "data_appends")
-        self._k_peak = ("wq", "peak_occupancy")
-        self._k_cwc = ("wq", "cwc_coalesced")
+        # Stat slots bumped by list index — the counts inc() would make
+        # (and the running peak) without a method call per append (the
+        # append path is per-CLWB hot).
+        self._vals = stats.values
+        self._k_appends = stats.slot("wq", "appends")
+        self._k_counter_appends = stats.slot("wq", "counter_appends")
+        self._k_data_appends = stats.slot("wq", "data_appends")
+        self._k_peak = stats.slot("wq", "peak_occupancy")
+        self._k_cwc = stats.slot("wq", "cwc_coalesced")
 
     # ------------------------------------------------------------------
     # Capacity

@@ -65,8 +65,10 @@ from repro.txn.persist import OP_CLWB, OP_STORE
 class CoreEngine:
     """One core's clock, transaction timer and timing loop.
 
-    ``hierarchy`` is the cache walk :meth:`run_batched_record` records;
-    an engine that only replays (a multicore core) has none.
+    ``hierarchy`` is the cache walk :meth:`run_batched_record` records,
+    built on the first walk: an engine that only replays (a multicore
+    core, or a run handed a recorded stream) never allocates its tag
+    stores.
     """
 
     def __init__(
@@ -74,13 +76,12 @@ class CoreEngine:
         core_id: int,
         config: SimConfig,
         system: SecureMemorySystem,
-        hierarchy: Optional[CacheHierarchy] = None,
         tracer=NULL_TRACER,
     ):
         self.core_id = core_id
         self.config = config
         self.system = system
-        self.hierarchy = hierarchy
+        self.hierarchy: Optional[CacheHierarchy] = None
         self.tracer = tracer
         self.clock: float = 0.0
         self.txn_latencies: List[float] = []
@@ -111,10 +112,16 @@ class CoreEngine:
         an SRAM latency, and ``BK_*_WB`` ops their memory write-back
         victims.
         """
+        hierarchy = self.hierarchy
+        if hierarchy is None:
+            config = self.config
+            hierarchy = self.hierarchy = CacheHierarchy(
+                config.l1, config.l2, config.l3, config.timing, self.system.stats
+            )
         kinds = arrays.kinds
         args = arrays.args
-        access = self.hierarchy.access
-        clwb = self.hierarchy.clwb
+        access = hierarchy.access
+        clwb = hierarchy.clwb
         rec = bytearray(arrays.n)
         lats: List[float] = []
         lats_append = lats.append

@@ -112,7 +112,7 @@ def record_private_walk(config: SimConfig, arrays: TraceArrays) -> ReplayOutcome
         else:
             rec[i] = BK_OF_OP[kind]
     main = OutcomeSegment(bytes(rec), None, pushes)
-    return ReplayOutcomes(main, None, tuple(stats.raw().items()))
+    return ReplayOutcomes(main, None, tuple(stats.snapshot().items()))
 
 
 class MulticoreSimulator:
@@ -151,7 +151,6 @@ class MulticoreSimulator:
         n_cores = self.n_cores
         if len(traces) != n_cores:
             raise ConfigError(f"{n_cores} cores but {len(traces)} traces supplied")
-        vals = self.stats.raw()
         self.recorded_walks = [None] * n_cores
         replays = []
         for core, engine in enumerate(self.engines):
@@ -165,7 +164,7 @@ class MulticoreSimulator:
             for (space, counter), delta in walk.stat_delta:
                 if space in _PRIVATE_NAMESPACES:
                     space = prefix + space
-                vals[space, counter] += delta
+                self.stats.inc(space, counter, delta)
             replays.append(engine.replay(ops, walk.main, self.l3, bound=-math.inf))
         # Private ops up to each core's first shared one run now; the heap
         # orders the rest.

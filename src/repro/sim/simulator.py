@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable, Optional
 
-from repro.cache.hierarchy import CacheHierarchy
 from repro.common.config import SimConfig
 from repro.common.stats import Stats
 from repro.core.schemes import Scheme, scheme_config
@@ -54,13 +53,7 @@ class Simulator:
             counter_organization=counter_organization,
             tracer=self.tracer,
         )
-        self.engine = CoreEngine(
-            0,
-            config,
-            self.system,
-            CacheHierarchy(config.l1, config.l2, config.l3, config.timing, self.stats),
-            tracer=self.tracer,
-        )
+        self.engine = CoreEngine(0, config, self.system, tracer=self.tracer)
         #: The outcome stream the last :meth:`run` recorded (None when it
         #: was handed one).
         self.recorded_outcomes: Optional[ReplayOutcomes] = None
@@ -119,9 +112,8 @@ class Simulator:
             # The recorded cache-stat delta stands in for the per-access
             # bumps of the walk that ran elsewhere (warmup included:
             # warmup resets never touch the hierarchy namespaces).
-            vals = self.stats.raw()
-            for key, delta in outcomes.stat_delta:
-                vals[key] += delta
+            for (space, counter), delta in outcomes.stat_delta:
+                self.stats.inc(space, counter, delta)
         drain_finish = self.system.drain()
         total = max(engine.clock, drain_finish)
         return SimResult(
@@ -137,10 +129,11 @@ class Simulator:
     ) -> ReplayOutcomes:
         """Walk this simulator's cache hierarchy over the warmup and the
         measured arrays, returning the recorded outcome stream."""
-        raw = self.stats.raw()
         namespaces = HIERARCHY_STAT_NAMESPACES
         base = {
-            key: value for key, value in raw.items() if key[0] in namespaces
+            key: value
+            for key, value in self.stats.snapshot().items()
+            if key[0] in namespaces
         }
         record = self.engine.run_batched_record
         warm = (
@@ -151,7 +144,7 @@ class Simulator:
         main = record(arrays)
         delta = tuple(
             (key, value - base.get(key, 0.0))
-            for key, value in raw.items()
+            for key, value in self.stats.snapshot().items()
             if key[0] in namespaces and value != base.get(key, 0.0)
         )
         return ReplayOutcomes(main, warm, delta)

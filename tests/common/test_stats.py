@@ -1,5 +1,12 @@
 """Tests for the statistics registry."""
 
+import multiprocessing
+import pickle
+import random
+from collections import defaultdict
+
+import pytest
+
 from repro.common.stats import Stats
 
 
@@ -23,14 +30,6 @@ def test_set_overwrites():
     assert s.get("a", "x") == 3
 
 
-def test_maximize():
-    s = Stats()
-    s.maximize("wq", "peak", 5)
-    s.maximize("wq", "peak", 3)
-    s.maximize("wq", "peak", 9)
-    assert s.get("wq", "peak") == 9
-
-
 def test_namespace_view():
     s = Stats()
     s.inc("bank.0", "reads", 3)
@@ -47,38 +46,12 @@ def test_ratio():
     assert s.ratio("cc", "hits", "missing-denominator") == 0.0
 
 
-def test_merge_adds():
-    a, b = Stats(), Stats()
-    a.inc("x", "n", 1)
-    b.inc("x", "n", 2)
-    b.inc("y", "m", 5)
-    a.merge(b)
-    assert a.get("x", "n") == 3
-    assert a.get("y", "m") == 5
-
-
-def test_reset():
-    s = Stats()
-    s.inc("x", "n", 3)
-    s.reset()
-    assert s.get("x", "n") == 0
-
-
 def test_iteration_is_sorted():
     s = Stats()
     s.inc("b", "z")
     s.inc("a", "y")
     order = [(space, counter) for space, counter, _ in s]
     assert order == [("a", "y"), ("b", "z")]
-
-
-def test_format_filters_by_prefix():
-    s = Stats()
-    s.inc("bank.0", "writes", 2)
-    s.inc("wq", "appends", 1)
-    text = s.format(prefix="bank")
-    assert "bank.0.writes = 2" in text
-    assert "wq" not in text
 
 
 def test_integer_values_render_without_decimals():
@@ -88,113 +61,201 @@ def test_integer_values_render_without_decimals():
     assert isinstance(s.get("a", "n"), int)
 
 
-# -- merge edge cases ------------------------------------------------------
+# -- slots -----------------------------------------------------------------
 
 
-def test_merge_empty_other_is_identity():
-    a = Stats()
-    a.inc("x", "n", 4)
-    before = a.snapshot()
-    a.merge(Stats())
-    assert a.snapshot() == before
+def test_a_slot_is_reported_once_bumped():
+    s = Stats()
+    slot = s.slot("slots", "bumped")
+    assert s.snapshot() == {}
+    assert s.get("slots", "bumped", default=7) == 7
+    s.values[slot] += 1
+    assert s.snapshot() == {("slots", "bumped"): 1.0}
 
 
-def test_merge_into_empty_copies_everything():
+def test_a_slot_written_to_zero_is_reported():
+    s = Stats()
+    s.slot("slots", "zeroed")
+    s.set("slots", "zeroed", 0)
+    assert s.snapshot() == {("slots", "zeroed"): 0}
+    s.inc("slots", "inc0", 0)
+    assert s.get("slots", "inc0", default=7) == 0
+
+
+def test_slots_are_shared_across_instances():
     a, b = Stats(), Stats()
-    b.inc("x", "n", 2)
-    b.set("y", "m", 1.5)
-    a.merge(b)
-    assert a.snapshot() == b.snapshot()
+    assert a.slot("slots", "shared") == b.slot("slots", "shared")
+    a.inc("slots", "shared", 5)
+    assert b.get("slots", "shared") == 0
+    assert b.snapshot() == {}
 
 
-def test_merge_does_not_alias_source():
-    a, b = Stats(), Stats()
-    b.inc("x", "n", 2)
-    a.merge(b)
-    b.inc("x", "n", 10)
-    assert a.get("x", "n") == 2
+def test_empty_stats_pickles():
+    s = pickle.loads(pickle.dumps(Stats()))
+    assert s.snapshot() == {}
+    s.inc("wq", "appends")
+    assert s.get("wq", "appends") == 1
 
 
-def test_merge_mixes_float_and_int():
-    a, b = Stats(), Stats()
-    a.inc("x", "n", 1)
-    b.inc("x", "n", 0.5)
-    a.merge(b)
-    assert a.get("x", "n") == 1.5
+# -- differential: the slot table against the dict it replaced -------------
 
 
-def test_self_merge_doubles():
-    a = Stats()
-    a.inc("x", "n", 3)
-    a.merge(a)
-    assert a.get("x", "n") == 6
+class DictStats:
+    """The ``defaultdict``-backed registry the slot table replaced.
+
+    Hot components bumped ``values[(namespace, counter)] += n`` on this
+    dict directly; a read of a missing key inserts it at ``0.0``.
+    """
+
+    def __init__(self):
+        self.values = defaultdict(float)
+
+    def inc(self, namespace, counter, amount=1):
+        self.values[(namespace, counter)] += amount
+
+    def set(self, namespace, counter, value):
+        self.values[(namespace, counter)] = value
+
+    def get(self, namespace, counter, default=0):
+        value = self.values.get((namespace, counter), default)
+        return int(value) if float(value).is_integer() else value
+
+    def namespace(self, namespace):
+        return {
+            counter: value
+            for (space, counter), value in self.values.items()
+            if space == namespace
+        }
+
+    def ratio(self, namespace, num, den):
+        d = self.values.get((namespace, den), 0)
+        if not d:
+            return 0.0
+        return self.values.get((namespace, num), 0) / d
+
+    def snapshot(self):
+        return dict(self.values)
+
+    def __iter__(self):
+        for (space, counter), value in sorted(self.values.items()):
+            yield space, counter, value
 
 
-# -- maximize edge cases ---------------------------------------------------
+def _typed(value):
+    return value, type(value)
 
 
-def test_maximize_keeps_existing_on_tie():
-    s = Stats()
-    s.maximize("wq", "peak", 5)
-    s.maximize("wq", "peak", 5)
-    assert s.get("wq", "peak") == 5
+def _assert_same(stats, ref, keys):
+    """Every reader of ``stats`` and ``ref`` agrees, value and type."""
+    assert {k: _typed(v) for k, v in stats.snapshot().items()} == {
+        k: _typed(v) for k, v in ref.snapshot().items()
+    }
+    assert [(s, c, _typed(v)) for s, c, v in stats] == [
+        (s, c, _typed(v)) for s, c, v in ref
+    ]
+    spaces = sorted({space for space, _ in keys})
+    counters = sorted({counter for _, counter in keys})
+    for space in spaces:
+        assert {k: _typed(v) for k, v in stats.namespace(space).items()} == {
+            k: _typed(v) for k, v in ref.namespace(space).items()
+        }
+        for num in counters:
+            for den in counters:
+                assert _typed(stats.ratio(space, num, den)) == _typed(
+                    ref.ratio(space, num, den)
+                )
+    for space, counter in keys:
+        for default in (0, 7, 2.5):
+            assert _typed(stats.get(space, counter, default)) == _typed(
+                ref.get(space, counter, default)
+            )
 
 
-def test_maximize_with_negative_values():
-    s = Stats()
-    s.maximize("t", "coldest", -10)
-    s.maximize("t", "coldest", -3)
-    assert s.get("t", "coldest") == -3
-    # A first negative observation is kept even though it is < 0.
-    s2 = Stats()
-    s2.maximize("t", "coldest", -10)
-    assert s2.get("t", "coldest") == -10
+#: The differential's operations; hot bumps dominate, as in a run.
+_OPS = ("hot", "hot", "hot", "peak", "inc", "set", "pickle", "foreign")
 
 
-def test_maximize_after_inc_respects_running_value():
-    s = Stats()
-    s.inc("wq", "peak", 7)
-    s.maximize("wq", "peak", 3)
-    assert s.get("wq", "peak") == 7
-    s.maximize("wq", "peak", 9)
-    assert s.get("wq", "peak") == 9
+@pytest.mark.parametrize("seed", range(12))
+def test_slot_table_matches_dict_registry(seed):
+    """Randomized hot bumps (positive amounts, as every hot component
+    makes), running peaks, ``inc`` (zero and negative amounts too), ``set``
+    (int 0 too, as the warm-up reset writes it), pickle round-trips and
+    keys registered by other instances: every reader must see what the
+    dict-backed registry shows."""
+    rng = random.Random(seed)
+    spaces = ("wq", f"diff{seed}.a", f"diff{seed}.b")
+    keys = [(space, counter) for space in spaces for counter in ("x", "y", "z")]
+    hot = keys[: len(keys) // 2 + 1]
+    stats, ref = Stats(), DictStats()
+    foreign = []
+
+    def attach():
+        # What a component built on ``stats`` holds: its slots and list.
+        return stats.values, {key: stats.slot(*key) for key in hot}
+
+    vals, slots = attach()
+    _assert_same(stats, ref, keys)
+    for step in range(300):
+        op = rng.choice(_OPS)
+        if op == "hot":
+            key = rng.choice(hot)
+            amount = rng.choice((1, rng.randint(1, 9), rng.uniform(0.5, 400.0)))
+            vals[slots[key]] += amount
+            ref.values[key] += amount
+        elif op == "peak":
+            key = rng.choice(hot)
+            n = rng.randint(1, 64)
+            if n > vals[slots[key]]:
+                vals[slots[key]] = n
+            if n > ref.values[key]:
+                ref.values[key] = n
+        elif op == "inc":
+            key = rng.choice(keys)
+            amount = rng.choice((0, 0.0, -1, -2.5, 1, 3, 0.25))
+            stats.inc(*key, amount)
+            ref.inc(*key, amount)
+        elif op == "set":
+            key = rng.choice(keys)
+            value = rng.choice((0, 0.0, 1, 4, 2.5, -3))
+            stats.set(*key, value)
+            ref.set(*key, value)
+        elif op == "pickle":
+            stats = pickle.loads(pickle.dumps(stats))
+            ref = pickle.loads(pickle.dumps(ref))
+            vals, slots = attach()
+        else:
+            # Another instance grows the registry past this one's list.
+            key = (f"foreign{seed}", str(step))
+            Stats().slot(*key)
+            foreign.append(key)
+        _assert_same(stats, ref, keys + foreign[-3:])
 
 
-# -- format prefix filtering edge cases ------------------------------------
+# -- across processes ------------------------------------------------------
 
 
-def test_format_empty_prefix_includes_everything():
-    s = Stats()
-    s.inc("bank.0", "writes", 1)
-    s.inc("wq", "appends", 1)
-    text = s.format()
-    assert "bank.0.writes = 1" in text
-    assert "wq.appends = 1" in text
+def _child_stats():
+    """Run in a fresh interpreter, whose registry numbers slots its own way."""
+    for counter in ("b", "a"):
+        Stats().slot("child.only", counter)
+    stats = Stats()
+    stats.values[stats.slot("wq", "appends")] += 3
+    stats.inc("child.only", "n", 2)
+    stats.set("child.only", "zero", 0)
+    return stats
 
 
-def test_format_prefix_is_plain_string_prefix_not_namespace_match():
-    """'bank.1' matches both 'bank.1' and 'bank.10' — prefix semantics."""
-    s = Stats()
-    s.inc("bank.1", "writes", 1)
-    s.inc("bank.10", "writes", 2)
-    s.inc("bank.2", "writes", 3)
-    text = s.format(prefix="bank.1")
-    assert "bank.1.writes = 1" in text
-    assert "bank.10.writes = 2" in text
-    assert "bank.2" not in text
-
-
-def test_format_unmatched_prefix_is_empty():
-    s = Stats()
-    s.inc("wq", "appends", 1)
-    assert s.format(prefix="nothing") == ""
-
-
-def test_format_on_empty_stats_is_empty():
-    assert Stats().format() == ""
-
-
-def test_format_renders_floats_to_four_places():
-    s = Stats()
-    s.set("cc", "rate", 0.123456)
-    assert "cc.rate = 0.1235" in s.format()
+def test_stats_pickle_by_name_across_processes():
+    """A ``Stats`` sent back from a worker reads the same in the parent,
+    whose registry numbers the same keys differently."""
+    for counter in ("first", "second"):
+        Stats().slot("parent.only", counter)
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        stats = pool.apply(_child_stats)
+    assert {k: _typed(v) for k, v in stats.snapshot().items()} == {
+        ("wq", "appends"): _typed(3.0),
+        ("child.only", "n"): _typed(2.0),
+        ("child.only", "zero"): _typed(0),
+    }
+    assert stats.get("wq", "appends") == 3
+    assert stats.get("parent.only", "first", default=7) == 7

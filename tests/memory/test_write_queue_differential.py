@@ -63,7 +63,8 @@ class NaiveWriteQueue:
         self._seq += 1
         self._entries.append(entry)
         self._count_append(entry)
-        self._stats.maximize("wq", "peak_occupancy", len(self._entries))
+        if len(self._entries) > self._stats.get("wq", "peak_occupancy"):
+            self._stats.set("wq", "peak_occupancy", len(self._entries))
         return coalesced
 
     def _count_append(self, entry):

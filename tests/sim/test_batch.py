@@ -36,7 +36,7 @@ def _snapshot(result):
     return (
         result.total_time_ns,
         tuple(result.txn_latencies),
-        tuple(sorted(result.stats.raw().items())),
+        tuple(sorted(result.stats.snapshot().items())),
     )
 
 

@@ -123,7 +123,7 @@ def _observed(result, tracer):
     return (
         result.total_time_ns,
         tuple(result.txn_latencies),
-        tuple(sorted(result.stats.raw().items())),
+        tuple(sorted(result.stats.snapshot().items())),
         None if tracer is None else tracer.events,
     )
 
