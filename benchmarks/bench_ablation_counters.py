@@ -6,11 +6,18 @@ Split counters pack one page's 64 line-counters into one memory line
 fewer NVM writes) with split counters.
 """
 
-from repro.experiments.ablations import counter_organization_ablation, drain_policy_ablation
+from repro.experiments import ablations
+from tests.experiments.grids import run_view
+
+
+def _study(name):
+    return lambda cell: cell[0] == name
 
 
 def test_counter_organization(run_once, benchmark):
-    rows = run_once(counter_organization_ablation, "smoke")
+    rows = run_once(
+        run_view, ablations.points, ablations.specs("smoke"), _study("counter-org")
+    )
     by_label = {r.label: r for r in rows}
     assert by_label["split"].surviving_writes <= by_label["monolithic"].surviving_writes
     benchmark.extra_info["rows"] = {
@@ -21,7 +28,9 @@ def test_counter_organization(run_once, benchmark):
 
 def test_drain_policy(run_once, benchmark):
     """The deferred-counter drain must coalesce more than eager FR-FCFS."""
-    rows = run_once(drain_policy_ablation, "smoke")
+    rows = run_once(
+        run_view, ablations.points, ablations.specs("smoke"), _study("drain-policy")
+    )
     by_label = {r.label: r for r in rows}
     assert by_label["defer-counters"].coalesced >= by_label["frfcfs"].coalesced
     benchmark.extra_info["rows"] = {

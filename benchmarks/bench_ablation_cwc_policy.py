@@ -6,11 +6,17 @@ older entry in place. The check: remove-older must coalesce at least as
 many counter writes as merge-in-place.
 """
 
-from repro.experiments.ablations import cwc_policy_ablation
+from repro.experiments import ablations
+from tests.experiments.grids import run_view
 
 
 def test_cwc_policy(run_once, benchmark):
-    rows = run_once(cwc_policy_ablation, "smoke")
+    rows = run_once(
+        run_view,
+        ablations.points,
+        ablations.specs("smoke"),
+        lambda cell: cell[0] == "cwc-policy",
+    )
     by_label = {r.label: r for r in rows}
     remove = by_label["remove-older"]
     merge = by_label["merge-in-place"]

@@ -6,11 +6,17 @@ from colliding with their own counter writes. The check: the paper's
 offset (4 of 8) performs at least as well as the worst small offset.
 """
 
-from repro.experiments.ablations import xbank_offset_sweep
+from repro.experiments import ablations
+from tests.experiments.grids import run_view
 
 
 def test_xbank_offset(run_once, benchmark):
-    rows = run_once(xbank_offset_sweep, "smoke")
+    rows = run_once(
+        run_view,
+        ablations.points,
+        ablations.specs("smoke"),
+        lambda cell: cell[0] == "xbank-offset",
+    )
     latency = {r.label: r.avg_latency_ns for r in rows}
     half_ring = latency["offset=4"]
     worst = max(latency.values())

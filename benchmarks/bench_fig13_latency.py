@@ -9,11 +9,17 @@ import pytest
 
 from repro.core.schemes import Scheme
 from repro.experiments import fig13
+from tests.experiments.grids import run_view
 
 
 @pytest.mark.parametrize("request_size", [256, 1024, 4096])
 def test_fig13_latency(run_once, benchmark, request_size):
-    points = run_once(fig13.run, "smoke", (request_size,))
+    points = run_once(
+        run_view,
+        fig13.points,
+        fig13.specs("smoke"),
+        lambda cell: cell[1] == request_size,
+    )
     by_cell = {(p.workload, p.scheme): p.normalized for p in points}
     workloads = {p.workload for p in points}
 

@@ -7,11 +7,15 @@ least comparable to XBank's — the paper's Section 5.1.2 observation.
 
 from repro.core.schemes import Scheme
 from repro.experiments import fig14
+from tests.experiments.grids import run_view
 
 
 def test_fig14_multicore(run_once, benchmark):
     points = run_once(
-        fig14.run, "smoke", (1, 4, 8), ("hashtable",), 1024
+        run_view,
+        fig14.points,
+        fig14.specs("smoke"),
+        lambda cell: cell[0] == "hashtable",
     )
     by_cell = {(p.n_programs, p.scheme): p.normalized for p in points}
 

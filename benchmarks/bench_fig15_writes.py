@@ -8,12 +8,18 @@ and reaches >= 44 % at 4 KB (paper: 45-48 %).
 import pytest
 
 from repro.core.schemes import Scheme
-from repro.experiments import fig15
+from repro.experiments import fig13, fig15
+from tests.experiments.grids import run_view
 
 
 @pytest.mark.parametrize("request_size", [256, 1024, 4096])
 def test_fig15_writes(run_once, benchmark, request_size):
-    points = run_once(fig15.run, "smoke", (request_size,))
+    points = run_once(
+        run_view,
+        fig15.points,
+        fig13.specs("smoke"),
+        lambda cell: cell[1] == request_size,
+    )
     by_cell = {(p.workload, p.scheme): p.normalized for p in points}
     for workload in {p.workload for p in points}:
         assert 1.9 < by_cell[(workload, Scheme.WT_BASE)] < 2.1
@@ -25,7 +31,7 @@ def test_fig15_writes(run_once, benchmark, request_size):
 
 
 def test_fig15_reduction_grows_with_size(run_once, benchmark):
-    points = run_once(fig15.run, "smoke", (256, 1024, 4096))
+    points = run_once(run_view, fig15.points, fig13.specs("smoke"))
     reductions = fig15.supermem_reduction_vs_wt(points)
     for workload in ("array",):
         series = [reductions[(workload, s)] for s in (256, 1024, 4096)]

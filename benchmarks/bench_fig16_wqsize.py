@@ -6,10 +6,11 @@ entries is no worse than at 8 entries.
 """
 
 from repro.experiments import fig16
+from tests.experiments.grids import run_view
 
 
 def test_fig16_wq_sensitivity(run_once, benchmark):
-    points = run_once(fig16.run, "smoke", (8, 16, 32, 64, 128))
+    points = run_once(run_view, fig16.points, fig16.specs("smoke"))
     by_workload = {}
     for p in points:
         by_workload.setdefault(p.workload, {})[p.wq_entries] = p

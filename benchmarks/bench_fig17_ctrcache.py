@@ -7,12 +7,15 @@ bigger cache.
 """
 
 from repro.experiments import fig17
+from tests.experiments.grids import run_view
 
 SIZES = (1 << 10, 16 << 10, 256 << 10)
 
 
 def test_fig17_counter_cache_sensitivity(run_once, benchmark):
-    points = run_once(fig17.run, "smoke", SIZES)
+    points = run_once(
+        run_view, fig17.points, fig17.specs("smoke"), lambda cell: cell[1] in SIZES
+    )
     by_cell = {(p.workload, p.counter_cache_size): p for p in points}
 
     for workload in ("queue", "btree"):

@@ -4,7 +4,7 @@ from repro.experiments import table1
 
 
 def test_table1_recoverability(run_once, benchmark):
-    rows = run_once(table1.run)
+    rows = run_once(table1.points, [], [])
     by_key = {(r.system, r.stage): r for r in rows}
 
     # Paper Table 1 (unprotected encrypted NVM): Yes / No / No.

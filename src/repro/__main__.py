@@ -21,104 +21,7 @@ import argparse
 import sys
 import time
 
-
-def _run_experiment(
-    name: str,
-    scale: str,
-    json_path: str | None = None,
-    jobs: int = 1,
-    journal: str | None = None,
-) -> str:
-    """Run one experiment by name; returns rendered markdown.
-
-    When ``json_path`` is given, the raw points are also exported there
-    (experiments that produce point lists only). ``jobs`` fans the
-    experiment's simulation grid over that many worker processes
-    (results are bit-identical to serial; see docs/PERFORMANCE.md).
-    ``journal`` enables ``--resume``: completed sweep points are appended
-    to that JSONL file and skipped on a re-run (see docs/CLI.md).
-    """
-    from repro.experiments import (
-        ablations,
-        fig13,
-        fig14,
-        fig15,
-        fig16,
-        fig17,
-        fig_channels,
-        fig_recovery,
-        related_work,
-        table1,
-    )
-    from repro.experiments.export import export_json
-
-    points = None
-    if name == "table1":
-        # Crash injection is a handful of sequential scenarios, not a
-        # sweep grid — always serial (and never journaled: each scenario
-        # is cheap and stateful crash plumbing doesn't round-trip).
-        points = table1.run()
-        rendered = table1.render(points)
-    elif name == "related":
-        rendered = related_work.render(
-            related_work.run_runtime(scale, jobs=jobs, journal=journal),
-            related_work.run_recovery(),
-        )
-    elif name == "fig13":
-        points = fig13.run(scale, jobs=jobs, journal=journal)
-        rendered = fig13.render(points)
-    elif name == "fig14":
-        points = fig14.run(scale, jobs=jobs, journal=journal)
-        rendered = fig14.render(points)
-    elif name == "fig15":
-        points = fig15.run(scale, jobs=jobs, journal=journal)
-        rendered = fig15.render(points)
-    elif name == "fig16":
-        points = fig16.run(scale, jobs=jobs, journal=journal)
-        rendered = fig16.render(points)
-    elif name == "fig17":
-        points = fig17.run(scale, jobs=jobs, journal=journal)
-        rendered = fig17.render(points)
-    elif name == "fig-channels":
-        points = fig_channels.run(scale, jobs=jobs, journal=journal)
-        rendered = fig_channels.render(points)
-    elif name == "fig-recovery":
-        points = fig_recovery.run(scale, jobs=jobs, journal=journal)
-        rendered = fig_recovery.render(points)
-    elif name == "ablations":
-        rendered = ablations.render_all(scale, jobs=jobs, journal=journal)
-    else:
-        raise SystemExit(f"unknown experiment {name!r}; see `python -m repro list`")
-    if json_path and points is not None:
-        export_json(points, json_path, experiment=name)
-    return rendered
-
-
-EXPERIMENTS = (
-    "table1",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
-    "fig-channels",
-    "fig-recovery",
-    "ablations",
-    "related",
-)
-
-_DESCRIPTIONS = {
-    "table1": "Crash recoverability per transaction stage (crash injection)",
-    "fig13": "Single-core txn latency: 5 workloads x 7 schemes x 3 sizes",
-    "fig14": "Multi-programmed txn latency: 1/4/8 programs",
-    "fig15": "NVM write requests normalised to Unsec",
-    "fig16": "Write-queue length sensitivity (8..128 entries)",
-    "fig17": "Counter-cache size sensitivity (1KB..4MB)",
-    "fig-channels": "Channel-count sensitivity (1..8 channels at fixed banks)",
-    "fig-recovery": "Section 6 recovery cost vs capacity/log/RSR/dirty fraction",
-    "ablations": "Design-choice ablations (CWC policy, XBank offset, ...)",
-    "related": "Section 6 related work: SCA / Osiris runtime + recovery cost",
-}
+from repro.experiments import suite
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser = sub.add_parser("run", help="run experiment(s)")
     run_parser.add_argument(
         "experiment",
-        choices=EXPERIMENTS + ("all",),
+        choices=tuple(suite.EXPERIMENTS) + ("all",),
         help="which paper artifact to regenerate",
     )
     run_parser.add_argument(
@@ -152,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--json",
         default=None,
-        help="also export the raw experiment points as JSON (single experiment only)",
+        help="also export the experiment's rows as JSON (one experiment, not all)",
     )
     run_parser.add_argument(
         "--jobs",
@@ -279,35 +182,34 @@ def main(argv=None) -> int:
     if args.command == "recovery-report":
         return _cmd_recovery_report(args)
     if args.command == "list":
-        for name in EXPERIMENTS:
-            print(f"{name:10s} {_DESCRIPTIONS[name]}")
+        width = max(map(len, suite.EXPERIMENTS))
+        for name, experiment in suite.EXPERIMENTS.items():
+            print(f"{name:{width}s} {experiment.description}")
         return 0
 
+    from repro.experiments.export import export_json
+
+    if args.json and args.experiment == "all":
+        raise SystemExit(
+            "--json exports one experiment's rows; name one experiment, not all"
+        )
     jobs = _parse_jobs(args.jobs)
     _install_policy(args)
-    names = EXPERIMENTS if args.experiment == "all" else (args.experiment,)
-    json_path = args.json if len(names) == 1 else None
-    sections = []
-    for name in names:
-        started = time.time()
-        print(
-            f"[repro] running {name} (scale={args.scale}, jobs={jobs})...",
-            file=sys.stderr,
-        )
-        sections.append(
-            _run_experiment(
-                name,
-                args.scale,
-                json_path=json_path,
-                jobs=jobs,
-                journal=args.resume,
-            )
-        )
-        print(
-            f"[repro] {name} done in {time.time() - started:.1f}s",
-            file=sys.stderr,
-        )
-    output = "\n".join(sections)
+    started = time.time()
+    print(
+        f"[repro] running {args.experiment} (scale={args.scale}, jobs={jobs})...",
+        file=sys.stderr,
+    )
+    rows = suite.run(args.experiment, args.scale, jobs=jobs, journal=args.resume)
+    if args.json:
+        export_json(rows[args.experiment], args.json, experiment=args.experiment)
+    output = "\n".join(
+        suite.EXPERIMENTS[name].render(points) for name, points in rows.items()
+    )
+    print(
+        f"[repro] {args.experiment} done in {time.time() - started:.1f}s",
+        file=sys.stderr,
+    )
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(output)

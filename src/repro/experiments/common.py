@@ -23,6 +23,9 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.common.config import MemoryConfig, SimConfig
+from repro.common.errors import ConfigError
+from repro.core.schemes import EVALUATED_SCHEMES, Scheme
+from repro.sim.validation import validate_result
 
 
 @dataclass(frozen=True)
@@ -126,3 +129,30 @@ def experiment_base_config(
             ),
         )
     return base
+
+
+def normalise_to_unsec(cells, results, metric):
+    """``(cell, scheme, value, normalised)`` over a cells x schemes grid.
+
+    ``results`` hold one result per cell and :data:`EVALUATED_SCHEMES`
+    entry, schemes innermost, as the grids lay out their specs. Every
+    result is validated, ``metric`` reads its value, and each cell is
+    normalised to its first scheme.
+    """
+    if EVALUATED_SCHEMES[0] is not Scheme.UNSEC:
+        # A reordered EVALUATED_SCHEMES would silently normalise to the
+        # wrong system instead of Unsec.
+        raise ConfigError(
+            f"EVALUATED_SCHEMES must start with Unsec (the normalization "
+            f"baseline), got {EVALUATED_SCHEMES[0]!r}"
+        )
+    results = iter(results)
+    for cell in cells:
+        baseline = None
+        for scheme in EVALUATED_SCHEMES:
+            result = next(results)
+            validate_result(result, encrypted=(scheme is not Scheme.UNSEC))
+            value = metric(result)
+            if baseline is None:
+                baseline = value
+            yield cell, scheme, value, value / baseline if baseline else 0.0

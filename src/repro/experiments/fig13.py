@@ -14,12 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.common.errors import ConfigError
 from repro.core.schemes import EVALUATED_SCHEMES, Scheme
-from repro.experiments.common import Scale, experiment_base_config, get_scale
+from repro.experiments.common import (
+    experiment_base_config,
+    get_scale,
+    normalise_to_unsec,
+)
 from repro.experiments.report import render_table
-from repro.experiments.runner import PointSpec, run_points
-from repro.sim.validation import validate_result
+from repro.experiments.runner import PointSpec
 from repro.workloads.base import WORKLOAD_NAMES
 
 REQUEST_SIZES = (256, 1024, 4096)
@@ -34,23 +36,19 @@ class Fig13Point:
     normalized: float
 
 
-def specs(
-    scale: str | Scale = "default",
-    request_sizes=REQUEST_SIZES,
-    base_config=None,
-) -> tuple:
+def specs(scale: str) -> tuple:
     """The Figure 13 grid as ``(cells, point_specs)``.
 
     ``cells`` is the ``(workload, request_size)`` grid in sweep order;
     ``point_specs`` holds one :class:`PointSpec` per cell x scheme
-    (schemes innermost, :data:`EVALUATED_SCHEMES` order). Shared by
-    :func:`run` and the figure-sweep benchmark (``bench/grids.py``),
-    which times exactly this grid — one definition keeps the two in
-    lockstep.
+    (schemes innermost, :data:`EVALUATED_SCHEMES` order). Figure 15
+    reads the same grid, and the figure-sweep benchmark
+    (``bench/grids.py``) times exactly this grid — one definition keeps
+    the three in lockstep.
     """
-    scale = get_scale(scale) if isinstance(scale, str) else scale
-    base = base_config if base_config is not None else experiment_base_config(scale)
-    cells = [(workload, size) for workload in WORKLOAD_NAMES for size in request_sizes]
+    scale = get_scale(scale)
+    base = experiment_base_config(scale)
+    cells = [(workload, size) for workload in WORKLOAD_NAMES for size in REQUEST_SIZES]
     point_specs = [
         PointSpec(
             workload=workload,
@@ -67,51 +65,14 @@ def specs(
     return cells, point_specs
 
 
-def run(
-    scale: str | Scale = "default",
-    request_sizes=REQUEST_SIZES,
-    jobs: int = 1,
-    journal: str | None = None,
-    base_config=None,
-) -> List[Fig13Point]:
-    """Run the full Figure 13 sweep; returns one point per cell.
-
-    Every point runs at timing fidelity, the simulators' default.
-    ``base_config`` overrides the scale's default :class:`SimConfig`.
-    """
-    if EVALUATED_SCHEMES[0] is not Scheme.UNSEC:
-        # The first scheme of each cell is the normalization baseline; a
-        # reordered EVALUATED_SCHEMES would silently normalise to the
-        # wrong system instead of Unsec.
-        raise ConfigError(
-            f"EVALUATED_SCHEMES must start with Unsec (the normalization "
-            f"baseline), got {EVALUATED_SCHEMES[0]!r}"
+def points(cells, results) -> List[Fig13Point]:
+    """One point per cell x scheme: latency normalised to Unsec."""
+    return [
+        Fig13Point(workload, size, scheme, latency, normalized)
+        for (workload, size), scheme, latency, normalized in normalise_to_unsec(
+            cells, results, lambda result: result.avg_txn_latency_ns
         )
-    cells, point_specs = specs(
-        scale,
-        request_sizes=request_sizes,
-        base_config=base_config,
-    )
-    results = iter(run_points(point_specs, jobs=jobs, label="fig13", journal=journal))
-    points: List[Fig13Point] = []
-    for workload, size in cells:
-        baseline = None
-        for scheme in EVALUATED_SCHEMES:
-            result = next(results)
-            validate_result(result, encrypted=(scheme is not Scheme.UNSEC))
-            latency = result.avg_txn_latency_ns
-            if baseline is None:
-                baseline = latency
-            points.append(
-                Fig13Point(
-                    workload=workload,
-                    request_size=size,
-                    scheme=scheme,
-                    avg_latency_ns=latency,
-                    normalized=latency / baseline if baseline else 0.0,
-                )
-            )
-    return points
+    ]
 
 
 def render(points: List[Fig13Point]) -> str:

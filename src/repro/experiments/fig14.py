@@ -13,10 +13,13 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.core.schemes import EVALUATED_SCHEMES, Scheme
-from repro.experiments.common import Scale, experiment_base_config, get_scale
+from repro.experiments.common import (
+    experiment_base_config,
+    get_scale,
+    normalise_to_unsec,
+)
 from repro.experiments.report import render_table
-from repro.experiments.runner import PointSpec, run_points
-from repro.sim.validation import validate_result
+from repro.experiments.runner import PointSpec
 from repro.workloads.base import WORKLOAD_NAMES
 
 PROGRAM_COUNTS = (1, 4, 8)
@@ -31,27 +34,21 @@ class Fig14Point:
     normalized: float
 
 
-def run(
-    scale: str | Scale = "default",
-    program_counts=PROGRAM_COUNTS,
-    workloads=WORKLOAD_NAMES,
-    request_size: int = 1024,
-    jobs: int = 1,
-    journal: str | None = None,
-) -> List[Fig14Point]:
-    scale = get_scale(scale) if isinstance(scale, str) else scale
+def specs(scale: str) -> tuple:
+    """The ``(workload, n_programs)`` cells and one spec per cell x scheme."""
+    scale = get_scale(scale)
     base = experiment_base_config(scale)
     cells = [
         (workload, n_programs)
-        for workload in workloads
-        for n_programs in program_counts
+        for workload in WORKLOAD_NAMES
+        for n_programs in PROGRAM_COUNTS
     ]
-    specs = [
+    point_specs = [
         PointSpec(
             workload=workload,
             scheme=scheme,
             n_ops=scale.n_ops_multicore,
-            request_size=request_size,
+            request_size=1024,
             footprint=None,
             base_config=base,
             seed=1,
@@ -60,26 +57,16 @@ def run(
         for (workload, n_programs) in cells
         for scheme in EVALUATED_SCHEMES
     ]
-    results = iter(run_points(specs, jobs=jobs, label="fig14", journal=journal))
-    points: List[Fig14Point] = []
-    for workload, n_programs in cells:
-        baseline = None
-        for scheme in EVALUATED_SCHEMES:
-            result = next(results)
-            validate_result(result, encrypted=(scheme is not Scheme.UNSEC))
-            latency = result.avg_txn_latency_ns
-            if baseline is None:
-                baseline = latency
-            points.append(
-                Fig14Point(
-                    workload=workload,
-                    n_programs=n_programs,
-                    scheme=scheme,
-                    avg_latency_ns=latency,
-                    normalized=latency / baseline if baseline else 0.0,
-                )
-            )
-    return points
+    return cells, point_specs
+
+
+def points(cells, results) -> List[Fig14Point]:
+    return [
+        Fig14Point(workload, n_programs, scheme, latency, normalized)
+        for (workload, n_programs), scheme, latency, normalized in normalise_to_unsec(
+            cells, results, lambda result: result.avg_txn_latency_ns
+        )
+    ]
 
 
 def render(points: List[Fig14Point]) -> str:

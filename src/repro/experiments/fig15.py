@@ -2,7 +2,9 @@
 
 The paper's bands: WT = 2x at every size; WB = 1.03-1.16x at 256 B,
 shrinking as the request size grows; SuperMem cuts 20-27 % (256 B),
-35-42 % (1 KB), 45-48 % (4 KB) of WT's writes.
+35-42 % (1 KB), 45-48 % (4 KB) of WT's writes. The paper reads this
+figure off the Figure 13 runs, and so does this module: it has no grid
+of its own, only a view of :func:`repro.experiments.fig13.specs`.
 """
 
 from __future__ import annotations
@@ -11,13 +13,9 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.core.schemes import EVALUATED_SCHEMES, Scheme
-from repro.experiments.common import Scale, experiment_base_config, get_scale
+from repro.experiments.common import normalise_to_unsec
 from repro.experiments.report import render_table
-from repro.experiments.runner import PointSpec, run_points
-from repro.sim.validation import validate_result
 from repro.workloads.base import WORKLOAD_NAMES
-
-REQUEST_SIZES = (256, 1024, 4096)
 
 
 @dataclass
@@ -29,48 +27,14 @@ class Fig15Point:
     normalized: float
 
 
-def run(
-    scale: str | Scale = "default",
-    request_sizes=REQUEST_SIZES,
-    jobs: int = 1,
-    journal: str | None = None,
-) -> List[Fig15Point]:
-    scale = get_scale(scale) if isinstance(scale, str) else scale
-    base = experiment_base_config(scale)
-    cells = [(workload, size) for workload in WORKLOAD_NAMES for size in request_sizes]
-    specs = [
-        PointSpec(
-            workload=workload,
-            scheme=scheme,
-            n_ops=scale.n_ops,
-            request_size=size,
-            footprint=scale.footprint,
-            base_config=base,
-            seed=1,
+def points(cells, results) -> List[Fig15Point]:
+    """A second view of the Figure 13 grid: NVM writes per cell x scheme."""
+    return [
+        Fig15Point(workload, size, scheme, writes, normalized)
+        for (workload, size), scheme, writes, normalized in normalise_to_unsec(
+            cells, results, lambda result: result.surviving_writes
         )
-        for (workload, size) in cells
-        for scheme in EVALUATED_SCHEMES
     ]
-    results = iter(run_points(specs, jobs=jobs, label="fig15", journal=journal))
-    points: List[Fig15Point] = []
-    for workload, size in cells:
-        baseline = None
-        for scheme in EVALUATED_SCHEMES:
-            result = next(results)
-            validate_result(result, encrypted=(scheme is not Scheme.UNSEC))
-            writes = result.surviving_writes
-            if baseline is None:
-                baseline = writes
-            points.append(
-                Fig15Point(
-                    workload=workload,
-                    request_size=size,
-                    scheme=scheme,
-                    writes=writes,
-                    normalized=writes / baseline if baseline else 0.0,
-                )
-            )
-    return points
 
 
 def supermem_reduction_vs_wt(points: List[Fig15Point]) -> Dict[tuple, float]:

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.core.schemes import Scheme
-from repro.experiments.common import Scale, experiment_base_config, get_scale
+from repro.experiments.common import experiment_base_config, get_scale
 from repro.experiments.report import render_table
-from repro.experiments.runner import PointSpec, run_points
+from repro.experiments.runner import PointSpec
 from repro.sim.validation import validate_result
 from repro.workloads.base import WORKLOAD_NAMES
 
@@ -29,25 +29,20 @@ class Fig16Point:
     supermem_latency_ns: float
 
 
-def run(
-    scale: str | Scale = "default",
-    queue_lengths=QUEUE_LENGTHS,
-    request_size: int = 1024,
-    jobs: int = 1,
-    journal: str | None = None,
-) -> List[Fig16Point]:
-    scale = get_scale(scale) if isinstance(scale, str) else scale
+def specs(scale: str) -> tuple:
+    """The ``(workload, wq_entries)`` cells; a WT then a SuperMem spec each."""
+    scale = get_scale(scale)
     cells = [
         (workload, entries)
         for workload in WORKLOAD_NAMES
-        for entries in queue_lengths
+        for entries in QUEUE_LENGTHS
     ]
-    specs = [
+    point_specs = [
         PointSpec(
             workload=workload,
             scheme=scheme,
             n_ops=scale.n_ops,
-            request_size=request_size,
+            request_size=1024,
             footprint=scale.footprint,
             base_config=experiment_base_config(scale, write_queue_entries=entries),
             seed=1,
@@ -55,8 +50,12 @@ def run(
         for (workload, entries) in cells
         for scheme in (Scheme.WT_BASE, Scheme.SUPERMEM)
     ]
-    results = iter(run_points(specs, jobs=jobs, label="fig16", journal=journal))
-    points: List[Fig16Point] = []
+    return cells, point_specs
+
+
+def points(cells, results) -> List[Fig16Point]:
+    results = iter(results)
+    out: List[Fig16Point] = []
     for workload, entries in cells:
         wt = next(results)
         sm = next(results)
@@ -65,7 +64,7 @@ def run(
         reduced = 0.0
         if wt.counter_writes:
             reduced = sm.coalesced_counter_writes / wt.counter_writes
-        points.append(
+        out.append(
             Fig16Point(
                 workload=workload,
                 wq_entries=entries,
@@ -73,7 +72,7 @@ def run(
                 supermem_latency_ns=sm.avg_txn_latency_ns,
             )
         )
-    return points
+    return out
 
 
 def render(points: List[Fig16Point]) -> str:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.core.schemes import Scheme
-from repro.experiments.common import Scale, experiment_base_config, get_scale
+from repro.experiments.common import experiment_base_config, get_scale
 from repro.experiments.report import render_table
-from repro.experiments.runner import PointSpec, run_points
+from repro.experiments.runner import PointSpec
 from repro.sim.validation import validate_result
 from repro.workloads.base import WORKLOAD_NAMES
 
@@ -31,24 +31,19 @@ class Fig17Point:
     total_time_ns: float
 
 
-def run(
-    scale: str | Scale = "default",
-    cache_sizes=CACHE_SIZES,
-    request_size: int = 1024,
-    jobs: int = 1,
-    journal: str | None = None,
-) -> List[Fig17Point]:
-    scale = get_scale(scale) if isinstance(scale, str) else scale
-    cells = [(workload, size) for workload in WORKLOAD_NAMES for size in cache_sizes]
+def specs(scale: str) -> tuple:
+    """The ``(workload, counter_cache_size)`` cells, one SuperMem spec each."""
+    scale = get_scale(scale)
+    cells = [(workload, size) for workload in WORKLOAD_NAMES for size in CACHE_SIZES]
     # Cache-sensitivity needs steady state: longer measured runs with a
     # warmup so cross-transaction reuse (what a bigger cache captures)
     # dominates cold compulsory misses.
-    specs = [
+    point_specs = [
         PointSpec(
             workload=workload,
             scheme=Scheme.SUPERMEM,
             n_ops=4 * scale.n_ops,
-            request_size=request_size,
+            request_size=1024,
             footprint=scale.footprint,
             base_config=experiment_base_config(scale, counter_cache_size=size),
             seed=1,
@@ -56,14 +51,16 @@ def run(
         )
         for (workload, size) in cells
     ]
-    results = iter(run_points(specs, jobs=jobs, label="fig17", journal=journal))
-    points: List[Fig17Point] = []
-    for workload, size in cells:
-        result = next(results)
+    return cells, point_specs
+
+
+def points(cells, results) -> List[Fig17Point]:
+    out: List[Fig17Point] = []
+    for (workload, size), result in zip(cells, results):
         validate_result(result, encrypted=True)
         # Report the read-path hit rate: those are the hits that let
         # OTP generation overlap the data fetch (Figure 2b).
-        points.append(
+        out.append(
             Fig17Point(
                 workload=workload,
                 counter_cache_size=size,
@@ -71,7 +68,7 @@ def run(
                 total_time_ns=result.total_time_ns,
             )
         )
-    return points
+    return out
 
 
 def _size_label(size: int) -> str:

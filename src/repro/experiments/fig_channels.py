@@ -15,19 +15,20 @@ pool, so ``--jobs`` parallelism, the resume journal, and the retry
 policy are inherited; results are bit-identical at any job count.
 :func:`validate` asserts the monotone shape — at fixed bank count,
 adding channels never makes a scheme slower (beyond float jitter) —
-and the CLI run fails loudly if the model drifts.
+and :func:`points` calls it, so the CLI run fails loudly if the model
+drifts.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple
 
 from repro.core.schemes import Scheme
-from repro.experiments.common import Scale, experiment_base_config, get_scale
+from repro.experiments.common import experiment_base_config, get_scale
 from repro.experiments.report import render_table
-from repro.experiments.runner import PointSpec, run_points
+from repro.experiments.runner import PointSpec
 from repro.sim.validation import validate_result
 from repro.workloads.base import WORKLOAD_NAMES
 
@@ -54,27 +55,21 @@ class FigChannelsPoint:
     normalized: float
 
 
-def run(
-    scale: Union[str, Scale] = "default",
-    channel_counts=CHANNEL_COUNTS,
-    request_size: int = 1024,
-    jobs: int = 1,
-    journal: Optional[str] = None,
-) -> List[FigChannelsPoint]:
-    """Execute the sweep through the supervised runner pool."""
-    scale = get_scale(scale) if isinstance(scale, str) else scale
+def specs(scale: str) -> tuple:
+    """The ``(workload, n_channels)`` cells, one spec per cell x scheme."""
+    scale = get_scale(scale)
     cells: List[Tuple[str, int]] = [
         (workload, n_channels)
         for workload in WORKLOAD_NAMES
-        for n_channels in channel_counts
+        for n_channels in CHANNEL_COUNTS
     ]
     base = experiment_base_config(scale)
-    specs = [
+    point_specs = [
         PointSpec(
             workload=workload,
             scheme=scheme,
             n_ops=scale.n_ops,
-            request_size=request_size,
+            request_size=1024,
             footprint=scale.footprint,
             base_config=dataclasses.replace(
                 base,
@@ -85,10 +80,13 @@ def run(
         for (workload, n_channels) in cells
         for scheme in SCHEMES
     ]
-    results = iter(
-        run_points(specs, jobs=jobs, label="fig-channels", journal=journal)
-    )
-    points: List[FigChannelsPoint] = []
+    return cells, point_specs
+
+
+def points(cells, results) -> List[FigChannelsPoint]:
+    """Latency per cell x scheme, normalised to 1 channel; validated."""
+    results = iter(results)
+    out: List[FigChannelsPoint] = []
     base_latency: Dict[Tuple[str, Scheme], float] = {}
     for workload, n_channels in cells:
         for scheme in SCHEMES:
@@ -98,7 +96,7 @@ def run(
             key = (workload, scheme)
             if key not in base_latency:
                 base_latency[key] = latency
-            points.append(
+            out.append(
                 FigChannelsPoint(
                     workload=workload,
                     n_channels=n_channels,
@@ -109,8 +107,8 @@ def run(
                     ),
                 )
             )
-    validate(points)
-    return points
+    validate(out)
+    return out
 
 
 def validate(points: List[FigChannelsPoint]) -> None:

@@ -18,18 +18,19 @@ Every cell is a ``PointSpec(kernel="recovery")`` executed through the
 supervised runner pool, so ``--jobs`` parallelism, the resume journal,
 and retry policy are all inherited; results are bit-identical at any job
 count. :func:`validate` re-asserts the Section 6 ordering on the swept
-points — the CLI run fails loudly if the model drifts.
+points, and :func:`points` calls it — the CLI run fails loudly if the
+model drifts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple
 
 from repro.core.schemes import RECOVERY_SCHEMES, Scheme, recovery_path
 from repro.experiments.common import Scale, experiment_base_config, get_scale
 from repro.experiments.report import render_table
-from repro.experiments.runner import PointSpec, run_points
+from repro.experiments.runner import PointSpec
 from repro.sim.metrics import SimResult
 
 #: Request size of the pre-crash transactional writes.
@@ -69,7 +70,9 @@ class FigRecoveryPoint:
 _Cell = Tuple[int, Scheme, int, str, float]
 
 
-def _cells(scale: Scale) -> List[_Cell]:
+def specs(scale: str) -> tuple:
+    """The sweep's cells, one recovery-kernel spec each."""
+    scale = get_scale(scale)
     capacities = scale.recovery_capacities
     log_sweep = scale.recovery_log_lines
     base_log = log_sweep[0]
@@ -87,7 +90,7 @@ def _cells(scale: Scale) -> List[_Cell]:
     for dirty_frac in (0.0, 1.0):
         for scheme in (Scheme.SCA, Scheme.OSIRIS):
             cells.append((capacities[0], scheme, base_log, "off", dirty_frac))
-    return cells
+    return cells, [_spec(scale, cell) for cell in cells]
 
 
 def _spec(scale: Scale, cell: _Cell) -> PointSpec:
@@ -145,19 +148,11 @@ def _point(cell: _Cell, result: SimResult) -> FigRecoveryPoint:
     )
 
 
-def run(
-    scale: Union[str, Scale] = "default",
-    jobs: int = 1,
-    journal: Optional[str] = None,
-) -> List[FigRecoveryPoint]:
-    """Execute the sweep through the supervised runner pool."""
-    scale = get_scale(scale) if isinstance(scale, str) else scale
-    cells = _cells(scale)
-    specs = [_spec(scale, cell) for cell in cells]
-    results = run_points(specs, jobs=jobs, label="fig-recovery", journal=journal)
-    points = [_point(cell, result) for cell, result in zip(cells, results)]
-    validate(points)
-    return points
+def points(cells, results) -> List[FigRecoveryPoint]:
+    """One priced recovery per cell; the Section 6 ordering is validated."""
+    out = [_point(cell, result) for cell, result in zip(cells, results)]
+    validate(out)
+    return out
 
 
 def validate(points: List[FigRecoveryPoint]) -> None:

@@ -14,17 +14,19 @@ Two tables the paper argues qualitatively, measured here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Union
 
 from repro.common.config import MemoryConfig, SimConfig
 from repro.core.osiris import OsirisRecovery
 from repro.core.schemes import Scheme, scheme_config
 from repro.core.system import SecureMemorySystem
-from repro.experiments.common import Scale, experiment_base_config, get_scale
+from repro.experiments.common import experiment_base_config, get_scale
 from repro.experiments.report import render_table
-from repro.experiments.runner import PointSpec, run_points
+from repro.experiments.runner import PointSpec
 
 COMPARED = (Scheme.WT_BASE, Scheme.SCA, Scheme.OSIRIS, Scheme.SUPERMEM)
+#: Written lines before the crash in each Osiris recovery row.
+WRITTEN_LINE_COUNTS = (64, 256, 1024)
 
 
 @dataclass
@@ -42,60 +44,60 @@ class RecoveryRow:
     supermem_trials: int  # always 0 (strict persistence)
 
 
-def run_runtime(
-    scale: str | Scale = "default",
-    workload: str = "array",
-    request_size: int = 1024,
-    jobs: int = 1,
-    journal: str | None = None,
-) -> List[RuntimeRow]:
-    scale = get_scale(scale) if isinstance(scale, str) else scale
+def specs(scale: str) -> tuple:
+    """One array/1 KB spec per compared scheme (the cells)."""
+    scale = get_scale(scale)
     base = experiment_base_config(scale)
-    specs = [
+    point_specs = [
         PointSpec(
-            workload=workload,
+            workload="array",
             scheme=scheme,
             n_ops=scale.n_ops,
-            request_size=request_size,
+            request_size=1024,
             footprint=scale.footprint,
             base_config=base,
             seed=1,
         )
         for scheme in COMPARED
     ]
-    results = run_points(specs, jobs=jobs, label="related-work", journal=journal)
-    return [
+    return list(COMPARED), point_specs
+
+
+def points(cells, results) -> List[Union[RuntimeRow, RecoveryRow]]:
+    """The runtime rows of the sweep, then the Osiris recovery rows,
+    which crash and recover a functional system here rather than in the
+    sweep."""
+    runtime = [
         RuntimeRow(
             scheme=scheme,
             avg_latency_ns=r.avg_txn_latency_ns,
             nvm_writes=r.surviving_writes,
             counter_writes_surviving=r.counter_writes - r.coalesced_counter_writes,
         )
-        for scheme, r in zip(COMPARED, results)
+        for scheme, r in zip(cells, results)
     ]
+    return runtime + [recovery_row(n_lines) for n_lines in WRITTEN_LINE_COUNTS]
 
 
-def run_recovery(written_line_counts=(64, 256, 1024)) -> List[RecoveryRow]:
-    rows = []
-    for n_lines in written_line_counts:
-        cfg = scheme_config(
-            Scheme.OSIRIS, SimConfig(memory=MemoryConfig(capacity=64 << 20))
-        )
-        system = SecureMemorySystem(cfg)
-        for i in range(n_lines):
-            system.persist_line(float(i), line=i, payload=bytes([i % 250 + 1]) * 64)
-        report = OsirisRecovery(system.crash()).recover()
-        rows.append(
-            RecoveryRow(
-                written_lines=n_lines,
-                osiris_trials=report.trial_decryptions,
-                supermem_trials=0,
-            )
-        )
-    return rows
+def recovery_row(n_lines: int) -> RecoveryRow:
+    """Trial decryptions Osiris needs after ``n_lines`` written lines."""
+    cfg = scheme_config(
+        Scheme.OSIRIS, SimConfig(memory=MemoryConfig(capacity=64 << 20))
+    )
+    system = SecureMemorySystem(cfg)
+    for i in range(n_lines):
+        system.persist_line(float(i), line=i, payload=bytes([i % 250 + 1]) * 64)
+    report = OsirisRecovery(system.crash()).recover()
+    return RecoveryRow(
+        written_lines=n_lines,
+        osiris_trials=report.trial_decryptions,
+        supermem_trials=0,
+    )
 
 
-def render(runtime: List[RuntimeRow], recovery: List[RecoveryRow]) -> str:
+def render(rows: List[Union[RuntimeRow, RecoveryRow]]) -> str:
+    runtime = [r for r in rows if isinstance(r, RuntimeRow)]
+    recovery = [r for r in rows if isinstance(r, RecoveryRow)]
     runtime_table = render_table(
         "Related work: runtime comparison (array, 1KB transactions)",
         ["scheme", "avg txn latency (ns)", "NVM writes", "surviving counter writes"],

@@ -168,8 +168,13 @@ def _crash_raw_overwrite(system_kind: str) -> Table1Row:
     )
 
 
-def run() -> List[Table1Row]:
-    """All (system, stage) crash combinations."""
+def specs(scale: str) -> tuple:
+    """Table 1 has no sweep grid: its crash scenarios run in :func:`points`."""
+    return [], []
+
+
+def points(cells, results) -> List[Table1Row]:
+    """All (system, stage) crash combinations, injected and recovered here."""
     rows: List[Table1Row] = []
     for system_kind in ("unprotected", "supermem"):
         for stage in STAGES:

@@ -3,7 +3,7 @@
 This package models the memory side of the paper's evaluation platform:
 
 * :mod:`repro.memory.nvm` — the functional byte store (what survives a
-  crash) plus per-line wear statistics;
+  crash);
 * :mod:`repro.memory.bank` — PCM bank timing: slow cell writes, a row
   buffer for reads, write-to-read turnaround, and the rank-level
   four-activate window;

@@ -1,4 +1,4 @@
-"""Functional NVM byte store with wear accounting.
+"""Functional NVM byte store.
 
 The store is the ground truth of what a crash leaves behind: ciphertext
 data lines and counter lines that have been *issued* from the write queue
@@ -6,14 +6,13 @@ data lines and counter lines that have been *issued* from the write queue
 the controller handles that).
 
 Payloads are optional: timing-only simulations pass ``None`` payloads and
-the store then only counts writes (wear), which keeps the hot path free of
+the store then only counts writes, which keeps the hot path free of
 byte-string traffic. Functional runs (crash experiments, examples) pass
 real 64 B images.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, Optional
 
 from repro.common.address import CACHE_LINE_SIZE
@@ -32,7 +31,6 @@ class NVMStore:
 
     def __init__(self, stats: Optional[Stats] = None):
         self._lines: Dict[int, bytes] = {}
-        self._wear: Counter[int] = Counter()
         self._stats = stats or Stats()
         self._vals = self._stats.values
         self._k_writes = self._stats.slot("nvm", "writes")
@@ -43,12 +41,7 @@ class NVMStore:
         self._macs: Dict[int, bytes] = {}
 
     def write_line(self, line: int, payload: Optional[bytes]) -> None:
-        """Persist one line. ``None`` payload counts wear only."""
-        # get() rather than Counter's += 1: a first write to a line would
-        # otherwise call the Python-level Counter.__missing__, and over
-        # half of the writes a figure sweep issues are first writes.
-        wear = self._wear
-        wear[line] = wear.get(line, 0) + 1
+        """Persist one line. A ``None`` payload only counts the write."""
         self._vals[self._k_writes] += 1
         if payload is not None:
             if len(payload) != CACHE_LINE_SIZE:
@@ -87,27 +80,6 @@ class NVMStore:
     def snapshot_macs(self) -> Dict[int, bytes]:
         """Copy of all per-line check bits."""
         return dict(self._macs)
-
-    # ------------------------------------------------------------------
-    # Wear / endurance accounting
-    # ------------------------------------------------------------------
-
-    def wear_of(self, line: int) -> int:
-        """Number of writes the line has absorbed."""
-        return self._wear[line]
-
-    @property
-    def total_writes(self) -> int:
-        return sum(self._wear.values())
-
-    @property
-    def max_wear(self) -> int:
-        """Hottest line's write count (endurance headline number)."""
-        return max(self._wear.values(), default=0)
-
-    def wear_histogram(self) -> Counter:
-        """Copy of the per-line write counts."""
-        return Counter(self._wear)
 
     # ------------------------------------------------------------------
     # Test / crash-experiment helpers

@@ -6,6 +6,7 @@ from repro.core.schemes import EVALUATED_SCHEMES, Scheme
 from repro.experiments import fig13, fig14, fig15, fig16, fig17, table1
 from repro.experiments.common import SCALES, experiment_base_config, get_scale
 from repro.experiments.report import render_table
+from tests.experiments.grids import run_view
 
 
 class TestCommon:
@@ -42,7 +43,7 @@ class TestRenderTable:
 
 class TestTable1:
     def test_matches_paper(self):
-        rows = {(r.system, r.stage): r for r in table1.run()}
+        rows = {(r.system, r.stage): r for r in table1.points([], [])}
         # Paper Table 1: prepare Yes, mutate No, commit No.
         assert rows[("unprotected", "prepare")].recoverable
         assert not rows[("unprotected", "mutate")].recoverable
@@ -59,7 +60,7 @@ class TestTable1:
         assert not rows[("supermem-no-register", "raw overwrite")].recoverable
 
     def test_render(self):
-        text = table1.render(table1.run())
+        text = table1.render(table1.points([], []))
         assert "Table 1" in text and "SuperMem" in text
 
 
@@ -68,7 +69,9 @@ class TestFigureRunners:
     """Smoke-scale runs of each figure, checking structure and key shapes."""
 
     def test_fig13_structure_and_shape(self):
-        points = fig13.run("smoke", request_sizes=(1024,))
+        points = run_view(
+            fig13.points, fig13.specs("smoke"), lambda cell: cell[1] == 1024
+        )
         assert len(points) == 5 * len(EVALUATED_SCHEMES)
         by_cell = {(p.workload, p.scheme): p for p in points}
         for workload in ("array", "queue"):
@@ -80,12 +83,18 @@ class TestFigureRunners:
         assert "Figure 13" in fig13.render(points)
 
     def test_fig14_structure(self):
-        points = fig14.run("smoke", program_counts=(1, 4), workloads=("queue",))
+        points = run_view(
+            fig14.points,
+            fig14.specs("smoke"),
+            lambda cell: cell in (("queue", 1), ("queue", 4)),
+        )
         assert len(points) == 2 * len(EVALUATED_SCHEMES)
         assert "Figure 14" in fig14.render(points)
 
     def test_fig15_wt_doubles_writes(self):
-        points = fig15.run("smoke", request_sizes=(1024,))
+        points = run_view(
+            fig15.points, fig13.specs("smoke"), lambda cell: cell[1] == 1024
+        )
         by_cell = {(p.workload, p.scheme): p for p in points}
         for workload in ("array", "queue", "btree", "hashtable", "rbtree"):
             assert 1.9 < by_cell[(workload, Scheme.WT_BASE)].normalized < 2.1
@@ -94,7 +103,9 @@ class TestFigureRunners:
         assert "Figure 15" in fig15.render(points)
 
     def test_fig16_monotone_coalescing(self):
-        points = fig16.run("smoke", queue_lengths=(8, 32, 128))
+        points = run_view(
+            fig16.points, fig16.specs("smoke"), lambda cell: cell[1] in (8, 32, 128)
+        )
         for workload in ("array", "queue"):
             series = sorted(
                 (p.wq_entries, p.reduced_counter_write_fraction)
@@ -106,7 +117,11 @@ class TestFigureRunners:
         assert "Figure 16" in fig16.render(points)
 
     def test_fig17_queue_insensitive_array_improves(self):
-        points = fig17.run("smoke", cache_sizes=(1 << 10, 256 << 10))
+        points = run_view(
+            fig17.points,
+            fig17.specs("smoke"),
+            lambda cell: cell[1] in (1 << 10, 256 << 10),
+        )
         by_cell = {(p.workload, p.counter_cache_size): p for p in points}
         # queue: flat; array: hit rate must not decrease with a big cache
         q_small = by_cell[("queue", 1 << 10)].hit_rate

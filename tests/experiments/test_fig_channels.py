@@ -12,17 +12,21 @@ import hashlib
 import pytest
 
 from repro.core.schemes import Scheme
-from repro.experiments import fig_channels
+from repro.experiments import fig_channels, suite
 
-#: sha256 over the canonical serialization in :func:`_digest` for
-#: ``fig_channels.run("smoke")``. Regenerate ONLY for an intentional
-#: model change:
+#: sha256 over the canonical serialization in :func:`_digest` for the
+#: smoke fig-channels points (:func:`_run`). Regenerate ONLY for an
+#: intentional model change:
 #:   PYTHONPATH=src:. python -c "from tests.experiments.test_fig_channels \
-#:       import _digest; from repro.experiments import fig_channels; \
-#:       print(_digest(fig_channels.run('smoke')))"
+#:       import _digest, _run; print(_digest(_run()))"
 FIG_CHANNELS_SMOKE_DIGEST = (
     "4217718fa49fbf5664bb543cd8e7e85d5bdb053c4ad867f42fe3b106e150494a"
 )
+
+
+def _run(**runner):
+    """The smoke sweep as ``repro run fig-channels`` runs it."""
+    return suite.run("fig-channels", "smoke", **runner)["fig-channels"]
 
 
 def _digest(points) -> str:
@@ -36,8 +40,8 @@ def _digest(points) -> str:
 
 class TestFigChannelsDeterminism:
     def test_parallel_points_identical_and_golden(self):
-        serial = fig_channels.run("smoke")
-        parallel = fig_channels.run("smoke", jobs=4)
+        serial = _run()
+        parallel = _run(jobs=4)
         # Point-for-point dataclass equality: workload, channel count,
         # scheme, raw latency, and the normalised value all match.
         assert serial == parallel
@@ -46,12 +50,12 @@ class TestFigChannelsDeterminism:
 
     def test_resume_after_sigkill_executes_nothing(self, tmp_path, capsys):
         journal = str(tmp_path / "fig-channels.jsonl")
-        first = fig_channels.run("smoke", journal=journal)
+        first = _run(journal=journal)
         # SIGKILL mid-append: the journal is left with a torn tail.
         with open(journal, "a") as fh:
             fh.write('{"kind": "point", "digest": "abc", "resu')
         capsys.readouterr()
-        second = fig_channels.run("smoke", journal=journal)
+        second = _run(journal=journal)
         assert first == second
         # Every grid point came from the journal; nothing re-executed.
         # The runner's accounting line reports the resume and the torn tail.
@@ -63,7 +67,7 @@ class TestFigChannelsDeterminism:
 
 class TestFigChannelsShape:
     def test_grid_covers_workloads_channels_schemes(self):
-        points = fig_channels.run("smoke")
+        points = _run()
         assert {p.scheme for p in points} == set(fig_channels.SCHEMES)
         assert {p.n_channels for p in points} == set(fig_channels.CHANNEL_COUNTS)
         for scheme in fig_channels.SCHEMES:
@@ -74,7 +78,7 @@ class TestFigChannelsShape:
     def test_widest_config_beats_narrowest(self):
         """The acceptance shape: monotone bank-conflict relief as
         channels grow at fixed n_banks."""
-        points = fig_channels.run("smoke")
+        points = _run()
         series = {}
         for p in points:
             series.setdefault((p.workload, p.scheme), []).append(p)
@@ -83,7 +87,7 @@ class TestFigChannelsShape:
             assert row[-1].avg_latency_ns < row[0].avg_latency_ns
 
     def test_validate_rejects_inverted_relief(self):
-        points = fig_channels.run("smoke")
+        points = _run()
         import dataclasses
 
         worst = max(points, key=lambda p: p.n_channels)
@@ -97,7 +101,7 @@ class TestFigChannelsShape:
             fig_channels.validate(broken)
 
     def test_render_emits_one_table_per_scheme(self):
-        points = fig_channels.run("smoke")
+        points = _run()
         text = fig_channels.render(points)
         assert text.count("Channel sweep:") == len(fig_channels.SCHEMES)
         assert Scheme.SUPERMEM_BMT.label in text

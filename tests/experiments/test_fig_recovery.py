@@ -13,21 +13,26 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.core.schemes import Scheme
-from repro.experiments import fig_recovery, runner
+from repro.experiments import fig_recovery, runner, suite
 from repro.experiments.runner import PointSpec
 
 
+def _run(**kwargs):
+    """The smoke sweep as ``repro run fig-recovery`` runs it."""
+    return suite.run("fig-recovery", "smoke", **kwargs)["fig-recovery"]
+
+
 def test_parallel_results_bit_identical_to_serial():
-    serial = fig_recovery.run("smoke", jobs=1)
-    parallel = fig_recovery.run("smoke", jobs=2)
+    serial = _run(jobs=1)
+    parallel = _run(jobs=2)
     assert serial == parallel
 
 
 def test_journal_resume_satisfies_every_point(tmp_path, capsys):
     journal = str(tmp_path / "fig-recovery.jsonl")
-    first = fig_recovery.run("smoke", jobs=1, journal=journal)
+    first = _run(journal=journal)
     capsys.readouterr()
-    second = fig_recovery.run("smoke", jobs=1, journal=journal)
+    second = _run(journal=journal)
     assert first == second
     # The runner's accounting line: every point came from the journal.
     assert (
@@ -37,7 +42,7 @@ def test_journal_resume_satisfies_every_point(tmp_path, capsys):
 
 
 def test_sweep_covers_the_section_six_grid():
-    points = fig_recovery.run("smoke", jobs=1)
+    points = _run()
     headline = [
         p
         for p in points
@@ -51,7 +56,7 @@ def test_sweep_covers_the_section_six_grid():
 
 
 def test_validate_rejects_a_non_linear_sca_scan():
-    points = fig_recovery.run("smoke", jobs=1)
+    points = _run()
     largest = max(
         (
             p
@@ -70,7 +75,7 @@ def test_validate_rejects_a_non_linear_sca_scan():
 
 
 def test_render_emits_both_tables():
-    points = fig_recovery.run("smoke", jobs=1)
+    points = _run()
     text = fig_recovery.render(points)
     assert "Recovery cost vs memory capacity" in text
     assert "Recovery knobs" in text
@@ -78,21 +83,15 @@ def test_render_emits_both_tables():
 
 
 def test_unknown_kernel_is_rejected():
-    spec = dataclasses.replace(
-        fig_recovery._spec(
-            fig_recovery.get_scale("smoke"), fig_recovery._cells(
-                fig_recovery.get_scale("smoke")
-            )[0]
-        ),
-        kernel="nonsense",
-    )
+    _, specs = fig_recovery.specs("smoke")
+    spec = dataclasses.replace(specs[0], kernel="nonsense")
     with pytest.raises(ConfigError, match="kernel"):
         runner._run_point(spec)
 
 
 def test_recovery_kernel_spec_round_trips_params():
-    scale = fig_recovery.get_scale("smoke")
-    spec = fig_recovery._spec(scale, fig_recovery._cells(scale)[0])
+    _, specs = fig_recovery.specs("smoke")
+    spec = specs[0]
     assert isinstance(spec, PointSpec)
     assert spec.kernel == "recovery"
     params = dict(spec.kernel_params)

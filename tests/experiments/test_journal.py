@@ -17,6 +17,7 @@ from repro.experiments.journal import (
 )
 from repro.experiments.runner import PointSpec
 from repro.sim.metrics import SimResult
+from tests.experiments.grids import narrow
 
 
 def _spec(**overrides):
@@ -72,7 +73,7 @@ class TestSpecDigest:
         """A digest input that moves silently orphans every ``--resume``
         journal. A change that moves the digest on purpose re-pins it
         here and bumps ``JOURNAL_SALT`` in the same change."""
-        _, specs = fig13.specs("smoke", request_sizes=(1024,))
+        _, specs = narrow(fig13.specs("smoke"), lambda cell: cell[1] == 1024)
         assert specs[0].label() == "array/unsec/1024B"
         assert JOURNAL_SALT == "supermem-journal-v7"
         assert spec_digest(specs[0], salt="pin") == (

@@ -4,13 +4,20 @@ import pytest
 
 from repro.core.schemes import Scheme
 from repro.experiments import related_work
+from repro.experiments.related_work import RuntimeRow
+from tests.experiments.grids import run_view
+
+
+@pytest.fixture(scope="module")
+def rows():
+    return run_view(related_work.points, related_work.specs("smoke"))
 
 
 @pytest.mark.slow
-def test_runtime_rows_cover_all_schemes():
-    rows = related_work.run_runtime("smoke")
-    assert [r.scheme for r in rows] == list(related_work.COMPARED)
-    by_scheme = {r.scheme: r for r in rows}
+def test_runtime_rows_cover_all_schemes(rows):
+    runtime = [r for r in rows if isinstance(r, RuntimeRow)]
+    assert [r.scheme for r in runtime] == list(related_work.COMPARED)
+    by_scheme = {r.scheme: r for r in runtime}
     # SuperMem must beat the WT baseline on latency and writes.
     assert (
         by_scheme[Scheme.SUPERMEM].avg_latency_ns
@@ -20,17 +27,14 @@ def test_runtime_rows_cover_all_schemes():
 
 
 def test_recovery_rows_scale_linearly():
-    rows = related_work.run_recovery(written_line_counts=(32, 128))
+    rows = [related_work.recovery_row(n_lines) for n_lines in (32, 128)]
     assert rows[0].supermem_trials == 0
     assert rows[1].supermem_trials == 0
     assert rows[1].osiris_trials > 3 * rows[0].osiris_trials
 
 
 @pytest.mark.slow
-def test_render():
-    text = related_work.render(
-        related_work.run_runtime("smoke"),
-        related_work.run_recovery(written_line_counts=(32,)),
-    )
+def test_render(rows):
+    text = related_work.render(rows)
     assert "Related work" in text
     assert "Osiris" in text and "SCA" in text

@@ -19,7 +19,7 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.core.schemes import EVALUATED_SCHEMES, Scheme
-from repro.experiments import fig13, fig14, fig_recovery
+from repro.experiments import common, fig13, fig14, fig_recovery
 from repro.experiments.common import experiment_base_config, get_scale
 from repro.experiments.runner import (
     PointSpec,
@@ -28,13 +28,13 @@ from repro.experiments.runner import (
     run_points_report,
 )
 from repro.sim.metrics import SimResult
+from tests.experiments.grids import run_view
 
-#: sha256 over the canonical serialization in :func:`_digest` for
-#: ``fig13.run("smoke", request_sizes=(1024,))``. Regenerate ONLY for an
-#: intentional model change:
-#:   PYTHONPATH=src python -c "from tests.experiments.test_runner import \
-#:       _digest; from repro.experiments import fig13; \
-#:       print(_digest(fig13.run('smoke', request_sizes=(1024,))))"
+#: sha256 over the canonical serialization in :func:`_digest` for the
+#: 1 KB cells of the smoke Figure 13 grid (:func:`_fig13_1kb`).
+#: Regenerate ONLY for an intentional model change:
+#:   PYTHONPATH=src:. python -c "from tests.experiments.test_runner import \
+#:       _digest, _fig13_1kb; print(_digest(_fig13_1kb()))"
 FIG13_SMOKE_1KB_DIGEST = (
     "a1357d6a717e15c834850fc4d8c4c30274591685e17ca46126092c81c354245f"
 )
@@ -42,25 +42,39 @@ FIG13_SMOKE_1KB_DIGEST = (
 
 #: The same for Figure 14 over a subset that includes 8 programs sharing
 #: the controller (out-of-order write-queue appends):
-#:   PYTHONPATH=src python -c "from tests.experiments.test_runner import \
-#:       _fig14_digest; from repro.experiments import fig14; \
-#:       print(_fig14_digest(fig14.run('smoke', **FIG14_SMOKE_SUBSET)))"
+#:   PYTHONPATH=src:. python -c "from tests.experiments.test_runner import \
+#:       _fig14_digest, _fig14_subset; print(_fig14_digest(_fig14_subset()))"
 FIG14_SMOKE_DIGEST = (
     "c82f817666e95189bc55ed3078878302d4a97400144c79676b682dc6a94fad46"
 )
-FIG14_SMOKE_SUBSET = dict(workloads=("array", "hashtable"), program_counts=(1, 8))
 
 
-#: The same over every field of every point of
-#: ``fig_recovery.run("smoke")``: the priced recovery times and counts of
-#: all four recovery paths. Regenerate ONLY for an intentional model
-#: change:
-#:   PYTHONPATH=src python -c "from tests.experiments.test_runner import \
-#:       _recovery_digest; from repro.experiments import fig_recovery; \
-#:       print(_recovery_digest(fig_recovery.run('smoke')))"
+#: The same over every field of every point of the smoke fig-recovery
+#: grid: the priced recovery times and counts of all four recovery
+#: paths. Regenerate ONLY for an intentional model change:
+#:   PYTHONPATH=src:. python -c "from tests.experiments.test_runner import \
+#:       _recovery_digest; from tests.experiments.grids import run_view; \
+#:       from repro.experiments import fig_recovery as f; \
+#:       print(_recovery_digest(run_view(f.points, f.specs('smoke'))))"
 FIG_RECOVERY_SMOKE_DIGEST = (
     "3c697a7b76c3a70e7b632d3745cc08f5b0c13394c2a2cf197fded439b1142945"
 )
+
+
+def _fig13_1kb(**runner):
+    """The smoke Figure 13 points of the 1 KB cells."""
+    return run_view(
+        fig13.points, fig13.specs("smoke"), lambda cell: cell[1] == 1024, **runner
+    )
+
+
+def _fig14_subset():
+    """The smoke Figure 14 points of array and hashtable at 1 and 8 programs."""
+    return run_view(
+        fig14.points,
+        fig14.specs("smoke"),
+        lambda cell: cell[0] in ("array", "hashtable") and cell[1] in (1, 8),
+    )
 
 
 def _digest(points) -> str:
@@ -197,8 +211,8 @@ class TestRunPoints:
 @pytest.mark.slow
 class TestFig13Determinism:
     def test_parallel_points_identical_and_golden(self):
-        serial = fig13.run("smoke", request_sizes=(1024,))
-        parallel = fig13.run("smoke", request_sizes=(1024,), jobs=4)
+        serial = _fig13_1kb()
+        parallel = _fig13_1kb(jobs=4)
         # Point-for-point equality (dataclass equality covers workload,
         # size, scheme, raw latency, and the normalised value).
         assert serial == parallel
@@ -207,22 +221,23 @@ class TestFig13Determinism:
 
     def test_baseline_guard_rejects_reordered_schemes(self, monkeypatch):
         monkeypatch.setattr(
-            fig13, "EVALUATED_SCHEMES", tuple(reversed(EVALUATED_SCHEMES))
+            common, "EVALUATED_SCHEMES", tuple(reversed(EVALUATED_SCHEMES))
         )
+        cells, _ = fig13.specs("smoke")
         with pytest.raises(ConfigError):
-            fig13.run("smoke", request_sizes=(1024,))
+            fig13.points(cells, [])
 
 
 @pytest.mark.slow
 class TestFig14Determinism:
     def test_golden(self):
-        points = fig14.run("smoke", **FIG14_SMOKE_SUBSET)
+        points = _fig14_subset()
         assert {p.n_programs for p in points} == {1, 8}
         assert _fig14_digest(points) == FIG14_SMOKE_DIGEST
 
 
 class TestFigRecoveryDeterminism:
     def test_golden(self):
-        points = fig_recovery.run("smoke")
+        points = run_view(fig_recovery.points, fig_recovery.specs("smoke"))
         assert len(points) == 18
         assert _recovery_digest(points) == FIG_RECOVERY_SMOKE_DIGEST

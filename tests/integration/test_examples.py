@@ -12,7 +12,6 @@ FAST = [
     "crash_consistency.py",
     "kv_store.py",
     "tamper_detection.py",
-    "endurance_analysis.py",
     "page_reencryption.py",
 ]
 SLOW = ["quickstart.py", "scheme_comparison.py"]

@@ -28,10 +28,11 @@ def test_overwrite():
     assert nvm.read_line(5) == payload
 
 
-def test_none_payload_counts_wear_only():
-    nvm = NVMStore()
+def test_none_payload_counts_the_write_only():
+    stats = Stats()
+    nvm = NVMStore(stats)
     nvm.write_line(3, None)
-    assert nvm.wear_of(3) == 1
+    assert stats.get("nvm", "writes") == 1
     assert not nvm.contains(3)
     assert nvm.read_line(3) == ZERO_LINE
 
@@ -40,17 +41,6 @@ def test_wrong_payload_size_rejected():
     nvm = NVMStore()
     with pytest.raises(ValueError):
         nvm.write_line(0, b"short")
-
-
-def test_wear_accounting():
-    nvm = NVMStore()
-    for _ in range(5):
-        nvm.write_line(1, None)
-    nvm.write_line(2, None)
-    assert nvm.wear_of(1) == 5
-    assert nvm.max_wear == 5
-    assert nvm.total_writes == 6
-    assert nvm.wear_histogram()[1] == 5
 
 
 def test_stats_integration():

@@ -38,7 +38,8 @@ from repro.sim.multicore import simulate_multiprogrammed
 from repro.sim.simulator import simulate_workload
 from repro.sim.trace_cache import trace_arrays
 
-from tests.experiments.test_runner import FIG13_SMOKE_1KB_DIGEST, _digest
+from tests.experiments.grids import narrow
+from tests.experiments.test_runner import FIG13_SMOKE_1KB_DIGEST, _digest, _fig13_1kb
 
 
 def _point(fidelity: str, workload: str, scheme: Scheme, size: int = 256):
@@ -116,9 +117,8 @@ def _simulate_spec(spec, fidelity: str):
 class TestSweepDigest:
     @pytest.mark.slow
     def test_fig13_smoke_digest_identical_across_fidelities(self):
-        points = fig13.run("smoke", request_sizes=(1024,))
-        assert _digest(points) == FIG13_SMOKE_1KB_DIGEST
-        _, specs = fig13.specs("smoke", request_sizes=(1024,))
+        assert _digest(_fig13_1kb()) == FIG13_SMOKE_1KB_DIGEST
+        _, specs = narrow(fig13.specs("smoke"), lambda cell: cell[1] == 1024)
         for spec in specs:
             full = _simulate_spec(spec, "full")
             timing = _simulate_spec(spec, "timing")

@@ -65,7 +65,7 @@ def test_simulate_workload_is_timing_only():
     result = simulate_workload(
         "queue", Scheme.SUPERMEM, n_ops=5, request_size=256, footprint=64 << 10
     )
-    # Timing-only runs count wear but store no payload bytes.
+    # Timing-only runs count NVM writes but store no payload bytes.
     assert result.stats.get("nvm", "writes") > 0
 
 

@@ -1,12 +1,16 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
 import re
 import subprocess
 import sys
 
 import pytest
 
-from repro.__main__ import EXPERIMENTS, main
+from repro.__main__ import main
+from repro.experiments import fig13, suite
+from repro.experiments.journal import spec_digest
+from repro.experiments.suite import EXPERIMENTS
 
 
 def run_cli(*args):
@@ -53,22 +57,66 @@ def _accounting(stderr):
 
 
 def test_ablations_rerun_accounts_every_sweep(tmp_path):
-    """`run ablations` is four sweeps; a re-run against one journal must
-    account for the resumed points of every one of them, not the last."""
+    """`run ablations` is one sweep over the four studies. Their default
+    variants are one spec, so a re-run against the journal resumes the
+    12 distinct points on one accounting line."""
     args = ("run", "ablations", "--scale", "smoke", "--output", str(tmp_path / "a.md"))
     journal = ("--resume", str(tmp_path / "ablations.jsonl"))
     assert run_cli(*args, *journal).returncode == 0
     proc = run_cli(*args, *journal)
     assert proc.returncode == 0
-    lines = _accounting(proc.stderr)
-    assert sum(int(fields["resumed"]) for fields in lines.values()) == 14
-    assert sorted(lines) == [
-        "ablation:counter-org",
-        "ablation:cwc-policy",
-        "ablation:drain-policy",
-        "ablation:xbank-offset",
-    ]
-    assert all(fields["retries"] == "0" for fields in lines.values())
+    assert _accounting(proc.stderr) == {
+        "ablations": {
+            "resumed": "12",
+            "retries": "0",
+            "timeouts": "0",
+            "serial_fallbacks": "0",
+            "torn_tails": "0",
+        }
+    }
+
+
+class _Spied(Exception):
+    """Raised by the runner spy so that nothing is simulated."""
+
+
+def _spy_on_runner(monkeypatch, argv):
+    """The ``(specs, label)`` of every runner call ``main(argv)`` makes."""
+    calls = []
+
+    def spy(specs, **kwargs):
+        calls.append((list(specs), kwargs["label"]))
+        raise _Spied
+
+    monkeypatch.setattr(suite, "run_points", spy)
+    with pytest.raises(_Spied):
+        main(argv)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "scale,requested,distinct", [("smoke", 461, 331), ("default", 462, 332)]
+)
+def test_run_all_simulates_each_distinct_point_once(
+    monkeypatch, scale, requested, distinct
+):
+    """`run all` makes one runner call over the union of every grid, and
+    drops repeated specs by equality, which is equality of their journal
+    digests."""
+    [(specs, label)] = _spy_on_runner(monkeypatch, ["run", "all", "--scale", scale])
+    assert label == "all"
+    assert len(specs) == distinct
+    every = [spec for name in EXPERIMENTS for spec in EXPERIMENTS[name].specs(scale)[1]]
+    assert len(every) == requested
+    digests = {spec_digest(spec) for spec in specs}
+    assert len(digests) == distinct
+    assert {spec_digest(spec) for spec in every} == digests
+
+
+def test_fig15_runs_the_fig13_grid(monkeypatch):
+    [(specs, label)] = _spy_on_runner(monkeypatch, ["run", "fig15", "--scale", "smoke"])
+    assert label == "fig15"
+    assert specs == fig13.specs("smoke")[1]
 
 
 def test_output_file(tmp_path):
@@ -117,8 +165,6 @@ def test_simulate_unknown_workload_exits_with_a_message():
 
 
 def test_run_with_json_export(tmp_path, capsys):
-    import json
-
     md = tmp_path / "t1.md"
     js = tmp_path / "t1.json"
     assert main(["run", "table1", "--output", str(md), "--json", str(js)]) == 0
@@ -127,9 +173,20 @@ def test_run_with_json_export(tmp_path, capsys):
     assert any(p["system"] == "supermem" for p in payload["points"])
 
 
-def test_simulate_json_summary(tmp_path, capsys):
-    import json
+@pytest.mark.parametrize(
+    "name,rows,field", [("ablations", 14, "study"), ("related", 7, "scheme")]
+)
+def test_json_exports_experiments_without_a_figure_grid(tmp_path, name, rows, field):
+    js = tmp_path / f"{name}.json"
+    argv = ["run", name, "--scale", "smoke", "--output", str(tmp_path / "x.md")]
+    assert main(argv + ["--json", str(js)]) == 0
+    payload = json.loads(js.read_text())
+    assert payload["experiment"] == name
+    assert len(payload["points"]) == rows
+    assert field in payload["points"][0]
 
+
+def test_simulate_json_summary(tmp_path, capsys):
     out = tmp_path / "result.json"
     assert (
         main(
@@ -154,8 +211,6 @@ def test_simulate_json_summary(tmp_path, capsys):
 
 
 def test_simulate_json_to_stdout(capsys):
-    import json
-
     assert (
         main(
             ["simulate", "queue", "--ops", "5", "--footprint", "262144", "--json", "-"]
@@ -168,8 +223,6 @@ def test_simulate_json_to_stdout(capsys):
 
 
 def test_simulate_trace_and_report(tmp_path, capsys):
-    import json
-
     trace = tmp_path / "trace.json"
     assert (
         main(
@@ -208,6 +261,7 @@ def test_simulate_trace_and_report(tmp_path, capsys):
         (["recovery-report", "supermem", "--log-lines", "1"], "got 1"),
         (["recovery-report", "supermem", "--capacity", "1000"], "got 1000"),
         (["recovery-report", "supermem", "--request-size", "0"], "got 0"),
+        (["run", "all", "--json", "{json}"], "--json"),
     ],
     ids=[
         "trace-report-missing-file",
@@ -217,6 +271,7 @@ def test_simulate_trace_and_report(tmp_path, capsys):
         "recovery-log-lines",
         "recovery-capacity",
         "recovery-zero-request-size",
+        "run-all-json",
     ],
 )
 def test_bad_arguments_exit_with_one_line(argv, needle, tmp_path):
@@ -227,6 +282,7 @@ def test_bad_arguments_exit_with_one_line(argv, needle, tmp_path):
     paths = {
         "{missing}": str(tmp_path / "missing.json"),
         "{trace}": str(trace),
+        "{json}": str(tmp_path / "all.json"),
     }
     with pytest.raises(SystemExit) as info:
         main([paths.get(arg, arg) for arg in argv])

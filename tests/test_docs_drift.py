@@ -30,6 +30,9 @@ silently:
   be a field of its dataclass, so a deleted knob cannot linger in the
   docs.
 
+* every ``repro.<package>.<module>`` that ``DESIGN.md``, ``README.md``
+  or a ``docs/*.md`` page names must exist under ``src/repro``.
+
 Plus the repo-wide markdown link check (``tools/check_links.py``) so a
 renamed doc breaks the tier-1 suite, not just CI.
 """
@@ -326,7 +329,7 @@ class TestCliDoc:
         """The `run` positional's experiment names (fig13 ...
         fig-channels, fig-recovery) must each be named in CLI.md —
         backticked, as the positional-choices prose lists them."""
-        from repro.__main__ import EXPERIMENTS
+        from repro.experiments.suite import EXPERIMENTS
 
         assert "fig-channels" in EXPERIMENTS
         missing = [name for name in EXPERIMENTS if f"`{name}`" not in cli_text]
@@ -371,6 +374,28 @@ class TestCliDoc:
                 if action.dest not in cli_text:
                     missing.append(f"{name} {action.dest}")
         assert not missing, f"positionals undocumented in docs/CLI.md: {missing}"
+
+
+#: A dotted ``repro.<package>.<module>`` name (a trailing ``.<attr>``
+#: may follow; ``repro.<package>.*`` wildcards do not match).
+_MODULE_NAME = re.compile(r"\brepro\.([a-z_]+)\.([a-z_]+)\b")
+
+
+class TestModuleNames:
+    def test_every_named_module_exists(self):
+        """A module the design notes, README or docs/ name must exist, so
+        a renamed or deleted module cannot linger in the prose."""
+        src = REPO_ROOT / "src" / "repro"
+        missing = []
+        for path in [REPO_ROOT / "DESIGN.md", REPO_ROOT / "README.md"] + sorted(
+            DOCS.glob("*.md")
+        ):
+            text = path.read_text(encoding="utf-8")
+            for package, module in set(_MODULE_NAME.findall(text)):
+                target = src / package / module
+                if not (target.with_suffix(".py").is_file() or target.is_dir()):
+                    missing.append(f"{path.name}: repro.{package}.{module}")
+        assert not missing, f"docs name modules that do not exist: {sorted(missing)}"
 
 
 class TestMarkdownLinks:
