@@ -48,7 +48,12 @@ class RankState:
 
 
 class Bank:
-    """One independently schedulable NVM bank."""
+    """One independently schedulable NVM bank.
+
+    ``free_at`` never decreases: each service starts no earlier than it
+    and ends after its start. The controller's drain scheduler relies on
+    that to bound when a queued write can start.
+    """
 
     def __init__(
         self,
@@ -145,11 +150,3 @@ class Bank:
         if self._tracer.enabled:
             self._tracer.bank_busy(start, end, self.index, "read", row_hit=hit)
         return end, hit
-
-    # ------------------------------------------------------------------
-
-    def reset(self) -> None:
-        """Return to the power-on timing state."""
-        self.free_at = 0.0
-        self.open_row = None
-        self.last_write_end = 0.0

@@ -14,8 +14,11 @@ exposes exactly the operations the secure-memory layer needs:
 * :meth:`advance_to` — lazily simulate the background drain up to a given
   time: the scheduler repeatedly issues the queued write with the earliest
   feasible start (bank free, bus free), FIFO-tie-broken, which is
-  FR-FCFS restricted to writes. Each pick scans the heads of the queue's
-  per-bank buckets afresh; nothing is memoized between picks.
+  FR-FCFS restricted to writes. A pick scans the heads of the queue's
+  per-bank buckets. Between picks the controller keeps one number, a
+  lower bound on the start of every queued write; a request that
+  arrives before it skips the scan, so the drain scans about once per
+  issued write rather than once more per request.
 
 The whole paper plays out in this object's queueing behaviour: doubling
 appends (write-through counters) doubles queue pressure; CWC removes
@@ -40,10 +43,20 @@ from repro.obs.tracer import NULL_TRACER
 
 #: Later than any start: the initial best in a candidate scan.
 _NEVER = float("inf")
+#: Earlier than any start: a start bound that holds nothing back.
+_EARLIEST = float("-inf")
 
 
 class MemoryController:
-    """Scheduler over one rank of NVM banks plus the write queue."""
+    """Scheduler over one rank of NVM banks plus the write queue.
+
+    The drain state only moves forward: :attr:`clock`, every entry of
+    :attr:`bus_free_at` and every bank's ``free_at`` never decrease.
+    Every queued write's start is the latest of these (and, for a
+    deferred counter, of its append time plus the deferral window), so
+    it only grows until the write issues; :meth:`advance_to` relies on
+    that.
+    """
 
     def __init__(
         self,
@@ -88,6 +101,9 @@ class MemoryController:
         self.bus_free_at = [0.0] * self.n_channels
         #: Controller logical clock: latest time the drain has simulated.
         self.clock: float = 0.0
+        #: Lower bound on the start of every queued write (under
+        #: ``fifo``, of the oldest one); see :meth:`advance_to`.
+        self._hold: float = _EARLIEST
         # Write-drain watermarks: the background drain engages when the
         # queue reaches `high` and disengages at `low`. Writes are not
         # latency-critical (ADR makes the append the durability point), so
@@ -119,7 +135,9 @@ class MemoryController:
                 * config.timing.write_service_ns
                 / (2.0 * config.memory.n_banks)
             )
-        self._counter_defer_ns = defer
+        #: How long a counter write is held back after its append: the
+        #: window under ``defer-counters``, 0 under the other policies.
+        self._counter_defer_ns = defer if policy == "defer-counters" else 0.0
         # Hoists: the drain scheduler runs once per issued write and the
         # append/read paths once per request, so stat slots and a
         # cached bus latency replace per-call property and stats walks.
@@ -146,7 +164,7 @@ class MemoryController:
     def _channel_of(self, bank: int) -> int:
         return bank // self._banks_per_channel
 
-    def _best_candidate(self) -> Optional[Tuple[float, WQEntry]]:
+    def _best_candidate(self) -> Tuple[float, WQEntry, float]:
         """Next write to issue under the configured drain policy.
 
         ``defer-counters`` (default): FR-FCFS, but a ready counter write
@@ -154,6 +172,12 @@ class MemoryController:
         — counters linger (feeding CWC) and drain in the gaps.
         ``frfcfs``: earliest feasible start, FIFO tie-break.
         ``fifo``: strict append order (head-of-line blocking).
+
+        Returns ``(start, entry, runner_up)`` for a non-empty queue.
+        ``runner_up`` is the smallest start among the buckets the pick
+        did not come from (``inf`` if there are none; ``-inf`` under
+        ``fifo``, whose pick looks at the oldest entry only): with the
+        issued write's end it bounds the next pick (:meth:`advance_to`).
 
         Per-bank pick (exact, not heuristic): a naive full-queue scan
         picks the lexicographic minimum of ``(start, seq)``, where
@@ -177,19 +201,20 @@ class MemoryController:
         """
         if self._policy == "fifo":
             entry = self.wq.oldest()
-            if entry is None:
-                return None
-            return self._entry_start(entry), entry
+            return self._entry_start(entry), entry, _EARLIEST
         wq = self.wq
         clock = self.clock
-        defer = self._counter_defer_ns if self._policy == "defer-counters" else 0.0
+        defer = self._counter_defer_ns
         banks = self.banks
         bus_free_at = self.bus_free_at
         banks_per_channel = self._banks_per_channel
         # Every start is finite, so the first bucket always wins this.
-        best_start = _NEVER
+        best_start = runner_up = _NEVER
         best_seq = 0
         best_entry = None
+        # Invariant: best_start <= runner_up. A start above runner_up
+        # changes neither; one equal to best_start is a runner-up
+        # whichever bucket wins the FIFO tie-break.
         for bank, bucket in wq.data_by_bank.items():
             start = banks[bank].free_at
             if start < clock:
@@ -198,12 +223,15 @@ class MemoryController:
             if bus > start:
                 start = bus
             if start < best_start:
+                runner_up = best_start
                 best_entry = bucket[0]
                 best_start, best_seq = start, best_entry.seq
-            elif start == best_start:
-                entry = bucket[0]
-                if entry.seq < best_seq:
-                    best_entry, best_seq = entry, entry.seq
+            elif start <= runner_up:
+                runner_up = start
+                if start == best_start:
+                    entry = bucket[0]
+                    if entry.seq < best_seq:
+                        best_entry, best_seq = entry, entry.seq
         for bank, bucket in wq.counters_by_bank.items():
             start = banks[bank].free_at
             if start < clock:
@@ -230,11 +258,14 @@ class MemoryController:
                                 break
                     if deferred > start:
                         start = deferred
-            if start < best_start or (start == best_start and entry.seq < best_seq):
+            if start < best_start:
+                runner_up = best_start
                 best_start, best_seq, best_entry = start, entry.seq, entry
-        if best_entry is None:
-            return None
-        return best_start, best_entry
+            elif start <= runner_up:
+                runner_up = start
+                if start == best_start and entry.seq < best_seq:
+                    best_seq, best_entry = entry.seq, entry
+        return best_start, best_entry, runner_up
 
     def _issue(self, entry: WQEntry, start: float) -> float:
         """Send one queued write to its bank; returns completion time."""
@@ -260,12 +291,29 @@ class MemoryController:
         Hysteresis: the drain engages when the queue reaches the high
         watermark and releases at the low one. This runs once per
         request. While the drain is disengaged below the high watermark
-        it only moves the clock; otherwise each step picks the next write
-        afresh (:meth:`_best_candidate`, one scan of the bank buckets'
-        heads) and issues it if it can start by ``t``. The drain is
-        engaged on most calls under the figure sweeps, and a memo of the
-        last pick hit on only about a fifth of them and saved no wall
-        time, so there is none.
+        it only moves the clock; otherwise each step issues the write
+        :meth:`_best_candidate` picks if it can start by ``t``.
+
+        ``_hold`` is a lower bound on the start of every queued write
+        (under ``fifo``, of the oldest one, the only one it picks). A
+        queued write's start only grows (see the class docstring), and a
+        removal only takes candidates away, so three rules keep the
+        bound:
+
+        * an append lowers it to the new entry's earliest start (under
+          ``fifo`` a coalescing one resets it: CWC may have removed the
+          oldest entry);
+        * a scan that finds nothing startable by ``t`` raises it to the
+          start it found;
+        * an issue sets it to the smaller of the scan's runner-up and the
+          issued write's end: the entries left in the picked bucket
+          share its bank.
+
+        While ``t < _hold`` no write can start by ``t``, and a step makes
+        only the hysteresis change without a scan. The drain then scans
+        about once per issued write rather than once more per request.
+        Unlike a memo of the last pick, the bound survives reads and
+        issues, which only raise start times.
         """
         wq = self.wq
         draining = self._draining
@@ -275,8 +323,6 @@ class MemoryController:
             return
         low = self.low_watermark
         high = self.high_watermark
-        best_candidate = self._best_candidate
-        issue = self._issue
         while True:
             occupancy = wq.n
             if draining:
@@ -287,13 +333,14 @@ class MemoryController:
                 draining = True
             else:
                 break
-            candidate = best_candidate()
-            if candidate is None:
+            if t < self._hold:
                 break
-            start, entry = candidate
+            start, entry, runner_up = self._best_candidate()
             if start > t:
+                self._hold = start
                 break
-            issue(entry, start)
+            end = self._issue(entry, start)
+            self._hold = runner_up if runner_up < end else end
             if start > self.clock:
                 self.clock = start
         self._draining = draining
@@ -301,10 +348,14 @@ class MemoryController:
             self.clock = t
 
     def drain_all(self) -> float:
-        """Issue everything; returns the completion time of the last write."""
+        """Issue everything; returns the completion time of the last write.
+
+        The queue ends empty, which no start bound can get wrong, so
+        ``_hold`` is left as it is.
+        """
         finish = self.clock
         while self.wq.n > 0:
-            start, entry = self._best_candidate()
+            start, entry, _ = self._best_candidate()
             finish = max(finish, self._issue(entry, start))
             if start > self.clock:
                 self.clock = start
@@ -332,8 +383,9 @@ class MemoryController:
                 need -= 1
             if wq.n + need <= wq.capacity:
                 break
-            start, entry = self._best_candidate()
-            self._issue(entry, start)
+            start, entry, runner_up = self._best_candidate()
+            end = self._issue(entry, start)
+            self._hold = runner_up if runner_up < end else end
             if start > self.clock:
                 self.clock = start
             if start > append_time:
@@ -370,7 +422,19 @@ class MemoryController:
             bank = self.amap.bank_of_line(line)
         if row is None:
             row = self.amap.row_of_line(line)
-        wq.append(WQEntry(line, bank, row, is_counter, append_time, payload, core))
+        entry = WQEntry(line, bank, row, is_counter, append_time, payload, core)
+        if wq.append(entry) and self._policy == "fifo":
+            # CWC may have removed the oldest entry, the one the bound is
+            # about under fifo; the next oldest may start sooner.
+            self._hold = _EARLIEST
+        # The new entry's earliest start bounds the next pick.
+        start = self.banks[bank].free_at
+        if is_counter:
+            deferred = append_time + self._counter_defer_ns
+            if deferred > start:
+                start = deferred
+        if start < self._hold:
+            self._hold = start
         if self._tracer.enabled:
             self._tracer.wq_append(append_time, line, is_counter, wq.n)
         return append_time
@@ -402,9 +466,22 @@ class MemoryController:
             # Counter first: its append frees the slot the data needs.
             wq.append(counter)
             wq.append(data)
+            if self._policy == "fifo":
+                # As in append_write: the oldest entry may be gone.
+                self._hold = _EARLIEST
         else:
             wq.append(data)
             wq.append(counter)
+        # The new entries' earliest starts bound the next pick.
+        start = self.banks[data.bank].free_at
+        counter_start = self.banks[counter.bank].free_at
+        deferred = append_time + self._counter_defer_ns
+        if deferred > counter_start:
+            counter_start = deferred
+        if counter_start < start:
+            start = counter_start
+        if start < self._hold:
+            self._hold = start
         tracer = self._tracer
         if tracer.enabled:
             occupancy = wq.n

@@ -119,13 +119,6 @@ class WriteQueue:
     def __len__(self) -> int:
         return self.n
 
-    @property
-    def full(self) -> bool:
-        return self.n >= self.capacity
-
-    def has_space(self, n: int = 1) -> bool:
-        return self.n + n <= self.capacity
-
     # ------------------------------------------------------------------
     # Append path (with CWC)
     # ------------------------------------------------------------------

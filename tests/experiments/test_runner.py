@@ -5,10 +5,10 @@ The load-bearing guarantees:
 * ``jobs=N`` output is **bit-identical** to serial — point for point,
   including every stats counter an experiment's ``render`` might read;
 * results come back in spec order, never completion order;
-* fixed-seed golden digests pin the fig13, fig14 and fig-recovery smoke
-  numbers, so neither the runner, the trace cache, the write-queue
-  indexing, the multicore interleave, nor the recovery kernel can
-  silently shift results.
+* fixed-seed golden digests pin the fig13, fig14, fig16 and fig-recovery
+  smoke numbers, so neither the runner, the trace cache, the write-queue
+  indexing or drain scheduler, the multicore interleave, nor the
+  recovery kernel can silently shift results.
 """
 
 import dataclasses
@@ -19,7 +19,7 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.core.schemes import EVALUATED_SCHEMES, Scheme
-from repro.experiments import common, fig13, fig14, fig_recovery
+from repro.experiments import common, fig13, fig14, fig16, fig_recovery
 from repro.experiments.common import experiment_base_config, get_scale
 from repro.experiments.runner import (
     PointSpec,
@@ -40,6 +40,15 @@ FIG13_SMOKE_1KB_DIGEST = (
 )
 
 
+#: The same over the 4 KB cells, where the write queue stays full and
+#: the drain scheduler and make-space loop run hardest:
+#:   PYTHONPATH=src:. python -c "from tests.experiments.test_runner import \
+#:       _digest, _fig13_4kb; print(_digest(_fig13_4kb()))"
+FIG13_SMOKE_4KB_DIGEST = (
+    "c31a8cd3e00014ea0fed893386ad11f907af4ec98cd9c06cc7bbc8a0fb36f452"
+)
+
+
 #: The same for Figure 14 over a subset that includes 8 programs sharing
 #: the controller (out-of-order write-queue appends):
 #:   PYTHONPATH=src:. python -c "from tests.experiments.test_runner import \
@@ -53,11 +62,23 @@ FIG14_SMOKE_DIGEST = (
 #: grid: the priced recovery times and counts of all four recovery
 #: paths. Regenerate ONLY for an intentional model change:
 #:   PYTHONPATH=src:. python -c "from tests.experiments.test_runner import \
-#:       _recovery_digest; from tests.experiments.grids import run_view; \
+#:       _fields_digest; from tests.experiments.grids import run_view; \
 #:       from repro.experiments import fig_recovery as f; \
-#:       print(_recovery_digest(run_view(f.points, f.specs('smoke'))))"
+#:       print(_fields_digest(run_view(f.points, f.specs('smoke'))))"
 FIG_RECOVERY_SMOKE_DIGEST = (
     "3c697a7b76c3a70e7b632d3745cc08f5b0c13394c2a2cf197fded439b1142945"
+)
+
+
+#: The same over every point of the smoke Figure 16 grid: queue depths
+#: from 8 to 128 move both drain watermarks and the counter coalescing
+#: window. Regenerate ONLY for an intentional model change:
+#:   PYTHONPATH=src:. python -c "from tests.experiments.test_runner import \
+#:       _fields_digest; from tests.experiments.grids import run_view; \
+#:       from repro.experiments import fig16 as f; \
+#:       print(_fields_digest(run_view(f.points, f.specs('smoke'))))"
+FIG16_SMOKE_DIGEST = (
+    "0c9086dfa903df3376ff483024787a66f2f3b070a8fd65fe87a3c2f43095153d"
 )
 
 
@@ -66,6 +87,11 @@ def _fig13_1kb(**runner):
     return run_view(
         fig13.points, fig13.specs("smoke"), lambda cell: cell[1] == 1024, **runner
     )
+
+
+def _fig13_4kb():
+    """The smoke Figure 13 points of the 4 KB cells."""
+    return run_view(fig13.points, fig13.specs("smoke"), lambda cell: cell[1] == 4096)
 
 
 def _fig14_subset():
@@ -95,7 +121,7 @@ def _fig14_digest(points) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _recovery_digest(points) -> str:
+def _fields_digest(points) -> str:
     canon = "\n".join(
         "/".join(
             value.value if isinstance(value, enum.Enum) else repr(value)
@@ -219,6 +245,11 @@ class TestFig13Determinism:
         assert _digest(serial) == FIG13_SMOKE_1KB_DIGEST
         assert _digest(parallel) == FIG13_SMOKE_1KB_DIGEST
 
+    def test_golden_4kb(self):
+        points = _fig13_4kb()
+        assert {p.request_size for p in points} == {4096}
+        assert _digest(points) == FIG13_SMOKE_4KB_DIGEST
+
     def test_baseline_guard_rejects_reordered_schemes(self, monkeypatch):
         monkeypatch.setattr(
             common, "EVALUATED_SCHEMES", tuple(reversed(EVALUATED_SCHEMES))
@@ -236,8 +267,16 @@ class TestFig14Determinism:
         assert _fig14_digest(points) == FIG14_SMOKE_DIGEST
 
 
+@pytest.mark.slow
+class TestFig16Determinism:
+    def test_golden(self):
+        points = run_view(fig16.points, fig16.specs("smoke"))
+        assert {p.wq_entries for p in points} == set(fig16.QUEUE_LENGTHS)
+        assert _fields_digest(points) == FIG16_SMOKE_DIGEST
+
+
 class TestFigRecoveryDeterminism:
     def test_golden(self):
         points = run_view(fig_recovery.points, fig_recovery.specs("smoke"))
         assert len(points) == 18
-        assert _recovery_digest(points) == FIG_RECOVERY_SMOKE_DIGEST
+        assert _fields_digest(points) == FIG_RECOVERY_SMOKE_DIGEST

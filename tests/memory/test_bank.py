@@ -118,10 +118,3 @@ def test_busy_accounting():
     busy = stats.get("bank.0", "busy_ns")
     assert busy == pytest.approx(T.write_service_ns + T.read_service_ns)
 
-
-def test_reset():
-    bank, _ = make_bank()
-    bank.service_write(0.0)
-    bank.reset()
-    assert bank.free_at == 0.0
-    assert bank.open_row is None

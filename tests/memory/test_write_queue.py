@@ -34,9 +34,9 @@ def test_append_and_len():
 def test_full_and_has_space():
     wq, _ = make_wq(capacity=2)
     wq.append(entry(1))
-    assert wq.has_space(1) and not wq.full
+    assert wq.n == 1 and wq.n < wq.capacity
     wq.append(entry(2))
-    assert wq.full and not wq.has_space(1)
+    assert wq.n == wq.capacity == 2
 
 
 def test_append_to_full_raises():

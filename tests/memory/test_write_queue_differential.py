@@ -127,7 +127,7 @@ def _snapshot(queue):
     return {
         "entries": entries,
         "len": len(queue),
-        "full": queue.full,
+        "full": len(queue) >= queue.capacity,
         "oldest": entries[0] if entries else None,
         "adr": [
             (e.line, e.is_counter, e.payload, e.seq) for e in queue.adr_flush_order()

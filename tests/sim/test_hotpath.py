@@ -1,24 +1,35 @@
-"""Drain-scheduler equivalence: the per-bank candidate scan is exact.
+"""Drain-scheduler equivalence: the per-bank scan and its start bound are exact.
 
 The production scheduler
 (:meth:`~repro.memory.controller.MemoryController._best_candidate`)
-picks the next write from the heads of per-bank buckets. A naive
-full-queue scan (:func:`naive_best_candidate`, kept here as the
-differential oracle) computes every entry's start and takes the
-``(start, seq)`` minimum. Nothing about the *model* may differ, so:
+picks the next write from the heads of per-bank buckets, and
+:meth:`~repro.memory.controller.MemoryController.advance_to` skips the
+scan while a lower bound on every queued write's start (``_hold``) lies
+after the request. The reference scheduler kept here scans on every
+step: :func:`reference_advance_to` over a naive full-queue scan
+(:func:`naive_best_candidate`) that computes every entry's start and
+takes the ``(start, seq)`` minimum. Nothing about the *model* may
+differ, so:
 
 * full simulations agree on every latency and every stats counter with
-  runs whose scheduler is swapped for the naive scan, including a WT
-  4096 B point that keeps the write queue at capacity (the regime that
-  exercises the per-bank scan and make-space loops);
-* the per-bank scan picks the exact same entry as the naive scan under
-  randomized append/read/drain interleavings, each of which moves the
-  queue or the bank and bus state the pick depends on;
-* out-of-order appends from several per-core clocks (the multicore
-  case) still match the naive scan, including picks where a held-back
-  counter bucket's FIFO-first entry loses to a later one.
+  runs under the reference scheduler, including WT 4096 B points that
+  keep the write queue at capacity (the regime that exercises the
+  per-bank scan and make-space loops) and 4- and 8-program points,
+  whose cores append behind the controller's clock;
+* the per-bank scan picks the exact same entry, and reports the exact
+  runner-up start, as the naive scan under randomized
+  append/read/drain interleavings, each of which moves the queue or the
+  bank and bus state the pick depends on;
+* after every such mutation ``_hold`` is at most the naive earliest
+  start, and a controller with the bound stays in the exact state of a
+  reference controller driven through the same calls, under every drain
+  policy and CWC policy, a zero low watermark, two channels, and
+  out-of-order appends from several per-core clocks;
+* the drain scans at most 1.15 times per issued write on a saturated
+  Figure 13 cell and an 8-program Figure 14 cell.
 """
 
+import collections
 import dataclasses
 import random
 
@@ -27,11 +38,23 @@ import pytest
 from repro.common.config import SimConfig
 from repro.common.stats import Stats
 from repro.core.schemes import Scheme
+from repro.experiments import fig13, fig14
 from repro.experiments.common import experiment_base_config, get_scale
+from repro.experiments.runner import run_points
 from repro.memory.controller import MemoryController
 from repro.memory.write_queue import WQEntry
 from repro.sim import trace_cache
+from repro.sim.multicore import simulate_multiprogrammed
 from repro.sim.simulator import simulate_workload
+from tests.experiments.grids import narrow
+
+
+def _start(mc, entry):
+    """An entry's start under the controller's policy (deferral included)."""
+    start = mc._entry_start(entry)
+    if entry.is_counter and mc._counter_defer_ns:
+        start = max(start, entry.enq_time + mc._counter_defer_ns)
+    return start
 
 
 def naive_best_candidate(mc):
@@ -39,13 +62,10 @@ def naive_best_candidate(mc):
     if mc._policy == "fifo":
         entry = mc.wq.oldest()
         return None if entry is None else (mc._entry_start(entry), entry)
-    defer = mc._counter_defer_ns if mc._policy == "defer-counters" else 0.0
     best_start = None
     best_entry = None
     for entry in mc.wq:
-        start = mc._entry_start(entry)
-        if entry.is_counter and defer:
-            start = max(start, entry.enq_time + defer)
+        start = _start(mc, entry)
         if best_start is None or start < best_start:
             best_start, best_entry = start, entry
     if best_entry is None:
@@ -53,8 +73,80 @@ def naive_best_candidate(mc):
     return best_start, best_entry
 
 
-def _run(workload, scheme, size):
+def naive_runner_up(mc, picked):
+    """The smallest start outside ``picked``'s bucket (its bank and kind)."""
+    return min(
+        (
+            _start(mc, entry)
+            for entry in mc.wq
+            if (entry.bank, entry.is_counter) != (picked.bank, picked.is_counter)
+        ),
+        default=float("inf"),
+    )
+
+
+def reference_advance_to(mc, t):
+    """The drain step without a start bound: it scans on every step."""
+    wq = mc.wq
+    draining = mc._draining
+    if not draining and wq.n < mc.high_watermark:
+        if t > mc.clock:
+            mc.clock = t
+        return
+    while True:
+        occupancy = wq.n
+        if draining:
+            if occupancy <= mc.low_watermark:
+                draining = False
+                break
+        elif occupancy >= mc.high_watermark:
+            draining = True
+        else:
+            break
+        candidate = naive_best_candidate(mc)
+        if candidate is None:
+            break
+        start, entry = candidate
+        if start > t:
+            break
+        mc._issue(entry, start)
+        if start > mc.clock:
+            mc.clock = start
+    mc._draining = draining
+    if t > mc.clock:
+        mc.clock = t
+
+
+def _reference_pick(mc):
+    """The naive pick in the production shape, for make-space and drain_all.
+
+    A runner-up of ``-inf`` keeps ``_hold`` from ever holding anything
+    back; :func:`reference_advance_to` does not read it anyway.
+    """
+    start, entry = naive_best_candidate(mc)
+    return start, entry, float("-inf")
+
+
+class ReferenceController(MemoryController):
+    """A controller that runs the reference scheduler."""
+
+    advance_to = reference_advance_to
+    _best_candidate = _reference_pick
+
+
+def _run(workload, scheme, size, programs=None):
     trace_cache.clear()
+    base = experiment_base_config(get_scale("smoke"))
+    if programs is not None:
+        return simulate_multiprogrammed(
+            workload,
+            scheme,
+            programs,
+            n_ops=12,
+            request_size=size,
+            base_config=base,
+            seed=1,
+        )
     return simulate_workload(
         workload,
         scheme,
@@ -62,33 +154,46 @@ def _run(workload, scheme, size):
         request_size=size,
         footprint=1 << 20,
         seed=1,
-        base_config=experiment_base_config(get_scale("smoke")),
+        base_config=base,
     )
 
 
 class TestSimulationEquivalence:
     @pytest.mark.parametrize(
-        "workload,scheme,size",
+        "workload,scheme,size,programs",
         [
-            ("array", Scheme.SUPERMEM, 256),
-            ("btree", Scheme.SUPERMEM, 1024),
-            ("queue", Scheme.UNSEC, 256),
-            ("btree", Scheme.SCA, 1024),
+            ("array", Scheme.SUPERMEM, 256, None),
+            ("btree", Scheme.SUPERMEM, 1024, None),
+            ("queue", Scheme.UNSEC, 256, None),
+            ("btree", Scheme.SCA, 1024, None),
             # Integrity tree: node fetches and write-backs join the queue.
-            ("array", Scheme.SUPERMEM_BMT, 256),
-            ("btree", Scheme.SUPERMEM_BMT, 1024),
+            ("array", Scheme.SUPERMEM_BMT, 256, None),
+            ("btree", Scheme.SUPERMEM_BMT, 1024, None),
             # Large requests keep the write queue saturated: the per-bank
             # scan and the make-space loop both run hot.
-            ("array", Scheme.WT_BASE, 4096),
-            ("btree", Scheme.WT_BASE, 4096),
-            ("array", Scheme.SUPERMEM, 4096),
-            ("queue", Scheme.SUPERMEM_BMT, 4096),
+            ("array", Scheme.WT_BASE, 4096, None),
+            ("btree", Scheme.WT_BASE, 4096, None),
+            ("array", Scheme.SUPERMEM, 4096, None),
+            ("queue", Scheme.SUPERMEM_BMT, 4096, None),
+            # Several cores share the controller and append behind its
+            # clock: the only points with out-of-order appends.
+            ("array", Scheme.SUPERMEM, 1024, 4),
+            ("array", Scheme.SUPERMEM_BMT, 1024, 4),
+            ("hashtable", Scheme.SUPERMEM, 1024, 4),
+            ("hashtable", Scheme.SUPERMEM_BMT, 1024, 4),
+            ("array", Scheme.SUPERMEM, 1024, 8),
+            ("array", Scheme.SUPERMEM_BMT, 1024, 8),
+            ("hashtable", Scheme.SUPERMEM, 1024, 8),
+            ("hashtable", Scheme.SUPERMEM_BMT, 1024, 8),
         ],
     )
-    def test_hot_matches_reference(self, workload, scheme, size, monkeypatch):
-        fast = _run(workload, scheme, size)
-        monkeypatch.setattr(MemoryController, "_best_candidate", naive_best_candidate)
-        ref = _run(workload, scheme, size)
+    def test_hot_matches_reference(
+        self, workload, scheme, size, programs, monkeypatch
+    ):
+        fast = _run(workload, scheme, size, programs)
+        monkeypatch.setattr(MemoryController, "advance_to", reference_advance_to)
+        monkeypatch.setattr(MemoryController, "_best_candidate", _reference_pick)
+        ref = _run(workload, scheme, size, programs)
         assert fast.total_time_ns == ref.total_time_ns
         assert fast.txn_latencies == ref.txn_latencies
         assert fast.stats.snapshot() == ref.stats.snapshot()
@@ -99,14 +204,20 @@ def _controller():
 
 
 def _assert_same_candidate(mc):
-    fast = mc._best_candidate()
+    """The per-bank pick, runner-up and start bound match the naive scan."""
     ref = naive_best_candidate(mc)
     if ref is None:
-        assert fast is None
+        return
+    start, entry, runner_up = mc._best_candidate()
+    assert start == ref[0]
+    assert entry is ref[1]
+    if mc._policy == "fifo":
+        assert runner_up == float("-inf")
     else:
-        assert fast is not None
-        assert fast[0] == ref[0]
-        assert fast[1] is ref[1]
+        assert runner_up == naive_runner_up(mc, entry)
+    # The bound: every queued write's start (fifo: the oldest's) is at
+    # least _hold, and the naive pick's start is the smallest of them.
+    assert mc._hold <= ref[0]
 
 
 class TestCandidateScan:
@@ -215,3 +326,175 @@ class TestCandidateScan:
             assert non_head_picks > 0
         mc.drain_all()
         assert len(mc.wq) == 0
+
+
+def _state(mc):
+    """Everything a drain step may change, for a lockstep comparison."""
+    return (
+        [
+            (e.line, e.bank, e.row, e.is_counter, e.enq_time, e.core, e.seq)
+            for e in mc.wq
+        ],
+        [(bank.free_at, bank.open_row, bank.last_write_end) for bank in mc.banks],
+        tuple(mc.rank._activates),
+        list(mc.bus_free_at),
+        mc.clock,
+        mc._draining,
+        mc._stats.snapshot(),
+    )
+
+
+class TestStartBound:
+    @pytest.mark.parametrize(
+        "policy,cwc_policy,memory",
+        [
+            ("defer-counters", "remove-older", {}),
+            ("defer-counters", "merge-in-place", {}),
+            ("frfcfs", "remove-older", {}),
+            ("frfcfs", "merge-in-place", {}),
+            ("fifo", "remove-older", {}),
+            ("fifo", "merge-in-place", {}),
+            ("defer-counters", "remove-older", {"wq_low_watermark": 0}),
+            ("fifo", "remove-older", {"wq_low_watermark": 0}),
+            ("defer-counters", "remove-older", {"n_channels": 2}),
+            ("frfcfs", "merge-in-place", {"n_channels": 2, "wq_low_watermark": 0}),
+        ],
+    )
+    def test_lockstep_with_reference(self, policy, cwc_policy, memory):
+        """A controller with the bound stays in the reference's exact state.
+
+        Two cores drive both controllers through the same calls. Their
+        clocks jump independently, so one core's requests keep arriving
+        behind the controller's clock. After every call the queue, banks,
+        rank, bus, clock, hysteresis flag and stats are equal, and
+        ``_hold`` bounds the naive earliest start. Calls that the bound
+        lets skip the scan (drain engaged, ``t < _hold``) must occur.
+        """
+        rng = random.Random(29)
+        cfg = SimConfig(cwc_enabled=True, cwc_policy=cwc_policy)
+        cfg = dataclasses.replace(
+            cfg,
+            memory=dataclasses.replace(
+                cfg.memory, drain_policy=policy, write_queue_entries=16, **memory
+            ),
+        )
+        mc = MemoryController(cfg, Stats())
+        ref = ReferenceController(cfg, Stats())
+        n_banks = cfg.memory.n_banks
+        clocks = [0.0, 0.0]
+        skipped = late = 0
+        for _ in range(2000):
+            core = rng.randrange(len(clocks))
+            clocks[core] += rng.choice((0.0, 3.0, 40.0, 250.0, 900.0))
+            t = clocks[core]
+            engaged = mc._draining or mc.wq.n >= mc.high_watermark
+            skipped += engaged and t < mc._hold
+            late += t < mc.clock
+            action = rng.randrange(5)
+            if action == 0:
+                line = rng.randrange(256)
+                calls = [c.append_write(t, line, core=core) for c in (mc, ref)]
+            elif action == 1:
+                # A counter line has one home bank, as under every layout.
+                line = 4096 + rng.randrange(16)
+                calls = [
+                    c.append_write(
+                        t,
+                        line,
+                        bank=line % n_banks,
+                        row=0,
+                        is_counter=True,
+                        core=core,
+                    )
+                    for c in (mc, ref)
+                ]
+            elif action == 2:
+                line = rng.randrange(256)
+                counter_line = 4096 + rng.randrange(16)
+                counter_bank = counter_line % n_banks
+                calls = [
+                    c.append_pair(
+                        t,
+                        WQEntry(line, line % n_banks, 0, False, 0.0, core=core),
+                        WQEntry(counter_line, counter_bank, 0, True, 0.0, core=core),
+                    )
+                    for c in (mc, ref)
+                ]
+            elif action == 3:
+                line = rng.randrange(256)
+                calls = [c.read(t, line) for c in (mc, ref)]
+            else:
+                calls = [c.advance_to(t) for c in (mc, ref)]
+            assert calls[0] == calls[1]
+            assert _state(mc) == _state(ref)
+            _assert_same_candidate(mc)
+        assert skipped > 0
+        assert late > 0
+        assert mc.drain_all() == ref.drain_all()
+        assert _state(mc) == _state(ref)
+
+
+    @pytest.mark.parametrize("pair", [False, True])
+    def test_fifo_coalesce_releases_the_bound(self, pair):
+        """Under ``fifo`` CWC can remove the oldest entry, the one the
+        bound is about; the next oldest may start at once."""
+        cfg = SimConfig(cwc_enabled=True)
+        cfg = dataclasses.replace(
+            cfg,
+            memory=dataclasses.replace(
+                cfg.memory,
+                drain_policy="fifo",
+                write_queue_entries=4,
+                wq_high_watermark=1,
+                wq_low_watermark=0,
+            ),
+        )
+        mc = MemoryController(cfg, Stats())
+        counter = 1 << 20
+        mc.append_write(0.0, 0, bank=0, row=0)
+        mc.advance_to(0.0)  # bank 0 is now busy for a write service
+        mc.append_write(1.0, counter, bank=0, row=0, is_counter=True)
+        mc.append_write(2.0, 1, bank=1, row=0)
+        mc.advance_to(3.0)  # the oldest, the counter, waits for bank 0
+        assert mc._hold > 5.0
+        # Coalesces with the oldest: the bank-1 write is now the oldest.
+        if pair:
+            # Its data write waits for busy bank 0 as well.
+            mc.append_pair(
+                4.0,
+                WQEntry(2, 0, 0, False, 0.0),
+                WQEntry(counter, 0, 0, True, 0.0),
+            )
+        else:
+            mc.append_write(4.0, counter, bank=0, row=0, is_counter=True)
+        assert mc.wq.oldest().bank == 1
+        mc.advance_to(5.0)
+        assert mc._stats.get("wq", "issued") == 2
+
+
+class TestScanCount:
+    def test_about_one_scan_per_issued_write(self, monkeypatch):
+        """The drain scans at most 1.15 times per issued write.
+
+        Without the start bound every request that finds nothing ready
+        yet costs a scan of its own: 2.1 scans per issue on the saturated
+        Figure 13 cell below and 2.4 on the 8-program Figure 14 cell.
+        """
+        calls = collections.Counter()
+        for name in ("_best_candidate", "_issue"):
+            method = getattr(MemoryController, name)
+
+            def counted(mc, *args, _method=method, _name=name):
+                calls[_name] += 1
+                return _method(mc, *args)
+
+            monkeypatch.setattr(MemoryController, name, counted)
+        for grid, cell in (
+            (fig13.specs("smoke"), ("array", 4096)),
+            (fig14.specs("smoke"), ("hashtable", 8)),
+        ):
+            calls.clear()
+            _, specs = narrow(grid, lambda c: c == cell)
+            run_points(specs)
+            assert calls["_issue"] > 1000
+            assert calls["_best_candidate"] <= 1.15 * calls["_issue"], (cell, calls)

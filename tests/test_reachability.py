@@ -146,8 +146,6 @@ UNNAMED_FUNCTIONS = {
     "repro.experiments.export.load_json": "tests",
     "repro.experiments.fig15.supermem_reduction_vs_wt": "claim",
     "repro.memory.bank.Bank.earliest_start": "bench",
-    "repro.memory.bank.Bank.reset": "tests",
-    "repro.memory.write_queue.WriteQueue.has_space": "tests",
     "repro.memory.write_queue.WriteQueue.would_coalesce": "bench",
     "repro.sim.trace_cache.array_stats": "tests",
     "repro.sim.trace_cache.cache_stats": "tests",
