@@ -236,11 +236,6 @@ class CacheHierarchy:
             lost.extend(cache.flush_all())
         return sorted(set(lost))
 
-    @property
-    def total_sram_latency_ns(self) -> float:
-        """Latency of missing all the way through (L1+L2+L3 lookups)."""
-        return self._walk_ns[2]
-
 
 class L3EventSink:
     """Stands in for the shared L3 while one core's private walk is recorded.

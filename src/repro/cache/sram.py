@@ -91,11 +91,6 @@ class SetAssociativeCache:
     def __len__(self) -> int:
         return sum(len(s) for s in self._sets)
 
-    def resident_lines(self) -> Iterator[int]:
-        """Iterate over every resident line (order unspecified)."""
-        for cache_set in self._sets:
-            yield from cache_set
-
     def dirty_lines(self) -> Iterator[int]:
         """Iterate over every dirty resident line."""
         for cache_set in self._sets:
@@ -149,15 +144,6 @@ class SetAssociativeCache:
             cache_set[line] = cache_set.pop(line) or dirty
             return None
         return self._fill(cache_set, line, dirty)
-
-    def mark_dirty(self, line: int) -> bool:
-        """Set the dirty bit of a resident line; returns False if absent."""
-        cache_set = self._set_of(line)
-        if line not in cache_set:
-            return False
-        cache_set.pop(line)
-        cache_set[line] = True
-        return True
 
     # ------------------------------------------------------------------
     # Flush / invalidate (clwb, clflush semantics)

@@ -20,15 +20,15 @@ matter throughout the reproduction:
   mapping that makes the paper's Figure 8 examples come out: three
   consecutive data pages land in banks 0, 1, 2.
 
-Inside a bank, lines map to rows of ``row_size`` bytes for the row-buffer
-model.
+A row of the row-buffer model is one page: the 64 lines of a page share
+a row, and so a bank's row buffer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.errors import AddressError, ConfigError
+from repro.common.errors import ConfigError
 
 #: Size of one cache line / memory line in bytes. Fixed by the paper's
 #: architecture (64-bit x86, 64 B lines) and relied on by the split-counter
@@ -58,9 +58,6 @@ class AddressMap:
         ``n_banks * PAGE_SIZE``.
     n_banks:
         Number of independently schedulable NVM banks (8 in the paper).
-    row_size:
-        Bytes per DRAM/PCM row for the row-buffer model (default 4 KB,
-        i.e. one row holds one page's worth of lines).
     bank_mapping:
         Interleaving policy (ablation knob):
 
@@ -70,24 +67,23 @@ class AddressMap:
           adjacent banks;
         * ``"line"``: consecutive lines rotate across banks (maximum
           intra-page parallelism). NOTE: a page's counter line then has
-          no single "home" data bank, so counter placement uses the
-          page's nominal bank — an idealisation usable for timing
-          ablations only;
+          no single "home" data bank, so counter placement follows the
+          bank of the line being written — an idealisation usable for
+          timing ablations only;
         * ``"contiguous"``: each bank owns one contiguous slab
           (``addr // bank_size``) — the no-interleaving strawman.
 
     Examples
     --------
     >>> amap = AddressMap(capacity=8 * (1 << 20), n_banks=8)
-    >>> amap.bank_of_line(amap.line_of_addr(0))
+    >>> amap.bank_of_line(0)
     0
-    >>> amap.bank_of_line(amap.line_of_addr(PAGE_SIZE))
+    >>> amap.bank_of_line(LINES_PER_PAGE)
     1
     """
 
     capacity: int
     n_banks: int = 8
-    row_size: int = PAGE_SIZE
     bank_mapping: str = "page"
 
     def __post_init__(self) -> None:
@@ -99,10 +95,6 @@ class AddressMap:
             raise ConfigError(
                 "capacity must be a multiple of n_banks * PAGE_SIZE "
                 f"({self.n_banks * PAGE_SIZE}), got {self.capacity}"
-            )
-        if self.row_size % CACHE_LINE_SIZE != 0:
-            raise ConfigError(
-                f"row_size must be a multiple of {CACHE_LINE_SIZE}, got {self.row_size}"
             )
         if self.bank_mapping not in BANK_MAPPINGS:
             raise ConfigError(
@@ -133,35 +125,9 @@ class AddressMap:
     # Granularity conversions
     # ------------------------------------------------------------------
 
-    def check_addr(self, addr: int) -> int:
-        """Validate that ``addr`` lies inside the address space.
-
-        Returns the address unchanged so the call can be used inline.
-        """
-        if not 0 <= addr < self.capacity:
-            raise AddressError(
-                f"address {addr:#x} outside physical space [0, {self.capacity:#x})"
-            )
-        return addr
-
-    def line_of_addr(self, addr: int) -> int:
-        """Return the line index containing byte address ``addr``."""
-        self.check_addr(addr)
-        return addr // CACHE_LINE_SIZE
-
     def line_addr(self, line: int) -> int:
         """Return the byte address of the first byte of line ``line``."""
         return line * CACHE_LINE_SIZE
-
-    def align_line(self, addr: int) -> int:
-        """Round ``addr`` down to its line boundary."""
-        self.check_addr(addr)
-        return addr - (addr % CACHE_LINE_SIZE)
-
-    def page_of_addr(self, addr: int) -> int:
-        """Return the page index containing byte address ``addr``."""
-        self.check_addr(addr)
-        return addr // PAGE_SIZE
 
     def page_of_line(self, line: int) -> int:
         """Return the page index containing line ``line``."""
@@ -184,31 +150,21 @@ class AddressMap:
     # Bank / row mapping
     # ------------------------------------------------------------------
 
-    def bank_of_page(self, page: int) -> int:
-        """Nominal bank of a page (used for counter placement)."""
-        if self.bank_mapping == "contiguous":
-            return (page * PAGE_SIZE) // self.bank_size
-        return page % self.n_banks
-
     def bank_of_line(self, line: int) -> int:
         """Bank serving line ``line`` under the configured interleaving."""
         if self.bank_mapping == "line":
             return line % self.n_banks
         if self.bank_mapping == "contiguous":
             return min(self.n_banks - 1, (line * CACHE_LINE_SIZE) // self.bank_size)
-        # "page", inlined bank_of_page(page_of_line(line))
+        # "page"
         return (line // LINES_PER_PAGE) % self.n_banks
-
-    def bank_of_addr(self, addr: int) -> int:
-        """Bank serving byte address ``addr``."""
-        return self.bank_of_line(self.line_of_addr(addr))
 
     def row_of_line(self, line: int) -> int:
         """Row identifier (within the whole device) of line ``line``.
 
         Rows are used only for the per-bank row-buffer model, so a global
         row id is sufficient: two lines share a row buffer entry iff they
-        have the same row id (which implies the same bank under the
-        page-interleaved mapping when ``row_size == PAGE_SIZE``).
+        lie in the same page (which implies the same bank under the
+        page-interleaved mapping).
         """
-        return (line * CACHE_LINE_SIZE) // self.row_size
+        return line // LINES_PER_PAGE

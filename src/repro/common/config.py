@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.common.address import AddressMap, CACHE_LINE_SIZE, PAGE_SIZE
+from repro.common.address import AddressMap, CACHE_LINE_SIZE
 from repro.common.errors import ConfigError
 
 
@@ -66,15 +66,14 @@ class CacheConfig:
     size: int
     assoc: int
     latency_cycles: int
-    line_size: int = CACHE_LINE_SIZE
 
     def __post_init__(self) -> None:
         if self.size <= 0 or self.assoc <= 0:
             raise ConfigError(f"cache size/assoc must be positive: {self}")
-        if self.size % (self.assoc * self.line_size) != 0:
+        if self.size % (self.assoc * CACHE_LINE_SIZE) != 0:
             raise ConfigError(
                 f"cache size {self.size} not divisible by assoc*line "
-                f"({self.assoc}*{self.line_size})"
+                f"({self.assoc}*{CACHE_LINE_SIZE})"
             )
         if self.latency_cycles < 0:
             raise ConfigError(f"latency must be >= 0: {self}")
@@ -82,12 +81,12 @@ class CacheConfig:
     @property
     def n_sets(self) -> int:
         """Number of sets."""
-        return self.size // (self.assoc * self.line_size)
+        return self.size // (self.assoc * CACHE_LINE_SIZE)
 
     @property
     def n_lines(self) -> int:
         """Total line capacity."""
-        return self.size // self.line_size
+        return self.size // CACHE_LINE_SIZE
 
 
 @dataclass(frozen=True)
@@ -102,11 +101,6 @@ class CounterCacheConfig(CacheConfig):
     #: Only meaningful for WRITE_BACK: model the paper's "ideal" battery
     #: that flushes all dirty counter lines on a crash.
     battery_backed: bool = False
-
-    @property
-    def reach_bytes(self) -> int:
-        """Bytes of data whose counters fit in the cache simultaneously."""
-        return self.n_lines * PAGE_SIZE
 
 
 @dataclass(frozen=True)
@@ -212,29 +206,20 @@ class MemoryConfig:
     #:
     #: ``"defer-counters"`` (default): FR-FCFS over data writes, with
     #: counter writes yielding to any data write that can start within
-    #: ``counter_defer_ns``. This is the scheduling embodiment of the
-    #: paper's "delay the counter cache line write for merging more
-    #: writes" (Section 3.4.3): counter entries linger at the queue tail
-    #: through a flush burst, maximising CWC's coalescing window, and
-    #: drain in the gaps.
+    #: a window that grows with the queue depth (see
+    #: :class:`~repro.memory.controller.MemoryController`). This is the
+    #: scheduling embodiment of the paper's "delay the counter cache line
+    #: write for merging more writes" (Section 3.4.3): counter entries
+    #: linger at the queue tail through a flush burst, maximising CWC's
+    #: coalescing window, and drain in the gaps.
     #: ``"frfcfs"``: earliest-feasible-start across all writes (ablation —
     #: counters issue eagerly to their idle bank, cutting CWC's reach).
     #: ``"fifo"``: strict append order with head-of-line blocking
     #: (ablation — destroys bank parallelism for page-local bursts).
     drain_policy: str = "defer-counters"
-    #: How long a ready counter write waits for an upcoming data write
-    #: before claiming the bus (``None`` = one write service time).
-    counter_defer_ns: float | None = None
     #: Bank interleaving: "page" (default, the paper's premise), "line",
     #: or "contiguous" (see :class:`repro.common.address.AddressMap`).
     bank_mapping: str = "page"
-    row_size: int = PAGE_SIZE
-    #: Enable the per-bank row buffer model for reads.
-    row_buffer: bool = True
-    #: Enforce the four-activate-window (tFAW) rank constraint.
-    enforce_tfaw: bool = True
-    #: Enforce write-to-read turnaround (tWTR) per bank.
-    enforce_twtr: bool = True
 
     def __post_init__(self) -> None:
         if self.write_queue_entries < 2:
@@ -252,7 +237,6 @@ class MemoryConfig:
         return AddressMap(
             capacity=self.capacity,
             n_banks=self.n_banks,
-            row_size=self.row_size,
             bank_mapping=self.bank_mapping,
         )
 
@@ -320,8 +304,6 @@ class SimConfig:
     atomicity_register: bool = True
     #: ADR protection for the re-encryption status register (Section 3.4.4).
     rsr_adr: bool = True
-    #: Minor-counter width in bits; 7 in the split-counter scheme.
-    minor_counter_bits: int = 7
     #: Selective counter-atomicity (Liu et al.): a write-back counter
     #: cache, but *persistent* writes (clwb-originated) carry their
     #: counter into the ADR domain as an atomic pair, while plain cache
@@ -344,8 +326,6 @@ class SimConfig:
     fidelity: str = "full"
 
     def __post_init__(self) -> None:
-        if not 1 <= self.minor_counter_bits <= 16:
-            raise ConfigError("minor_counter_bits must be in [1, 16]")
         if self.fidelity not in ("full", "timing"):
             raise ConfigError(
                 f"fidelity must be 'full' or 'timing', got {self.fidelity!r}"

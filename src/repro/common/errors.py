@@ -31,10 +31,6 @@ class SecurityError(ReproError):
     """
 
 
-class AddressError(ReproError):
-    """An address fell outside the configured physical address space."""
-
-
 class SweepError(ReproError):
     """One or more sweep points exhausted their retry budget.
 

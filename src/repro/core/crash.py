@@ -79,10 +79,6 @@ class CrashController:
             self._armed_point = None
             raise CrashInjected(point, detail)
 
-    def occurrences(self, point: str) -> int:
-        """How many times ``point`` has been probed."""
-        return self._seen[point]
-
 
 @dataclass
 class DurableImage:

@@ -26,7 +26,7 @@ from typing import Dict, Optional, Set, Tuple
 
 from repro.common.address import AddressMap
 from repro.common.errors import SimulationError
-from repro.crypto.counters import CounterBlock
+from repro.crypto.counters import CounterBlock, MINOR_BITS
 from repro.crypto.otp import LineCipher
 from repro.core.crash import DurableImage
 from repro.memory.nvm import ZERO_LINE
@@ -103,15 +103,13 @@ class RecoveredSystem:
         limit = base + self.amap.n_pages
         for line, payload in self._nvm.items():
             if base <= line < limit:
-                self._blocks[line - base] = CounterBlock.from_bytes(
-                    payload, minor_bits=self.config.minor_counter_bits
-                )
+                self._blocks[line - base] = CounterBlock.from_bytes(payload)
 
     def counter_block(self, page: int) -> CounterBlock:
         """The persisted counter block of ``page`` (zeros if never written)."""
         block = self._blocks.get(page)
         if block is None:
-            block = CounterBlock(minor_bits=self.config.minor_counter_bits)
+            block = CounterBlock()
             self._blocks[page] = block
         return block
 
@@ -124,10 +122,9 @@ class RecoveredSystem:
         rsr = self.image.rsr
         if rsr is not None and rsr.page == page:
             new_major = rsr.old_major + 1
-            bits = self.config.minor_counter_bits
             if rsr.done[slot]:
-                return (new_major << bits) | block.minors[slot]
-            return (rsr.old_major << bits) | block.minors[slot]
+                return (new_major << MINOR_BITS) | block.minors[slot]
+            return (rsr.old_major << MINOR_BITS) | block.minors[slot]
         return block.encryption_counter(slot)
 
     # ------------------------------------------------------------------
@@ -224,12 +221,11 @@ class RecoveredSystem:
         self._charge_counter_fetch(page)
         block = self.counter_block(page)
         new_major = rsr.old_major + 1
-        bits = self.config.minor_counter_bits
         resumed = 0
         pending = []
         for slot in rsr.pending_slots():
             line = self.amap.lines_of_page(page)[slot]
-            old_counter = (rsr.old_major << bits) | block.minors[slot]
+            old_counter = (rsr.old_major << MINOR_BITS) | block.minors[slot]
             pending.append((slot, line, old_counter, self._nvm.get(line)))
         # Batch all old-counter pad derivations for the pending scan up
         # front (one engine dispatch instead of per-line); the meter
@@ -247,7 +243,7 @@ class RecoveredSystem:
                 self._charge_aes()
                 plaintext = next(plain_iter)
             block.minors[slot] = 0
-            new_counter = new_major << bits
+            new_counter = new_major << MINOR_BITS
             self._charge_aes()
             self._nvm[line] = self.cipher.encrypt(line, new_counter, plaintext)
             self._charge_write(line)

@@ -18,9 +18,10 @@ driven through it:
   persisted counter line, one hash per distinct touched ancestor, root
   compared against the on-chip root register
   (:attr:`~repro.core.crash.DurableImage.tree_root`).
-* **SCA scan** (:func:`timed_sca_scan_recovery`) — a write-back counter
-  cache loses dirty counters and nothing records which: recovery must
-  walk the *entire* counter region (:mod:`repro.core.sca_scan`) before
+* **SCA scan** (:func:`timed_sca_scan_recovery`) — Zuo et al.'s SCA
+  keeps a write-back counter cache, so a crash loses dirty counters and
+  nothing records which: recovery must read and verify *every* counter
+  line of the installed capacity, never-written ones included, before
   the log replay. Cost grows linearly with memory capacity.
 * **Osiris** (:func:`timed_osiris_recovery`) — bounded trial decryption
   per written line (:mod:`repro.core.osiris`): cost grows with the
@@ -389,17 +390,21 @@ def timed_sca_scan_recovery(
 
     The scan is the whole point: its cost is ``n_pages`` reads +
     verifications, linear in memory capacity, paid before a single byte
-    of useful data is served.
+    of useful data is served. It recovers no data itself (the log replay
+    does), and its cost does not depend on what the counter lines hold,
+    so one :meth:`RecoveryMeter.scan_counter_lines` call prices it.
     """
     from repro.core.recovery import RecoveredSystem
-    from repro.core.sca_scan import ScaScanRecovery
 
     meter = meter if meter is not None else RecoveryMeter(image.config)
+    if not image.config.encrypted:
+        raise SimulationError("counter-region scan on an unencrypted image")
+    amap = meter.amap
     report = RecoveryCostReport(path=RECOVERY_PATH_SCA_SCAN)
-    report.written_data_lines = len(image.written_data_lines(meter.amap.n_lines))
+    report.written_data_lines = len(image.written_data_lines(amap.n_lines))
     t0 = meter.time_ns
-    scan = ScaScanRecovery(image, meter=meter).recover()
-    report.counter_region_lines = scan.scanned_lines
+    meter.scan_counter_lines(amap.n_lines, amap.n_pages)
+    report.counter_region_lines = amap.n_pages
     report.phases.append(("counter-scan", t0, meter.time_ns))
     recovered = RecoveredSystem(image, meter=meter)
     t1 = meter.time_ns

@@ -47,10 +47,6 @@ class RSRRecord:
     def mark_done(self, slot: int) -> None:
         self.done[slot] = True
 
-    @property
-    def complete(self) -> bool:
-        return all(self.done)
-
     def pending_slots(self) -> List[int]:
         """Line slots still encrypted under the old counters."""
         return [slot for slot, done in enumerate(self.done) if not done]

@@ -32,7 +32,7 @@ domain and discarding SRAM.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.common.address import AddressMap
 from repro.common.config import SimConfig
@@ -74,11 +74,10 @@ class CounterStore:
     only what was evicted or battery-flushed).
     """
 
-    def __init__(self, organization: str = "split", minor_bits: int = 7):
+    def __init__(self, organization: str = "split"):
         if organization not in ("split", "monolithic"):
             raise SimulationError(f"unknown counter organization {organization!r}")
         self.organization = organization
-        self._minor_bits = minor_bits
         self._blocks: Dict[int, object] = {}
 
     @property
@@ -87,49 +86,22 @@ class CounterStore:
             return 64
         return MonolithicCounterBlock.LINES_PER_BLOCK
 
-    def block_key_of_line(self, line: int) -> int:
-        return line // self.lines_per_block
-
-    def slot_of_line(self, line: int) -> int:
-        return line % self.lines_per_block
-
     def block(self, key: int):
         blk = self._blocks.get(key)
         if blk is None:
             if self.organization == "split":
-                blk = CounterBlock(minor_bits=self._minor_bits)
+                blk = CounterBlock()
             else:
                 blk = MonolithicCounterBlock()
             self._blocks[key] = blk
         return blk
 
     def counter_of_line(self, line: int) -> int:
-        return self.block(self.block_key_of_line(line)).encryption_counter(
-            self.slot_of_line(line)
-        )
-
-    def bump(self, line: int) -> Tuple[int, int, bool]:
-        """Advance the counter of ``line`` for a new write.
-
-        Returns ``(block_key, slot, overflowed)``; when ``overflowed`` the
-        caller must re-encrypt the block's page before retrying.
-        """
-        key = self.block_key_of_line(line)
-        slot = self.slot_of_line(line)
-        overflowed = self.block(key).bump(slot)
-        return key, slot, overflowed
+        per_block = self.lines_per_block
+        return self.block(line // per_block).encryption_counter(line % per_block)
 
     def serialize_block(self, key: int) -> bytes:
         return self.block(key).to_bytes()
-
-    def load_block(self, key: int, image: bytes) -> None:
-        """Install a block parsed from an NVM counter-line image."""
-        if self.organization == "split":
-            self._blocks[key] = CounterBlock.from_bytes(
-                image, minor_bits=self._minor_bits
-            )
-        else:
-            self._blocks[key] = MonolithicCounterBlock.from_bytes(image)
 
 
 class SecureMemorySystem:
@@ -149,10 +121,7 @@ class SecureMemorySystem:
         self.crash_ctl = crash if crash is not None else CrashController()
         self.amap: AddressMap = config.address_map()
         self.controller = MemoryController(config, self.stats, tracer=tracer)
-        self.counters = CounterStore(
-            organization=counter_organization,
-            minor_bits=config.minor_counter_bits,
-        )
+        self.counters = CounterStore(organization=counter_organization)
         self.counter_cache = CounterCache(
             config.counter_cache, self.stats, tracer=tracer
         )

@@ -15,7 +15,7 @@ consequences drive the design:
   (:mod:`repro.core.reencrypt`).
 
 The encryption counter of a line is the concatenation
-``major << minor_bits | minor``, which is unique per write as long as the
+``major << 7 | minor``, which is unique per write as long as the
 major counter never overflows (a 64-bit major outlives NVM cell endurance,
 Section 3.4.1).
 
@@ -34,8 +34,10 @@ from typing import List
 from repro.common.address import LINES_PER_PAGE
 from repro.common.errors import ConfigError
 
+#: Width of a minor counter in bits.
+MINOR_BITS = 7
 #: Maximum value of a 7-bit minor counter.
-MINOR_COUNTER_MAX = (1 << 7) - 1
+MINOR_COUNTER_MAX = (1 << MINOR_BITS) - 1
 
 
 def _lanes(width: int, group: int, offset: int) -> int:
@@ -72,14 +74,11 @@ class CounterBlock:
     major:
         The page's shared 64-bit major counter.
     minors:
-        64 per-line minor counters (each < 2**minor_bits).
-    minor_bits:
-        Width of each minor counter; 7 in the paper.
+        64 per-line minor counters (each at most ``MINOR_COUNTER_MAX``).
     """
 
     major: int = 0
     minors: List[int] = field(default_factory=lambda: [0] * LINES_PER_PAGE)
-    minor_bits: int = 7
 
     def __post_init__(self) -> None:
         if len(self.minors) != LINES_PER_PAGE:
@@ -88,18 +87,13 @@ class CounterBlock:
                 f"got {len(self.minors)}"
             )
 
-    @property
-    def minor_max(self) -> int:
-        """Largest representable minor counter value."""
-        return (1 << self.minor_bits) - 1
-
     def encryption_counter(self, slot: int) -> int:
         """Combined counter encrypting line ``slot`` of the page.
 
         The value is unique per (page, slot, write) because the major
         counter increments whenever any minor wraps.
         """
-        return (self.major << self.minor_bits) | self.minors[slot]
+        return (self.major << MINOR_BITS) | self.minors[slot]
 
     def bump(self, slot: int) -> bool:
         """Increment the minor counter of ``slot`` for a new write.
@@ -114,7 +108,7 @@ class CounterBlock:
             re-encryption resets it, so the overflow is never silently
             dropped.
         """
-        if self.minors[slot] >= self.minor_max:
+        if self.minors[slot] >= MINOR_COUNTER_MAX:
             return True
         self.minors[slot] += 1
         return False
@@ -139,45 +133,31 @@ class CounterBlock:
 
     def copy(self) -> "CounterBlock":
         """An independent copy (used when snapshotting durable state)."""
-        return CounterBlock(
-            major=self.major, minors=list(self.minors), minor_bits=self.minor_bits
-        )
+        return CounterBlock(major=self.major, minors=list(self.minors))
 
     # ------------------------------------------------------------------
     # Wire format: 8-byte little-endian major + 64 minors packed 7 bits
-    # each (for minor_bits == 7; wider minors use one byte each and the
-    # block is then larger than a line, which only the ablation uses).
+    # each, 64 bytes in all.
     # ------------------------------------------------------------------
 
     def to_bytes(self) -> bytes:
         """Serialise to the 64 B memory-line image stored in NVM."""
         major = struct.pack("<Q", self.major & ((1 << 64) - 1))
-        if self.minor_bits == 7:
-            # One byte lane per minor, low 7 bits kept, lanes compacted to
-            # 7 bits each: minor ``i`` lands at bit ``7 * i``.
-            packed = int.from_bytes(bytes(self.minors), "little") & _LANES_7
-            for shift, low, high in _COMPACT_STEPS:
-                packed = (packed & low) | ((packed >> shift) & high)
-            return major + packed.to_bytes(_PACKED_MINOR_BYTES, "little")
-        out = bytearray(major)
-        for minor in self.minors:
-            out += struct.pack("<H", minor)
-        return bytes(out)
+        # One byte lane per minor, low 7 bits kept, lanes compacted to
+        # 7 bits each: minor ``i`` lands at bit ``7 * i``.
+        packed = int.from_bytes(bytes(self.minors), "little") & _LANES_7
+        for shift, low, high in _COMPACT_STEPS:
+            packed = (packed & low) | ((packed >> shift) & high)
+        return major + packed.to_bytes(_PACKED_MINOR_BYTES, "little")
 
     @classmethod
-    def from_bytes(cls, data: bytes, minor_bits: int = 7) -> "CounterBlock":
+    def from_bytes(cls, data: bytes) -> "CounterBlock":
         """Parse a memory-line image produced by :meth:`to_bytes`."""
         major = struct.unpack_from("<Q", data, 0)[0]
-        minors: List[int] = []
-        if minor_bits == 7:
-            packed = int.from_bytes(data[8 : 8 + _PACKED_MINOR_BYTES], "little")
-            for shift, low, high in _SPREAD_STEPS:
-                packed = (packed & low) | ((packed << shift) & high)
-            minors = list(packed.to_bytes(LINES_PER_PAGE, "little"))
-        else:
-            for slot in range(LINES_PER_PAGE):
-                minors.append(struct.unpack_from("<H", data, 8 + 2 * slot)[0])
-        return cls(major=major, minors=minors, minor_bits=minor_bits)
+        packed = int.from_bytes(data[8 : 8 + _PACKED_MINOR_BYTES], "little")
+        for shift, low, high in _SPREAD_STEPS:
+            packed = (packed & low) | ((packed << shift) & high)
+        return cls(major=major, minors=list(packed.to_bytes(LINES_PER_PAGE, "little")))
 
 
 @dataclass

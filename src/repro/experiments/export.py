@@ -47,8 +47,3 @@ def export_json(points: Sequence[Any], path: str | Path, experiment: str = "") -
     payload = {"experiment": experiment, "points": records}
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
     return len(records)
-
-
-def load_json(path: str | Path) -> dict:
-    """Read a file written by :func:`export_json`."""
-    return json.loads(Path(path).read_text())

@@ -55,7 +55,9 @@ from repro.sim.metrics import SimResult
 #: conservation; a v5 record of such a run lacks it and fails validation.
 #: v7: PointSpec lost ``fidelity`` (sweeps always run at timing
 #: fidelity); results are bit-identical, the asdict() shape changed.
-JOURNAL_SALT = "supermem-journal-v7"
+#: v8: SimConfig, MemoryConfig and CacheConfig lost seven fields that no
+#: run set; results are bit-identical, the asdict() shape changed.
+JOURNAL_SALT = "supermem-journal-v8"
 
 
 def _jsonify(obj: object) -> object:

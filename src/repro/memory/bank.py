@@ -8,15 +8,15 @@ hit. Doubling write traffic therefore roughly doubles the drain time of a
 write-dominated workload — unless the extra writes land on *other* banks,
 which is exactly the XBank insight.
 
-Secondary constraints modelled for fidelity:
+Secondary constraints, always on:
 
-* **row buffer** — reads leave their row open; a following read to the same
-  row is cheap. Writes go to the cell array and close the row (PCM
-  write-through row-buffer policy).
+* **row buffer** — a row is one page. Reads leave their row open; a
+  following read to the same row is cheap. Writes go to the cell array and
+  close the row (PCM write-through row-buffer policy).
 * **tWTR** — a read issued to a bank that just finished a write waits out
   the write-to-read turnaround.
 * **tFAW** — at most four row activations per rolling ``tFAW`` window
-  across the rank (rarely binding next to 300 ns writes, but enforced).
+  across the rank (rarely binding next to 300 ns writes).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Optional, Tuple
 
-from repro.common.config import MemoryConfig, TimingConfig
+from repro.common.config import TimingConfig
 from repro.common.stats import Stats
 from repro.obs.tracer import NULL_TRACER
 
@@ -32,14 +32,13 @@ from repro.obs.tracer import NULL_TRACER
 class RankState:
     """Rank-level constraint state shared by all banks (tFAW window)."""
 
-    def __init__(self, timing: TimingConfig, enforce: bool = True):
+    def __init__(self, timing: TimingConfig):
         self._timing = timing
-        self._enforce = enforce
         self._activates: Deque[float] = deque(maxlen=4)
 
     def activate(self, start: float) -> float:
         """Register a row activation; returns the (possibly delayed) start."""
-        if self._enforce and len(self._activates) == 4:
+        if len(self._activates) == 4:
             earliest = self._activates[0] + self._timing.tfaw_ns
             if start < earliest:
                 start = earliest
@@ -59,7 +58,6 @@ class Bank:
         self,
         index: int,
         timing: TimingConfig,
-        config: MemoryConfig,
         rank: RankState,
         stats: Stats,
         tracer=NULL_TRACER,
@@ -88,8 +86,6 @@ class Bank:
         self._read_service_ns = timing.read_service_ns
         self._read_hit_service_ns = timing.read_hit_service_ns
         self._twtr_ns = timing.twtr_ns
-        self._enforce_twtr = config.enforce_twtr
-        self._row_buffer = config.row_buffer
 
     def earliest_start(self, now: float) -> float:
         """Earliest time a new request could begin on this bank."""
@@ -126,14 +122,12 @@ class Bank:
         if free_at > start:
             start = free_at
         last_write_end = self.last_write_end
-        if self._enforce_twtr and start < last_write_end + self._twtr_ns:
+        turnaround = last_write_end + self._twtr_ns
+        if start < turnaround and last_write_end > 0:
             # Only delays reads that immediately chase a write on this bank.
-            if last_write_end > 0:
-                turnaround = last_write_end + self._twtr_ns
-                if turnaround > start:
-                    start = turnaround
+            start = turnaround
         vals = self._vals
-        hit = self._row_buffer and self.open_row == row
+        hit = self.open_row == row
         if hit:
             duration = self._read_hit_service_ns
             vals[self._k_row_hits] += 1
@@ -143,8 +137,7 @@ class Bank:
             vals[self._k_row_misses] += 1
         end = start + duration
         self.free_at = end
-        if self._row_buffer:
-            self.open_row = row
+        self.open_row = row
         vals[self._k_reads] += 1
         vals[self._k_busy_ns] += end - start
         if self._tracer.enabled:

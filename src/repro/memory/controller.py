@@ -70,16 +70,9 @@ class MemoryController:
         self._stats = stats
         self._tracer = tracer
         self.nvm = nvm if nvm is not None else NVMStore(stats)
-        self.rank = RankState(config.timing, enforce=config.memory.enforce_tfaw)
+        self.rank = RankState(config.timing)
         self.banks: List[Bank] = [
-            Bank(
-                i,
-                config.timing,
-                config.memory,
-                self.rank,
-                stats,
-                tracer=tracer,
-            )
+            Bank(i, config.timing, self.rank, stats, tracer=tracer)
             for i in range(config.memory.n_banks)
         ]
         self.wq = WriteQueue(
@@ -124,20 +117,16 @@ class MemoryController:
         if policy not in ("defer-counters", "frfcfs", "fifo"):
             raise SimulationError(f"unknown drain policy {policy!r}")
         self._policy = policy
-        defer = config.memory.counter_defer_ns
-        if defer is None:
-            # Default: scale the coalescing window with queue depth — a
-            # counter entry's natural residency in a depth-D queue is
-            # D/(2*banks) write services, so CWC's reach grows with the
-            # queue exactly as the paper's Figure 16a reports.
-            defer = (
-                depth
-                * config.timing.write_service_ns
-                / (2.0 * config.memory.n_banks)
-            )
-        #: How long a counter write is held back after its append: the
-        #: window under ``defer-counters``, 0 under the other policies.
-        self._counter_defer_ns = defer if policy == "defer-counters" else 0.0
+        #: How long a counter write is held back after its append: 0
+        #: outside ``defer-counters``. The window scales with queue depth:
+        #: a counter entry's natural residency in a depth-D queue is
+        #: D/(2*banks) write services, so CWC's reach grows with the queue
+        #: exactly as the paper's Figure 16a reports.
+        self._counter_defer_ns = (
+            depth * config.timing.write_service_ns / (2.0 * config.memory.n_banks)
+            if policy == "defer-counters"
+            else 0.0
+        )
         # Hoists: the drain scheduler runs once per issued write and the
         # append/read paths once per request, so stat slots and a
         # cached bus latency replace per-call property and stats walks.
@@ -168,7 +157,7 @@ class MemoryController:
         """Next write to issue under the configured drain policy.
 
         ``defer-counters`` (default): FR-FCFS, but a ready counter write
-        yields to a data write that can start within ``counter_defer_ns``
+        yields to a data write that can start within the deferral window
         — counters linger (feeding CWC) and drain in the gaps.
         ``frfcfs``: earliest feasible start, FIFO tie-break.
         ``fifo``: strict append order (head-of-line blocking).

@@ -29,7 +29,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 
-from repro.common.address import AddressMap, CACHE_LINE_SIZE
+from repro.common.address import AddressMap
 from repro.common.config import CounterPlacementPolicy
 from repro.common.errors import ConfigError
 
@@ -59,9 +59,6 @@ class CounterLayout(abc.ABC):
         """Line index of the counter line for block ``block_key``."""
         return self._base_line + block_key
 
-    def _row(self, line: int) -> int:
-        return (line * CACHE_LINE_SIZE) // self._amap.row_size
-
     @abc.abstractmethod
     def bank_of(self, block_key: int, data_bank: int) -> int:
         """Bank that stores the counter line for ``block_key``."""
@@ -76,24 +73,18 @@ class CounterLayout(abc.ABC):
         result = CounterPlacement(
             line=line,
             bank=self.bank_of(block_key, data_bank),
-            row=self._row(line),
+            row=self._amap.row_of_line(line),
         )
         self._placement_memo[key] = result
         return result
 
 
 class SingleBankLayout(CounterLayout):
-    """All counters in one dedicated bank (default: the last bank)."""
+    """All counters in one dedicated bank: the last one."""
 
-    def __init__(self, amap: AddressMap, dedicated_bank: int | None = None):
+    def __init__(self, amap: AddressMap):
         super().__init__(amap)
-        self.dedicated_bank = (
-            amap.n_banks - 1 if dedicated_bank is None else dedicated_bank
-        )
-        if not 0 <= self.dedicated_bank < amap.n_banks:
-            raise ConfigError(
-                f"dedicated bank {self.dedicated_bank} outside 0..{amap.n_banks - 1}"
-            )
+        self.dedicated_bank = amap.n_banks - 1
 
     def bank_of(self, block_key: int, data_bank: int) -> int:
         return self.dedicated_bank

@@ -9,9 +9,8 @@ profiling never touches the timing model.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.sim.metrics import SimResult
 
@@ -83,35 +82,16 @@ class RunProfile:
         return "\n".join(lines)
 
 
-def _derive_n_banks(result: SimResult) -> int:
-    """Bank count of a finished run, recovered from its statistics.
-
-    The memory controller records its geometry under ``config.n_banks``;
-    older stats snapshots fall back to scanning the ``bank.N`` namespaces
-    (which only exist for banks that saw traffic), and finally to the
-    default 8-bank geometry.
-    """
-    recorded = int(result.stats.get("config", "n_banks"))
-    if recorded > 0:
-        return recorded
-    highest = -1
-    for space, _counter, _value in result.stats:
-        match = re.fullmatch(r"bank\.(\d+)", space)
-        if match:
-            highest = max(highest, int(match.group(1)))
-    return highest + 1 if highest >= 0 else 8
-
-
-def profile_run(result: SimResult, n_banks: Optional[int] = None) -> RunProfile:
+def profile_run(result: SimResult) -> RunProfile:
     """Build a :class:`RunProfile` from a finished run's statistics.
 
-    ``n_banks`` defaults to the geometry recorded in the run's stats, so
-    non-default bank configurations profile correctly without the caller
-    re-threading the :class:`~repro.common.config.SimConfig`.
+    The memory controller records its bank count under
+    ``config.n_banks`` (and the journal keeps it), so non-default bank
+    configurations profile correctly without the caller re-threading the
+    :class:`~repro.common.config.SimConfig`.
     """
-    if n_banks is None:
-        n_banks = _derive_n_banks(result)
     stats = result.stats
+    n_banks = int(stats.get("config", "n_banks"))
     total = result.total_time_ns
     banks = []
     for index in range(n_banks):

@@ -36,16 +36,10 @@ from repro.workloads.generator import GeneratedTrace, generate_trace
 MAX_ENTRIES = 64
 
 _cache: "OrderedDict[Tuple, GeneratedTrace]" = OrderedDict()
-_hits = 0
-_misses = 0
-_array_hits = 0
-_array_misses = 0
-_outcome_hits = 0
-_outcome_misses = 0
 
 
 def clear() -> None:
-    """Drop all cached traces and reset the hit/miss counters.
+    """Drop all cached traces.
 
     Derived data attached to the cached traces (replay arrays, recorded
     outcome streams) is detached too, so callers still holding a
@@ -53,34 +47,11 @@ def clear() -> None:
     through it — after ``clear()`` every replay pays its own decode and
     recording again.
     """
-    global _hits, _misses, _array_hits, _array_misses
-    global _outcome_hits, _outcome_misses
     for trace in _cache.values():
         trace.replay_arrays = None
         trace.warmup_replay_arrays = None
         trace.replay_outcomes = None
     _cache.clear()
-    _hits = 0
-    _misses = 0
-    _array_hits = 0
-    _array_misses = 0
-    _outcome_hits = 0
-    _outcome_misses = 0
-
-
-def cache_stats() -> Tuple[int, int]:
-    """``(hits, misses)`` since the last :func:`clear`."""
-    return _hits, _misses
-
-
-def array_stats() -> Tuple[int, int]:
-    """Replay-array decode cache ``(hits, misses)`` since :func:`clear`.
-
-    A *hit* means a replay reused arrays already decoded onto the trace
-    (:func:`trace_arrays`/:func:`warmup_trace_arrays`); a *miss* paid one
-    decode pass.
-    """
-    return _array_hits, _array_misses
 
 
 def trace_arrays(trace: GeneratedTrace) -> TraceArrays:
@@ -91,26 +62,11 @@ def trace_arrays(trace: GeneratedTrace) -> TraceArrays:
     how many schemes replay it. Arrays are pure derived data — sharing
     them is as sound as sharing the trace tuples.
     """
-    global _array_hits, _array_misses
     arrays = trace.replay_arrays
-    if arrays is not None:
-        _array_hits += 1
-        return arrays
-    _array_misses += 1
-    arrays = build_arrays(trace.ops)
-    trace.replay_arrays = arrays
+    if arrays is None:
+        arrays = build_arrays(trace.ops)
+        trace.replay_arrays = arrays
     return arrays
-
-
-def outcome_stats() -> Tuple[int, int]:
-    """Hierarchy outcome-stream cache ``(hits, misses)`` since :func:`clear`.
-
-    A *hit* means a replay reused a recorded cache-walk outcome stream
-    (:func:`trace_outcomes`) attached to the trace; a *miss* means the run
-    had to walk (and record) the hierarchy itself. A seven-scheme sweep
-    over one trace records once and hits six times.
-    """
-    return _outcome_hits, _outcome_misses
 
 
 #: First element of a private-walk key; single-core keys are config tuples.
@@ -131,18 +87,13 @@ def trace_outcomes(trace: GeneratedTrace, cache_sig: Tuple):
 
     ``cache_sig`` is the cache-geometry key ``(l1, l2, l3, timing)``
     (frozen config dataclasses — hashable), or a
-    :func:`private_walk_key`. Returns ``None`` (and counts a miss) when
-    no recording is attached to the trace yet; the caller then records
-    one and attaches it via :func:`store_trace_outcomes`.
+    :func:`private_walk_key`. Returns ``None`` when no recording is
+    attached to the trace yet; the caller then records one and attaches
+    it via :func:`store_trace_outcomes`. A seven-scheme sweep over one
+    trace records once and replays six times.
     """
-    global _outcome_hits, _outcome_misses
     attached = trace.replay_outcomes
-    outcomes = None if attached is None else attached.get(cache_sig)
-    if outcomes is not None:
-        _outcome_hits += 1
-        return outcomes
-    _outcome_misses += 1
-    return None
+    return None if attached is None else attached.get(cache_sig)
 
 
 def store_trace_outcomes(trace: GeneratedTrace, cache_sig: Tuple, outcomes) -> None:
@@ -156,14 +107,10 @@ def store_trace_outcomes(trace: GeneratedTrace, cache_sig: Tuple, outcomes) -> N
 
 def warmup_trace_arrays(trace: GeneratedTrace) -> TraceArrays:
     """Like :func:`trace_arrays`, for ``trace.warmup_ops``."""
-    global _array_hits, _array_misses
     arrays = trace.warmup_replay_arrays
-    if arrays is not None:
-        _array_hits += 1
-        return arrays
-    _array_misses += 1
-    arrays = build_arrays(trace.warmup_ops)
-    trace.warmup_replay_arrays = arrays
+    if arrays is None:
+        arrays = build_arrays(trace.warmup_ops)
+        trace.warmup_replay_arrays = arrays
     return arrays
 
 
@@ -183,7 +130,6 @@ def cached_generate_trace(
     The returned trace is shared between callers and must be treated as
     immutable (it is: ops are tuples).
     """
-    global _hits, _misses
     key = (
         name,
         n_ops,
@@ -197,10 +143,8 @@ def cached_generate_trace(
     )
     trace = _cache.get(key)
     if trace is not None:
-        _hits += 1
         _cache.move_to_end(key)
         return trace
-    _misses += 1
     trace = generate_trace(
         name,
         n_ops=n_ops,

@@ -74,10 +74,6 @@ class LogEntry:
     def total_lines(self) -> int:
         return 1 + self.payload_lines
 
-    @property
-    def valid(self) -> bool:
-        return self.state == STATE_VALID
-
     def header_bytes(self) -> bytes:
         """The 64 B header line image."""
         packed = struct.pack(

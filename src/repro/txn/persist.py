@@ -113,11 +113,6 @@ class MemoryDomain(abc.ABC):
     def compute(self, ns: float) -> None:  # noqa: B027 - optional hook
         """Account CPU work outside the memory system."""
 
-    def persist_store(self, addr: int, size: int, data: Optional[bytes] = None) -> None:
-        """Convenience: store + clwb of the touched lines."""
-        self.store(addr, size, data)
-        self.clwb(addr, size)
-
 
 class TraceDomain(MemoryDomain):
     """Records the operation stream for the timing simulator.

@@ -29,10 +29,6 @@ class PersistentHeap:
         return self.base + self.capacity
 
     @property
-    def used(self) -> int:
-        return self._cursor - self.base
-
-    @property
     def free(self) -> int:
         return self.end - self._cursor
 

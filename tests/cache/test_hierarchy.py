@@ -151,10 +151,10 @@ def test_shared_l3_sets_the_l3_latency():
         shared_l3=shared,
     )
     # 2 + 16 + 40 cycles at 2 GHz
-    assert h.total_sram_latency_ns == pytest.approx(29.0)
     assert h.read(0).latency_ns == pytest.approx(29.0)
 
 
 def test_total_sram_latency():
+    """A cold read looks up every level: 2 + 16 + 30 cycles at 2 GHz."""
     h, _ = small_hierarchy()
-    assert h.total_sram_latency_ns == pytest.approx(24.0)
+    assert h.read(0).latency_ns == pytest.approx(24.0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.address import AddressMap, CACHE_LINE_SIZE, PAGE_SIZE
+from repro.common.address import AddressMap, CACHE_LINE_SIZE, LINES_PER_PAGE, PAGE_SIZE
 from repro.common.config import MemoryConfig
 from repro.common.errors import ConfigError
 
@@ -18,7 +18,7 @@ class TestPageMapping:
     amap = AddressMap(capacity=CAPACITY, n_banks=8, bank_mapping="page")
 
     def test_page_rotation(self):
-        assert [self.amap.bank_of_page(p) for p in range(10)] == [
+        assert [self.amap.bank_of_line(p * LINES_PER_PAGE) for p in range(10)] == [
             0, 1, 2, 3, 4, 5, 6, 7, 0, 1,
         ]
 
@@ -39,26 +39,23 @@ class TestLineMapping:
         banks = {self.amap.bank_of_line(line) for line in self.amap.lines_of_page(0)}
         assert banks == set(range(8))
 
-    def test_nominal_page_bank_still_defined(self):
-        assert self.amap.bank_of_page(3) == 3
-
 
 class TestContiguousMapping:
     amap = AddressMap(capacity=CAPACITY, n_banks=8, bank_mapping="contiguous")
 
     def test_slab_ownership(self):
-        slab = CAPACITY // 8
-        assert self.amap.bank_of_addr(0) == 0
-        assert self.amap.bank_of_addr(slab - 1) == 0
-        assert self.amap.bank_of_addr(slab) == 1
-        assert self.amap.bank_of_addr(CAPACITY - 1) == 7
+        slab_lines = CAPACITY // 8 // CACHE_LINE_SIZE
+        assert self.amap.bank_of_line(0) == 0
+        assert self.amap.bank_of_line(slab_lines - 1) == 0
+        assert self.amap.bank_of_line(slab_lines) == 1
+        assert self.amap.bank_of_line(self.amap.n_lines - 1) == 7
 
     def test_page_bank_consistent_with_lines(self):
         page = (CAPACITY // 8) // PAGE_SIZE + 1  # a page inside bank 1
         line_banks = {
             self.amap.bank_of_line(line) for line in self.amap.lines_of_page(page)
         }
-        assert line_banks == {self.amap.bank_of_page(page)} == {1}
+        assert line_banks == {1}
 
 
 def test_memory_config_plumbs_mapping():

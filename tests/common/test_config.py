@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.address import PAGE_SIZE
 from repro.common.config import (
     CacheConfig,
     CounterCacheConfig,
@@ -25,7 +26,6 @@ def test_default_sim_config_matches_paper_table2():
     assert cfg.memory.n_banks == 8
     assert cfg.memory.write_queue_entries == 32
     assert cfg.timing.aes_cycles == 24
-    assert cfg.minor_counter_bits == 7
 
 
 def test_timing_paper_latencies():
@@ -71,7 +71,7 @@ def test_counter_cache_reach():
     """A 256 KB counter cache covers 16 MB of data (4096 pages)."""
     cc = CounterCacheConfig(size=256 << 10, assoc=8, latency_cycles=8)
     assert cc.n_lines == 4096
-    assert cc.reach_bytes == 16 << 20
+    assert cc.n_lines * PAGE_SIZE == 16 << 20
     assert cc.mode is CounterCacheMode.WRITE_THROUGH
 
 
@@ -92,13 +92,6 @@ def test_invalid_timing_rejected():
         TimingConfig(twr_ns=0)
     with pytest.raises(ConfigError):
         TimingConfig(aes_cycles=-1)
-
-
-def test_invalid_minor_bits_rejected():
-    with pytest.raises(ConfigError):
-        SimConfig(minor_counter_bits=0)
-    with pytest.raises(ConfigError):
-        SimConfig(minor_counter_bits=32)
 
 
 def test_placement_policy_values():

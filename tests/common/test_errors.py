@@ -3,7 +3,6 @@
 import pytest
 
 from repro.common.errors import (
-    AddressError,
     ConfigError,
     CrashInjected,
     ReproError,
@@ -14,7 +13,7 @@ from repro.common.errors import (
 
 @pytest.mark.parametrize(
     "exc_type",
-    [ConfigError, SimulationError, SecurityError, AddressError, CrashInjected],
+    [ConfigError, SimulationError, SecurityError, CrashInjected],
 )
 def test_all_derive_from_repro_error(exc_type):
     assert issubclass(exc_type, ReproError)

@@ -42,13 +42,12 @@ class TestRSRRecord:
         for slot in range(10):
             rsr.mark_done(slot)
         assert rsr.pending_slots() == list(range(10, LINES_PER_PAGE))
-        assert not rsr.complete
 
     def test_complete(self):
         rsr = RSRRecord(page=0, old_major=0)
         for slot in range(LINES_PER_PAGE):
             rsr.mark_done(slot)
-        assert rsr.complete
+        assert rsr.pending_slots() == []
 
 
 class TestOverflowTriggersReencryption:

@@ -22,7 +22,6 @@ def test_block_starts_zeroed():
 
 def test_minor_counter_max_is_7_bits():
     assert MINOR_COUNTER_MAX == 127
-    assert CounterBlock().minor_max == 127
 
 
 def test_bump_increments_minor():

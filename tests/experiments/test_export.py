@@ -3,7 +3,7 @@
 import json
 
 from repro.core.schemes import Scheme
-from repro.experiments.export import export_json, load_json, points_to_records
+from repro.experiments.export import export_json, points_to_records
 from repro.experiments.fig13 import Fig13Point
 from repro.experiments.table1 import Table1Row
 
@@ -38,7 +38,7 @@ def test_export_roundtrip(tmp_path):
     path = tmp_path / "fig13.json"
     n = export_json(sample_points(), path, experiment="fig13")
     assert n == 2
-    loaded = load_json(path)
+    loaded = json.loads(path.read_text())
     assert loaded["experiment"] == "fig13"
     assert len(loaded["points"]) == 2
     assert loaded["points"][1]["scheme"] == "Unsec"
@@ -56,7 +56,7 @@ def test_table1_rows_export(tmp_path):
     ]
     path = tmp_path / "t1.json"
     export_json(rows, path, experiment="table1")
-    loaded = load_json(path)
+    loaded = json.loads(path.read_text())
     assert loaded["points"][0]["recoverable"] is True
 
 

@@ -75,9 +75,9 @@ class TestSpecDigest:
         here and bumps ``JOURNAL_SALT`` in the same change."""
         _, specs = narrow(fig13.specs("smoke"), lambda cell: cell[1] == 1024)
         assert specs[0].label() == "array/unsec/1024B"
-        assert JOURNAL_SALT == "supermem-journal-v7"
+        assert JOURNAL_SALT == "supermem-journal-v8"
         assert spec_digest(specs[0], salt="pin") == (
-            "360413c94349a5b8def28626ac27048bacb7ee52547703cb9740cc46951048c9"
+            "68e396858ff692e96e7cdd66281a32ed9a6a09ad1277be45fa98be1793eabc29"
         )
 
 

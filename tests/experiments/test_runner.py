@@ -211,11 +211,13 @@ class TestRunPoints:
         with pytest.raises(ConfigError):
             run_points([spec])
 
-    def test_report_accounting(self):
+    def test_report_accounting(self, monkeypatch):
         from repro.sim import trace_cache
+        from tests.sim.trace_work import count_trace_work
 
         specs = _specs(n_ops=5)
         trace_cache.clear()
+        work = count_trace_work(monkeypatch)
         results, report = run_points_report(specs, jobs=1, label="unit")
         assert isinstance(report, RunnerReport)
         assert report.label == "unit"
@@ -223,9 +225,7 @@ class TestRunPoints:
         assert all(isinstance(result, SimResult) for result in results)
         # 2 workloads x 3 schemes: each workload's trace is generated,
         # decoded and walked once, then reused by the other two schemes.
-        assert trace_cache.cache_stats() == (4, 2)
-        assert trace_cache.array_stats() == (4, 2)
-        assert trace_cache.outcome_stats() == (4, 2)
+        assert work == {"generated": 2, "decoded": 2, "recorded": 2}
 
     def test_progress_callback_sees_every_point(self):
         seen = []

@@ -28,6 +28,7 @@ from repro.sim.simulator import Simulator, simulate_workload
 from repro.txn.persist import OP_CLWB, OP_FENCE, OP_STORE
 from repro.workloads.generator import generate_trace
 from tests.sim.engine_oracle import run_single
+from tests.sim.trace_work import count_trace_work
 
 POINT = dict(n_ops=60, request_size=1024, footprint=1 << 18, seed=3, warmup_ops=8)
 
@@ -107,13 +108,13 @@ class TestBitIdentity:
             "queue", scheme, fidelity, **kw
         )
 
-    def test_sweep_replays_recorded_outcomes(self):
+    def test_sweep_replays_recorded_outcomes(self, monkeypatch):
         # Six schemes over one cached trace: one recording, five replays,
         # all bit-identical to the per-op oracle.
+        work = count_trace_work(monkeypatch)
         for scheme in EVALUATED_SCHEMES:
             assert _point("rbtree", scheme) == _oracle("rbtree", scheme), scheme
-        hits, misses = trace_cache.outcome_stats()
-        assert (hits, misses) == (len(EVALUATED_SCHEMES) - 1, 1)
+        assert work["recorded"] == 1
 
 
 class TestOutcomeReplayGuards:
@@ -141,23 +142,21 @@ class TestOutcomeReplayGuards:
 class TestCacheCounters:
     KW = dict(n_ops=20, request_size=256, footprint=1 << 18, seed=1, warmup_ops=0)
 
-    def test_array_and_outcome_stats_count(self):
+    def test_second_scheme_reuses_arrays_and_walk(self, monkeypatch):
+        work = count_trace_work(monkeypatch)
         _point("array", Scheme.UNSEC, **self.KW)
-        assert trace_cache.array_stats() == (0, 1)
-        assert trace_cache.outcome_stats() == (0, 1)
+        assert (work["decoded"], work["recorded"]) == (1, 1)
         _point("array", Scheme.SUPERMEM, **self.KW)
-        assert trace_cache.array_stats() == (1, 1)
-        assert trace_cache.outcome_stats() == (1, 1)
+        assert (work["decoded"], work["recorded"]) == (1, 1)
 
-    def test_multicore_cell_records_each_core_walk_once(self):
+    def test_multicore_cell_records_each_core_walk_once(self, monkeypatch):
         # A seven-scheme Figure 14 cell: the first scheme decodes each
         # core's trace and records its private walk, the other six reuse
         # both.
+        work = count_trace_work(monkeypatch)
         for scheme in EVALUATED_SCHEMES:
             simulate_multiprogrammed(
                 "array", scheme, n_programs=2, n_ops=20, request_size=256,
                 seed=1,
             )
-        reuses = 2 * (len(EVALUATED_SCHEMES) - 1)
-        assert trace_cache.array_stats() == (reuses, 2)
-        assert trace_cache.outcome_stats() == (reuses, 2)
+        assert (work["decoded"], work["recorded"]) == (2, 2)

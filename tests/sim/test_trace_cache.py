@@ -9,6 +9,7 @@ from repro.sim import trace_cache
 from repro.sim.simulator import Simulator, simulate_workload
 from repro.sim.trace_cache import cached_generate_trace
 from repro.workloads.generator import generate_trace
+from tests.sim.trace_work import count_trace_work
 
 
 @pytest.fixture(autouse=True)
@@ -18,19 +19,24 @@ def fresh_cache():
     trace_cache.clear()
 
 
-def test_same_key_returns_same_object():
+@pytest.fixture
+def work(monkeypatch):
+    return count_trace_work(monkeypatch)
+
+
+def test_same_key_returns_same_object(work):
     first = cached_generate_trace("array", n_ops=10, seed=3)
     second = cached_generate_trace("array", n_ops=10, seed=3)
     assert first is second
-    assert trace_cache.cache_stats() == (1, 1)
+    assert work["generated"] == 1
 
 
-def test_different_keys_miss():
+def test_different_keys_miss(work):
     cached_generate_trace("array", n_ops=10, seed=3)
     cached_generate_trace("array", n_ops=10, seed=4)
     cached_generate_trace("array", n_ops=11, seed=3)
     cached_generate_trace("queue", n_ops=10, seed=3)
-    assert trace_cache.cache_stats() == (0, 4)
+    assert work["generated"] == 4
 
 
 def test_cached_trace_matches_uncached():
@@ -40,14 +46,17 @@ def test_cached_trace_matches_uncached():
     assert cached.warmup_ops == fresh.warmup_ops
 
 
-def test_lru_bound_evicts_oldest():
-    for seed in range(trace_cache.MAX_ENTRIES + 5):
+def test_lru_bound_evicts_oldest(work):
+    last = trace_cache.MAX_ENTRIES + 4
+    for seed in range(last + 1):
         cached_generate_trace("array", n_ops=5, seed=seed)
-    # Oldest seeds were evicted: re-requesting seed 0 is a miss again.
-    _, misses_before = trace_cache.cache_stats()
+    assert work["generated"] == last + 1
+    # The newest seed is still cached; the oldest was evicted, so
+    # re-requesting seed 0 generates it again.
+    cached_generate_trace("array", n_ops=5, seed=last)
+    assert work["generated"] == last + 1
     cached_generate_trace("array", n_ops=5, seed=0)
-    _, misses_after = trace_cache.cache_stats()
-    assert misses_after == misses_before + 1
+    assert work["generated"] == last + 2
 
 
 def test_clear_detaches_derived_data_from_live_references():
@@ -64,7 +73,7 @@ def test_clear_detaches_derived_data_from_live_references():
     assert trace.replay_outcomes is None
 
 
-def test_simulation_results_identical_with_and_without_cache():
+def test_simulation_results_identical_with_and_without_cache(work):
     """The acceptance guarantee: memoization never changes a result.
 
     The cached path (shared trace, attached arrays, the second scheme
@@ -79,5 +88,5 @@ def test_simulation_results_identical_with_and_without_cache():
         assert cold.total_time_ns == warm.total_time_ns
         assert cold.txn_latencies == warm.txn_latencies
         assert cold.stats.snapshot() == warm.stats.snapshot()
-    assert trace_cache.cache_stats() == (1, 1)  # the second scheme hit
-    assert trace_cache.outcome_stats() == (1, 1)  # ...and replayed the walk
+    assert work["generated"] == 1  # the second scheme reused the trace
+    assert work["recorded"] == 1  # ...and replayed the first one's walk

@@ -25,13 +25,13 @@ class TestLogEntry:
         assert parsed.txn_id == 42
         assert parsed.target_addr == 0x2040
         assert parsed.length == 100
-        assert parsed.valid
+        assert parsed.state == STATE_VALID
         assert parsed.header_addr == 7
 
     def test_invalidated_header_roundtrip(self):
         entry = LogEntry(txn_id=1, target_addr=0, length=64, state=STATE_INVALID)
         parsed = LogEntry.parse_header(entry.header_bytes())
-        assert parsed is not None and not parsed.valid
+        assert parsed is not None and parsed.state == STATE_INVALID
 
     def test_garbage_rejected(self):
         assert LogEntry.parse_header(bytes(64)) is None
@@ -107,7 +107,7 @@ class TestScanLog:
         addr2 = region.allocate(invalid.total_lines)
         memory[addr2] = invalid.header_bytes()
         found = scan_log(region, self._memory_reader(memory))
-        assert [e.valid for e in found] == [True, False]
+        assert [e.state for e in found] == [STATE_VALID, STATE_INVALID]
 
     def test_old_data_truncated_to_length(self):
         region = LogRegion(base_addr=0, size=8 * 64)

@@ -88,12 +88,6 @@ class TestTraceDomain:
         assert ops == [(OP_FENCE,)]
         assert d.ops == []
 
-    def test_persist_store_combines(self):
-        d = TraceDomain()
-        d.persist_store(0, 64)
-        kinds = [op[0] for op in d.ops]
-        assert kinds == [OP_STORE, OP_CLWB]
-
 
 class TestDirectDomain:
     def make(self, scheme=Scheme.SUPERMEM):

@@ -12,7 +12,7 @@ def test_sequential_allocation():
     b = heap.alloc(64)
     assert a == 0
     assert b == 64
-    assert heap.used == 128
+    assert heap.free == 4096 - 128
 
 
 def test_alignment():
@@ -28,7 +28,7 @@ def test_alloc_lines_and_pages():
     assert lines % 64 == 0
     page = heap.alloc_pages(2)
     assert page % 4096 == 0
-    assert heap.used >= 3 * 64 + 2 * 4096
+    assert heap.capacity - heap.free >= 3 * 64 + 2 * 4096
 
 
 def test_base_offset():
