@@ -174,6 +174,18 @@ class TestSectionSixShapes:
         assert large.counter_region_lines == 4 * small.counter_region_lines
         assert large.time_ns > 2 * small.time_ns
 
+    def test_sca_scan_reads_each_counter_line_once(self):
+        """The scan phase is one verified read per page's counter line,
+        priced exactly as a fresh meter prices ``n_pages`` of them."""
+        config = _config(8 << 20)
+        amap = config.address_map()
+        report, _, _ = _scenario(Scheme.SCA, base_config=config)
+        assert report.counter_region_lines == amap.n_pages
+        assert report.counter_line_reads >= amap.n_pages
+        meter = RecoveryMeter(config)
+        meter.scan_counter_lines(amap.n_lines, amap.n_pages)
+        assert report.phases[0] == ("counter-scan", 0.0, meter.time_ns)
+
     def test_ordering_supermem_cheapest_on_same_parameters(self):
         config = _config(16 << 20)
         supermem, _, _ = _scenario(Scheme.SUPERMEM, base_config=config)
