@@ -69,7 +69,7 @@ class CounterCache:
 
     def access(
         self, page: int, update: bool, t: float = 0.0
-    ) -> tuple[bool, Optional[int], bool]:
+    ) -> tuple[bool, Optional[int]]:
         """Touch the counter line of ``page``.
 
         Parameters
@@ -85,16 +85,15 @@ class CounterCache:
 
         Returns
         -------
-        (hit, writeback_page, fetch_needed)
+        (hit, writeback_page)
             ``hit``
                 Whether the counter line was already cached (determines the
-                read path's OTP latency overlap).
+                read path's OTP latency overlap). A miss must first fetch
+                the counter line from NVM: counters cannot be used
+                partially.
             ``writeback_page``
                 In write-back mode, a dirty victim page whose counter line
                 must now be written to NVM; ``None`` otherwise.
-            ``fetch_needed``
-                Whether the counter line must first be fetched from NVM
-                (always true on a miss — counters cannot be used partially).
         """
         dirty = update and not self._is_wt
         hit, evicted = self._cache.access(page, write=dirty)
@@ -109,7 +108,7 @@ class CounterCache:
         if evicted is not None and evicted.dirty:
             writeback_page = evicted.line
             self._vals[self._k_writebacks] += 1
-        return hit, writeback_page, not hit
+        return hit, writeback_page
 
     def is_dirty(self, page: int) -> bool:
         """Whether the cached counter line of ``page`` is dirty (WB only)."""

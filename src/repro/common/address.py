@@ -152,12 +152,13 @@ class AddressMap:
 
     def bank_of_line(self, line: int) -> int:
         """Bank serving line ``line`` under the configured interleaving."""
-        if self.bank_mapping == "line":
+        mapping = self.bank_mapping
+        if mapping == "page":  # the default, first: every figure uses it
+            return (line // LINES_PER_PAGE) % self.n_banks
+        if mapping == "line":
             return line % self.n_banks
-        if self.bank_mapping == "contiguous":
-            return min(self.n_banks - 1, (line * CACHE_LINE_SIZE) // self.bank_size)
-        # "page"
-        return (line // LINES_PER_PAGE) % self.n_banks
+        # "contiguous"
+        return min(self.n_banks - 1, (line * CACHE_LINE_SIZE) // self.bank_size)
 
     def row_of_line(self, line: int) -> int:
         """Row identifier (within the whole device) of line ``line``.

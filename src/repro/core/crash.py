@@ -20,7 +20,6 @@ AES staging register) dies.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -52,7 +51,9 @@ class CrashController:
     def __init__(self) -> None:
         self._armed_point: Optional[str] = None
         self._armed_occurrence: int = 1
-        self._seen: Dict[str, int] = defaultdict(int)
+        #: Hits of the armed point since :meth:`arm`, the only count
+        #: anything reads.
+        self._seen: int = 0
         self.fired: bool = False
 
     def arm(self, point: str, occurrence: int = 1) -> None:
@@ -65,16 +66,19 @@ class CrashController:
             raise ValueError("occurrence is 1-based")
         self._armed_point = point
         self._armed_occurrence = occurrence
-        self._seen[point] = 0
+        self._seen = 0
         self.fired = False
 
     def probe(self, point: str, detail: str = "") -> None:
-        """Called by components at vulnerable points; may raise."""
-        self._seen[point] += 1
-        if (
-            self._armed_point == point
-            and self._seen[point] == self._armed_occurrence
-        ):
+        """Called by components at vulnerable points; may raise.
+
+        A probe of any point but the armed one returns after one
+        comparison.
+        """
+        if point != self._armed_point:
+            return
+        self._seen += 1
+        if self._seen == self._armed_occurrence:
             self.fired = True
             self._armed_point = None
             raise CrashInjected(point, detail)

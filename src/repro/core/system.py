@@ -32,7 +32,7 @@ domain and discarding SRAM.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.common.address import AddressMap
 from repro.common.config import SimConfig
@@ -49,7 +49,6 @@ from repro.core.reencrypt import RSRRecord
 from repro.memory.controller import MemoryController
 from repro.memory.layout import make_layout
 from repro.memory.nvm import ZERO_LINE
-from repro.memory.write_queue import WQEntry
 from repro.obs.tracer import NULL_TRACER
 
 
@@ -191,18 +190,24 @@ class SecureMemorySystem:
         if self._dead:
             raise SimulationError("memory system used after crash()")
 
-    def _counter_entry(
-        self, line: int, block_key: int, payload_wanted: bool
-    ) -> WQEntry:
-        """Build the write-queue entry for a counter-line write."""
-        data_bank = self.amap.bank_of_line(line)
-        placement = self.layout.placement(block_key, data_bank)
-        payload = (
-            self.counters.serialize_block(block_key) if payload_wanted else None
-        )
-        return WQEntry(
-            placement.line, placement.bank, placement.row, True, 0.0, payload
-        )
+    def _counter_write(
+        self, line: int, block_key: int
+    ) -> Tuple[int, int, Optional[bytes]]:
+        """Line, bank and payload of a write of ``block_key``'s counter line.
+
+        ``line`` is a data line of the block: the layout places the
+        counter line by that line's bank.
+        """
+        placement = self.layout.placement(block_key, self.amap.bank_of_line(line))
+        payload = self.counters.serialize_block(block_key) if self._functional else None
+        return placement.line, placement.bank, payload
+
+    def _append_counter(
+        self, t: float, line: int, block_key: int, core: int = 0
+    ) -> float:
+        """Queue a write of ``block_key``'s counter line; see :meth:`_counter_write`."""
+        counter_line, bank, payload = self._counter_write(line, block_key)
+        return self.controller.append_write(t, counter_line, bank, True, payload, core)
 
     def _fetch_counter_line(self, t: float, line: int, block_key: int) -> float:
         """Counter-cache miss: read the counter line from NVM."""
@@ -246,8 +251,8 @@ class SecureMemorySystem:
                     t_it = finish
                 vals[self._k_node_fetches] += 1
             if writeback is not None:
-                wline, wbank, wrow = geom.placement(writeback, self._n_banks)
-                controller.append_write(t_it, wline, wbank, wrow, True, None, core)
+                wline, wbank, _ = geom.placement(writeback, self._n_banks)
+                controller.append_write(t_it, wline, wbank, True, None, core)
             t_it += self._hash_ns  # rehash this ancestor
         return t_it + self._hash_ns  # root register rehash
 
@@ -269,8 +274,8 @@ class SecureMemorySystem:
                 t = finish
             vals[self._k_node_fetches] += 1
             if writeback is not None:
-                wline, wbank, wrow = geom.placement(writeback, self._n_banks)
-                controller.append_write(t, wline, wbank, wrow, True, None, core)
+                wline, wbank, _ = geom.placement(writeback, self._n_banks)
+                controller.append_write(t, wline, wbank, True, None, core)
             t += self._hash_ns  # verify hash at this level
         return t  # reached the root register; the compare is free
 
@@ -323,22 +328,15 @@ class SecureMemorySystem:
                 raise SimulationError("minor counter overflowed after re-encryption")
 
         # 2. counter cache (read-modify-write of the counter line).
-        hit, writeback_page, fetch = self.counter_cache.access(
-            block_key, update=True, t=t
-        )
-        if fetch:
+        hit, writeback_page = self.counter_cache.access(block_key, update=True, t=t)
+        if not hit:
             fetched = self._fetch_counter_line(t, line, block_key)
             if fetched > t:
                 t = fetched
         if writeback_page is not None:
             # Write-back mode: a dirty victim leaves the cache.
-            victim = self._counter_entry(
-                line=writeback_page * self._lines_per_block,
-                block_key=writeback_page,
-                payload_wanted=self._functional,
-            )
-            controller.append_write(
-                t, victim.line, victim.bank, victim.row, True, victim.payload, core
+            self._append_counter(
+                t, writeback_page * self._lines_per_block, writeback_page, core
             )
 
         # 3. OTP generation + encryption (AES pipeline latency).
@@ -353,21 +351,15 @@ class SecureMemorySystem:
 
         # 4. persist.
         if self._cc_write_through or (self._sca_mode and persistent):
-            # The pair to stage: the data line and its counter line (a
-            # counter entry carries no core).
-            amap = self.amap
-            bank = amap.bank_of_line(line)
+            # The pair to stage: the data line and its counter line
+            # (:meth:`_counter_write` inline, since the data write needs
+            # the bank too).
+            bank = self.amap.bank_of_line(line)
             placement = self.layout.placement(block_key, bank)
-            counter_entry = WQEntry(
-                placement.line,
-                placement.bank,
-                placement.row,
-                True,
-                0.0,
-                self.counters.serialize_block(block_key) if self._functional else None,
-            )
-            data_entry = WQEntry(
-                line, bank, amap.row_of_line(line), False, 0.0, ciphertext, core
+            counter_line = placement.line
+            counter_bank = placement.bank
+            counter_payload = (
+                self.counters.serialize_block(block_key) if self._functional else None
             )
         if self._cc_write_through:
             if self._integrity_tree:
@@ -382,37 +374,49 @@ class SecureMemorySystem:
                 self._vals[self._k_mac_writes] += 1
             else:
                 t_ready = t_enc
-            if self._it_shadow is not None and counter_entry.payload is not None:
-                self._it_shadow.update_leaf(block_key, counter_entry.payload)
+            if self._it_shadow is not None and counter_payload is not None:
+                self._it_shadow.update_leaf(block_key, counter_payload)
             if self._atomicity_register:
                 # Figure 7: both staged, both appended as one unit.
-                durable = controller.append_pair(t_ready, data_entry, counter_entry)
+                durable = controller.append_pair(
+                    t_ready,
+                    line,
+                    bank,
+                    ciphertext,
+                    counter_line,
+                    counter_bank,
+                    counter_payload,
+                    core,
+                )
                 crash_ctl.probe("after-pair-append")
             else:
                 # Figure 6 (broken baseline): the counter is appended while
                 # the data is still being encrypted — the crash window.
                 controller.append_write(
-                    t,
-                    counter_entry.line,
-                    counter_entry.bank,
-                    counter_entry.row,
-                    True,
-                    counter_entry.payload,
-                    core,
+                    t, counter_line, counter_bank, True, counter_payload, core
                 )
                 crash_ctl.probe(
                     "wt-no-register-gap",
                     detail=f"counter of line {line:#x} durable, data not",
                 )
                 durable = controller.append_write(
-                    t_ready, line, payload=ciphertext, core=core
+                    t_ready, line, bank, False, ciphertext, core
                 )
                 crash_ctl.probe("after-data-append")
         elif self._sca_mode and persistent:
             # SCA: persistent (clwb-originated) writes carry their counter
             # into the ADR domain atomically; the cached copy is then
             # clean. Evictions fall through to the data-only path below.
-            durable = controller.append_pair(t_enc, data_entry, counter_entry)
+            durable = controller.append_pair(
+                t_enc,
+                line,
+                bank,
+                ciphertext,
+                counter_line,
+                counter_bank,
+                counter_payload,
+                core,
+            )
             self.counter_cache.mark_clean(block_key)
             self.stats.inc("secmem", "sca_pairs")
             crash_ctl.probe("after-pair-append")
@@ -439,18 +443,7 @@ class SecureMemorySystem:
         count = self._osiris_updates.get(block_key, 0) + 1
         if count >= self._osiris_stop_loss:
             count = 0
-            entry = self._counter_entry(
-                line, block_key, payload_wanted=self.config.functional
-            )
-            self.controller.append_write(
-                t,
-                entry.line,
-                bank=entry.bank,
-                row=entry.row,
-                is_counter=True,
-                payload=entry.payload,
-                core=core,
-            )
+            self._append_counter(t, line, block_key, core)
             self.counter_cache.mark_clean(block_key)
             self.stats.inc("secmem", "osiris_stop_loss_writes")
         self._osiris_updates[block_key] = count
@@ -475,16 +468,15 @@ class SecureMemorySystem:
             return data_finish
 
         block_key = line // self._lines_per_block
-        hit, writeback_page, fetch = self.counter_cache.access(
-            block_key, update=False, t=t
-        )
+        hit, writeback_page = self.counter_cache.access(block_key, update=False, t=t)
         # Read-path hit rate tracked separately: these are the hits that
         # decide whether OTP generation overlaps the data fetch (Fig. 2b),
         # i.e. the hit rate Figure 17a is about.
         vals[self._k_cc_read_accesses] += 1
         if hit:
             vals[self._k_cc_read_hits] += 1
-        if fetch:
+            ctr_ready = t
+        else:
             # Counter fetch runs in parallel with the data read, but the
             # OTP can only be generated once the counter arrives.
             ctr_ready = self._fetch_counter_line(t, line, block_key)
@@ -492,16 +484,9 @@ class SecureMemorySystem:
                 # A counter from NVM is untrusted until its tree path
                 # reaches a cached (trusted) ancestor or the root.
                 ctr_ready = self._tree_verify(ctr_ready, block_key, core)
-        else:
-            ctr_ready = t
         if writeback_page is not None:
-            victim = self._counter_entry(
-                line=writeback_page * self._lines_per_block,
-                block_key=writeback_page,
-                payload_wanted=self._functional,
-            )
-            self.controller.append_write(
-                t, victim.line, victim.bank, victim.row, True, victim.payload, core
+            self._append_counter(
+                t, writeback_page * self._lines_per_block, writeback_page, core
             )
 
         pad_ready = ctr_ready + self._aes_ns
@@ -586,22 +571,22 @@ class SecureMemorySystem:
                 self._vals[self._k_mac_writes] += 1
             else:
                 t_ready = t_enc
-            counter_entry = self._counter_entry(
-                line, page, payload_wanted=self.config.functional
+            counter_line, counter_bank, counter_payload = self._counter_write(
+                line, page
             )
-            if self._it_shadow is not None and counter_entry.payload is not None:
-                self._it_shadow.update_leaf(page, counter_entry.payload)
-            data_entry = WQEntry(
-                line,
-                self.amap.bank_of_line(line),
-                self.amap.row_of_line(line),
-                False,
-                0.0,
-                ciphertext,
-                core,
-            )
+            if self._it_shadow is not None and counter_payload is not None:
+                self._it_shadow.update_leaf(page, counter_payload)
             if self.counter_cache.write_through:
-                t = self.controller.append_pair(t_ready, data_entry, counter_entry)
+                t = self.controller.append_pair(
+                    t_ready,
+                    line,
+                    self.amap.bank_of_line(line),
+                    ciphertext,
+                    counter_line,
+                    counter_bank,
+                    counter_payload,
+                    core,
+                )
             else:
                 t = self.controller.append_write(
                     t_enc, line, payload=ciphertext, core=core
@@ -625,12 +610,10 @@ class SecureMemorySystem:
         # 1. Ideal write-back: the battery flushes dirty counter lines.
         flushed_pages, lost_pages = self.counter_cache.crash()
         for page in flushed_pages:
-            entry = self._counter_entry(
-                line=page * self.counters.lines_per_block,
-                block_key=page,
-                payload_wanted=self.config.functional,
+            counter_line, _, payload = self._counter_write(
+                page * self._lines_per_block, page
             )
-            self.controller.nvm.write_line(entry.line, entry.payload)
+            self.controller.nvm.write_line(counter_line, payload)
         self.stats.inc("secmem", "crash_lost_counter_lines", len(lost_pages))
         # 2. Dirty tree nodes die with the SRAM (no battery): safe, the
         #    tree is rebuilt from the persisted counter region.
@@ -660,31 +643,14 @@ class SecureMemorySystem:
         """Clean shutdown: drain dirty counters and the queue, then image."""
         self._check_alive()
         for page in self.counter_cache.drain_dirty():
-            entry = self._counter_entry(
-                line=page * self.counters.lines_per_block,
-                block_key=page,
-                payload_wanted=self.config.functional,
-            )
-            self.controller.append_write(
-                self.controller.clock,
-                entry.line,
-                bank=entry.bank,
-                row=entry.row,
-                is_counter=True,
-                payload=entry.payload,
+            self._append_counter(
+                self.controller.clock, page * self._lines_per_block, page
             )
         if self.tree_cache is not None and self._tree_geom is not None:
             for node in self.tree_cache.drain_dirty():
-                wline, wbank, wrow = self._tree_geom.placement(
-                    node, self._n_banks
-                )
+                wline, wbank, _ = self._tree_geom.placement(node, self._n_banks)
                 self.controller.append_write(
-                    self.controller.clock,
-                    wline,
-                    bank=wbank,
-                    row=wrow,
-                    is_counter=True,
-                    payload=None,
+                    self.controller.clock, wline, wbank, is_counter=True
                 )
         self.controller.drain_all()
         image = DurableImage(
@@ -716,18 +682,8 @@ class SecureMemorySystem:
         self._check_alive()
         dirty = self.counter_cache.drain_dirty()
         for page in dirty:
-            entry = self._counter_entry(
-                line=page * self.counters.lines_per_block,
-                block_key=page,
-                payload_wanted=self.config.functional,
-            )
-            self.controller.append_write(
-                self.controller.clock,
-                entry.line,
-                bank=entry.bank,
-                row=entry.row,
-                is_counter=True,
-                payload=entry.payload,
+            self._append_counter(
+                self.controller.clock, page * self._lines_per_block, page
             )
         self.controller.drain_all()
         return len(dirty)

@@ -25,7 +25,9 @@ appends (write-through counters) doubles queue pressure; CWC removes
 counter appends; XBank changes which bank each counter write occupies.
 These paths run once per request or issued write, so they read the
 queue's occupancy (``wq.n``) and per-line lists directly; the one query
-they make is :meth:`~repro.memory.write_queue.WriteQueue.cwc_target`.
+they make is :meth:`~repro.memory.write_queue.WriteQueue.cwc_target`,
+once per counter append, and its answer travels with the append into
+:meth:`~repro.memory.write_queue.WriteQueue.append`.
 """
 
 from __future__ import annotations
@@ -355,25 +357,27 @@ class MemoryController:
     # ------------------------------------------------------------------
 
     def _make_space(
-        self, t: float, slots: int, core: int, cwc_line: Optional[int] = None
-    ) -> float:
-        """Drain until ``slots`` queue slots are free; returns stall end.
+        self, t: float, slots: int, core: int, target: Optional[WQEntry] = None
+    ) -> Tuple[float, Optional[WQEntry]]:
+        """Drain until ``slots`` queue slots are free.
 
-        With ``cwc_line``, one of the slots is for a counter write to that
-        line, which needs none while CWC would coalesce it. That is
-        re-checked after every issue: issuing can consume the very
-        counter entry the new write would have coalesced with.
+        Returns the stall end and ``target``, or None for a target this
+        drain issued. ``target`` is the CWC target of a counter write
+        among the ``slots``: that write needs no slot while the target is
+        queued. Issuing it drops it, and the write then needs its slot.
+        No other entry can take its place, since CWC keeps at most one
+        queued counter entry per line and a drain appends nothing.
         """
         wq = self.wq
         append_time = t
         while True:
-            need = slots
-            if cwc_line is not None and wq.cwc_target(cwc_line) is not None:
-                need -= 1
+            need = slots if target is None else slots - 1
             if wq.n + need <= wq.capacity:
                 break
             start, entry, runner_up = self._best_candidate()
             end = self._issue(entry, start)
+            if entry is target:
+                target = None
             self._hold = runner_up if runner_up < end else end
             if start > self.clock:
                 self.clock = start
@@ -384,38 +388,38 @@ class MemoryController:
             self._vals[self._k_stall_ns] += append_time - t
             if self._tracer.enabled:
                 self._tracer.wq_stall(t, append_time - t, core)
-        return append_time
+        return append_time, target
 
     def append_write(
         self,
         t: float,
         line: int,
         bank: Optional[int] = None,
-        row: Optional[int] = None,
         is_counter: bool = False,
         payload: Optional[bytes] = None,
         core: int = 0,
     ) -> float:
         """Append one write; returns the time the append completed.
 
-        ``bank``/``row`` default to the data mapping of ``line``; counter
-        writes pass their explicit placement from the layout.
+        ``bank`` defaults to the data mapping of ``line``; counter writes
+        pass their explicit placement from the layout. A full-queue stall
+        is charged to ``core``.
         """
         self.advance_to(t)
         wq = self.wq
+        # A counter write that CWC coalesces needs no free slot; a drain
+        # only removes entries, so a write without a target keeps none.
+        target = wq.cwc_target(line) if is_counter else None
         append_time = t
-        # A counter write that CWC coalesces needs no free slot.
-        if wq.n >= wq.capacity and (not is_counter or wq.cwc_target(line) is None):
-            append_time = self._make_space(t, 1, core)
+        if target is None and wq.n >= wq.capacity:
+            append_time = self._make_space(t, 1, core)[0]
         if bank is None:
             bank = self.amap.bank_of_line(line)
-        if row is None:
-            row = self.amap.row_of_line(line)
-        entry = WQEntry(line, bank, row, is_counter, append_time, payload, core)
-        if wq.append(entry) and self._policy == "fifo":
-            # CWC may have removed the oldest entry, the one the bound is
-            # about under fifo; the next oldest may start sooner.
-            self._hold = _EARLIEST
+        if wq.append(line, bank, is_counter, append_time, payload, target):
+            if self._policy == "fifo":
+                # CWC may have moved the oldest entry, the one the bound
+                # is about under fifo; the next oldest may start sooner.
+                self._hold = _EARLIEST
         # The new entry's earliest start bounds the next pick.
         start = self.banks[bank].free_at
         if is_counter:
@@ -431,39 +435,43 @@ class MemoryController:
     def append_pair(
         self,
         t: float,
-        data: WQEntry,
-        counter: WQEntry,
+        line: int,
+        bank: int,
+        payload: Optional[bytes],
+        counter_line: int,
+        counter_bank: int,
+        counter_payload: Optional[bytes],
+        core: int = 0,
     ) -> float:
         """Append a data+counter pair atomically (the staging register).
 
-        Both entries enter the queue at the same instant, so the ADR
+        Both writes enter the queue at the same instant, so the ADR
         domain always holds either both or neither — the crash-consistency
         invariant of Section 3.2. Returns the append time. A full-queue
-        stall is charged to ``data.core``.
+        stall is charged to ``core``.
         """
         self.advance_to(t)
         wq = self.wq
-        line = counter.line
-        coalesces = wq.cwc_target(line) is not None
+        target = wq.cwc_target(counter_line)
         append_time = t
-        if wq.n + 2 - coalesces > wq.capacity:
-            append_time = self._make_space(t, 2, data.core, line)
-            coalesces = wq.cwc_target(line) is not None
-        data.enq_time = append_time
-        counter.enq_time = append_time
-        if coalesces:
-            # Counter first: its append frees the slot the data needs.
-            wq.append(counter)
-            wq.append(data)
+        if wq.n + (2 if target is None else 1) > wq.capacity:
+            append_time, target = self._make_space(t, 2, core, target)
+        if target is not None:
+            # Counter first, as when CWC's removal freed the data's slot:
+            # the pair's sequence numbers keep that order.
+            wq.append(
+                counter_line, counter_bank, True, append_time, counter_payload, target
+            )
+            wq.append(line, bank, False, append_time, payload)
             if self._policy == "fifo":
-                # As in append_write: the oldest entry may be gone.
+                # As in append_write: the oldest entry may have moved.
                 self._hold = _EARLIEST
         else:
-            wq.append(data)
-            wq.append(counter)
+            wq.append(line, bank, False, append_time, payload)
+            wq.append(counter_line, counter_bank, True, append_time, counter_payload)
         # The new entries' earliest starts bound the next pick.
-        start = self.banks[data.bank].free_at
-        counter_start = self.banks[counter.bank].free_at
+        start = self.banks[bank].free_at
+        counter_start = self.banks[counter_bank].free_at
         deferred = append_time + self._counter_defer_ns
         if deferred > counter_start:
             counter_start = deferred
@@ -474,8 +482,8 @@ class MemoryController:
         tracer = self._tracer
         if tracer.enabled:
             occupancy = wq.n
-            tracer.wq_append(append_time, data.line, False, occupancy)
-            tracer.wq_append(append_time, line, True, occupancy)
+            tracer.wq_append(append_time, line, False, occupancy)
+            tracer.wq_append(append_time, counter_line, True, occupancy)
         self._vals[self._k_pair_appends] += 1
         return append_time
 

@@ -14,7 +14,10 @@ content into the older entry's slot) deliberately delays the counter write,
 maximising the chance that yet more counter updates coalesce before it
 drains — the paper's Figure 10-12 argument. The newer entry always carries
 a superset of the older one's updates because both are images of the same
-write-through-cached counter line.
+write-through-cached counter line. The queue does both steps at once: it
+moves the older entry to the tail as the new write (its append time,
+sequence number, bank and payload), which is observably the same as
+removing it and appending a new one.
 
 The alternative *merge-in-place* policy (update the older entry where it
 sits) is implemented for the ablation benchmark.
@@ -25,14 +28,15 @@ entries for crash modelling.
 
 Implementation: an occupancy count ``n`` plus three structures, each
 holding entries in FIFO (append) order: ``by_line`` maps a line to its
-queued entries (read forwarding takes the youngest, CWC the first
-counter entry), and ``data_by_bank``/``counters_by_bank`` map a bank to
-its queued data or counter entries (the drain scheduler reads their
-heads). A list holds a handful of entries, so :meth:`append` and
-:meth:`remove` are O(1) amortised, and each does its own bookkeeping.
-An entry's monotonic ``seq`` records the global append order; the cold
-paths that need it (iteration, :meth:`oldest`, :meth:`adr_flush_order`)
-derive it from the buckets.
+queued entries (read forwarding takes the youngest, CWC the counter
+entry), and ``data_by_bank``/``counters_by_bank`` map a bank to its
+queued data or counter entries (the drain scheduler reads their heads).
+A list holds a handful of entries, so :meth:`append` and :meth:`remove`
+are O(1) amortised, and each does its own bookkeeping. :meth:`append`
+is the only code that builds a :class:`WQEntry`, and it builds none for
+a write that coalesces. An entry's monotonic ``seq`` records the global
+append order; the cold paths that need it (iteration, :meth:`oldest`,
+:meth:`adr_flush_order`) derive it from the buckets.
 """
 
 from __future__ import annotations
@@ -64,11 +68,9 @@ class WQEntry:
 
     line: int
     bank: int
-    row: int
     is_counter: bool
     enq_time: float
     payload: Optional[bytes] = None
-    core: int = 0
     #: Monotonic sequence number preserving global append order.
     seq: int = 0
 
@@ -89,6 +91,7 @@ class WriteQueue:
         self.capacity = capacity
         self.cwc_enabled = cwc_enabled
         self.cwc_policy = cwc_policy
+        self._merge_in_place = cwc_policy == CWC_MERGE_IN_PLACE
         self._tracer = tracer
         #: Occupancy: the number of queued entries.
         self.n = 0
@@ -123,31 +126,66 @@ class WriteQueue:
     # Append path (with CWC)
     # ------------------------------------------------------------------
 
-    def append(self, entry: WQEntry) -> bool:
-        """Append one entry; returns True if CWC coalesced an older one.
+    def append(
+        self,
+        line: int,
+        bank: int,
+        is_counter: bool,
+        enq_time: float,
+        payload: Optional[bytes] = None,
+        target: Optional[WQEntry] = None,
+    ) -> bool:
+        """Queue one write; returns True if CWC coalesced it.
 
-        The caller must have ensured space (after accounting for the
-        possible removal — use :meth:`cwc_target` first when the queue is
-        full).
+        ``target`` is the write's CWC target, :meth:`cwc_target` of
+        ``line`` for a counter write and None for a data write: the
+        caller looks it up once, since it also decides whether the write
+        needs a free slot. A write with a target takes no slot and builds
+        no entry. Under remove-older the target becomes the new write at
+        the tail: the append time, sequence number, bank and payload
+        change, and it moves to the end of its lists (to another bank's
+        list if the bank changed). Under merge-in-place only its payload
+        changes. Otherwise the caller must have ensured a free slot.
         """
         vals = self._vals
         vals[self._k_appends] += 1
-        coalesced = False
-        if entry.is_counter:
+        if is_counter:
             vals[self._k_counter_appends] += 1
-            older = self.cwc_target(entry.line)
-            if older is not None:
-                coalesced = True
+            if target is not None:
                 vals[self._k_cwc] += 1
                 if self._tracer.enabled:
-                    self._tracer.wq_coalesce(
-                        entry.enq_time, entry.line, self.cwc_policy
-                    )
-                if self.cwc_policy == CWC_MERGE_IN_PLACE:
-                    # Refresh the older slot and stop.
-                    older.payload = entry.payload
+                    self._tracer.wq_coalesce(enq_time, line, self.cwc_policy)
+                target.payload = payload
+                if self._merge_in_place:
                     return True
-                self.remove(older)
+                by_bank = self.counters_by_bank
+                old_bank = target.bank
+                bucket = by_bank[old_bank]
+                if bank != old_bank:
+                    if len(bucket) == 1:
+                        del by_bank[old_bank]
+                    else:
+                        bucket.remove(target)
+                    bucket = by_bank.get(bank)
+                    if bucket is None:
+                        by_bank[bank] = [target]
+                    else:
+                        bucket.append(target)
+                    target.bank = bank
+                elif bucket[-1] is not target:
+                    bucket.remove(target)
+                    bucket.append(target)
+                # Only a data write to the same line can follow it in the
+                # line's list. No run writes data to a counter line, but
+                # find_line must still see the counter write as youngest.
+                bucket = self.by_line[line]
+                if bucket[-1] is not target:
+                    bucket.remove(target)
+                    bucket.append(target)
+                target.enq_time = enq_time
+                target.seq = self._seq
+                self._seq += 1
+                return True
             by_bank = self.counters_by_bank
         else:
             vals[self._k_data_appends] += 1
@@ -155,32 +193,33 @@ class WriteQueue:
         n = self.n
         if n >= self.capacity:
             raise SimulationError("append to full write queue")
-        entry.seq = self._seq
+        entry = WQEntry(line, bank, is_counter, enq_time, payload, self._seq)
         self._seq += 1
         # get-then-branch instead of setdefault: setdefault allocates a
         # fresh empty list on *every* call just in case.
-        bucket = self.by_line.get(entry.line)
+        bucket = self.by_line.get(line)
         if bucket is None:
-            self.by_line[entry.line] = [entry]
+            self.by_line[line] = [entry]
         else:
             bucket.append(entry)
-        bucket = by_bank.get(entry.bank)
+        bucket = by_bank.get(bank)
         if bucket is None:
-            by_bank[entry.bank] = [entry]
+            by_bank[bank] = [entry]
         else:
             bucket.append(entry)
         n += 1
         self.n = n
         if n > vals[self._k_peak]:
             vals[self._k_peak] = n
-        return coalesced
+        return False
 
     def cwc_target(self, line: int) -> Optional[WQEntry]:
         """The queued entry a counter write to ``line`` coalesces with.
 
         The flag bit makes this a lookup in the line's short list: the
-        oldest queued counter entry for the line, or None (also when CWC
-        is off).
+        queued counter entry for the line, or None (also when CWC is
+        off). With CWC on a line has at most one queued counter entry,
+        since every later counter write to it coalesces.
         """
         if self.cwc_enabled:
             for entry in self.by_line.get(line, ()):
@@ -189,7 +228,7 @@ class WriteQueue:
         return None
 
     def would_coalesce(self, line: int) -> bool:
-        """Whether appending a counter write to ``line`` frees a slot."""
+        """Whether a counter write to ``line`` would coalesce (needs no slot)."""
         return self.cwc_target(line) is not None
 
     # ------------------------------------------------------------------
@@ -197,7 +236,7 @@ class WriteQueue:
     # ------------------------------------------------------------------
 
     def remove(self, entry: WQEntry) -> None:
-        """Pop a specific entry chosen by the drain scheduler (or CWC)."""
+        """Pop a specific entry chosen by the drain scheduler."""
         by_bank = self.counters_by_bank if entry.is_counter else self.data_by_bank
         bucket = by_bank.get(entry.bank)
         if bucket is None:

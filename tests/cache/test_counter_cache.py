@@ -27,17 +27,17 @@ class TestWriteThrough:
         assert not cc.is_dirty(0)
 
     def test_miss_requires_fetch(self):
+        """``access`` returns ``(hit, writeback_page)``; a miss is the
+        caller's cue to fetch the counter line."""
         cc, _ = make_cc(CounterCacheMode.WRITE_THROUGH)
-        hit, wb, fetch = cc.access(0, update=False)
-        assert (hit, wb, fetch) == (False, None, True)
-        hit, wb, fetch = cc.access(0, update=True)
-        assert (hit, wb, fetch) == (True, None, False)
+        assert cc.access(0, update=False) == (False, None)
+        assert cc.access(0, update=True) == (True, None)
 
     def test_evictions_never_write_back(self):
         cc, _ = make_cc(CounterCacheMode.WRITE_THROUGH, size=2 * 64, assoc=2)
         writebacks = []
         for page in range(10):
-            _, wb, _ = cc.access(page, update=True)
+            _, wb = cc.access(page, update=True)
             if wb is not None:
                 writebacks.append(wb)
         assert writebacks == []
@@ -62,8 +62,8 @@ class TestWriteBack:
         cc, stats = make_cc(CounterCacheMode.WRITE_BACK, size=2 * 64, assoc=2)
         cc.access(0, update=True)
         cc.access(2, update=True)  # same set (2 sets: pages 0,2 -> set 0)
-        _, wb, _ = cc.access(4, update=True)
-        assert wb == 0
+        hit, wb = cc.access(4, update=True)
+        assert (hit, wb) == (False, 0)
         assert stats.get("cc", "writebacks") == 1
 
     def test_crash_without_battery_loses_dirty(self):

@@ -24,6 +24,7 @@ from repro.common.config import (
     SimConfig,
 )
 from repro.common.errors import CrashInjected
+from repro.core.crash import CrashController
 from repro.core.recovery import RecoveredSystem
 from repro.core.schemes import Scheme, scheme_config
 from repro.core.system import SecureMemorySystem
@@ -173,3 +174,46 @@ class TestAdrDomain:
         recovered = RecoveredSystem(image)
         for i in range(6):
             assert recovered.plaintext_of(i) == V1
+
+
+class TestCrashController:
+    """Only hits of the armed point after :meth:`CrashController.arm` count."""
+
+    def test_other_points_never_count(self):
+        ctl = CrashController()
+        ctl.arm("after-pair-append", occurrence=2)
+        for _ in range(5):
+            ctl.probe("after-data-append")
+            ctl.probe("txn-after-commit")
+        ctl.probe("after-pair-append")
+        assert not ctl.fired
+        with pytest.raises(CrashInjected):
+            ctl.probe("after-pair-append")
+        assert ctl.fired
+
+    def test_hits_before_arming_never_count(self):
+        ctl = CrashController()
+        for _ in range(3):
+            ctl.probe("after-pair-append")
+        ctl.arm("after-pair-append", occurrence=1)
+        assert not ctl.fired
+        with pytest.raises(CrashInjected, match="after-pair-append"):
+            ctl.probe("after-pair-append", detail="first after arming")
+
+    def test_rearming_restarts_the_count_and_fires_once(self):
+        ctl = CrashController()
+        ctl.arm("after-data-append", occurrence=2)
+        ctl.probe("after-data-append")
+        ctl.arm("after-data-append", occurrence=2)
+        ctl.probe("after-data-append")
+        with pytest.raises(CrashInjected):
+            ctl.probe("after-data-append")
+        # Disarmed once fired: later hits pass.
+        ctl.probe("after-data-append")
+        assert ctl.fired
+
+    def test_unarmed_probes_pass(self):
+        ctl = CrashController()
+        for point in ("after-data-append", "txn-after-prepare"):
+            ctl.probe(point)
+        assert not ctl.fired

@@ -5,7 +5,6 @@ import pytest
 from repro.common.config import MemoryConfig, SimConfig, TimingConfig
 from repro.common.stats import Stats
 from repro.memory.controller import MemoryController
-from repro.memory.write_queue import WQEntry
 
 T = TimingConfig()
 WS = T.write_service_ns
@@ -133,9 +132,7 @@ def test_read_payload_prefers_wq():
 
 def test_append_pair_atomic():
     mc, _ = make_mc(wq_entries=4)
-    data = WQEntry(line=0, bank=0, row=0, is_counter=False, enq_time=0.0)
-    ctr = WQEntry(line=10**6, bank=4, row=0, is_counter=True, enq_time=0.0)
-    t = mc.append_pair(0.0, data, ctr)
+    t = mc.append_pair(0.0, 0, 0, None, 10**6, 4, None)
     assert t == 0.0
     assert len(mc.wq) == 2
     entries = list(mc.wq)
@@ -147,9 +144,7 @@ def test_append_pair_stalls_for_two_slots():
     # Fill: first append issues eagerly; the next two occupy both slots.
     for i in range(3):
         mc.append_write(0.0, line=i)
-    data = WQEntry(line=10, bank=0, row=0, is_counter=False, enq_time=0.0)
-    ctr = WQEntry(line=10**6, bank=4, row=0, is_counter=True, enq_time=0.0)
-    t = mc.append_pair(0.0, data, ctr)
+    t = mc.append_pair(0.0, 10, 0, None, 10**6, 4, None)
     assert t > 0.0  # had to drain both queued entries first
 
 
@@ -160,9 +155,7 @@ def test_append_pair_with_coalescing_needs_one_slot():
     mc.append_write(0.0, line=2)
     # queue has 3/4; a pair needs 2 slots normally, but its counter
     # coalesces with the queued one, so it fits without stalling.
-    data = WQEntry(line=1, bank=0, row=0, is_counter=False, enq_time=0.0)
-    ctr = WQEntry(line=5, bank=4, row=0, is_counter=True, enq_time=0.0)
-    t = mc.append_pair(0.0, data, ctr)
+    t = mc.append_pair(0.0, 1, 0, None, 5, 4, None)
     assert t == 0.0
     assert stats.get("wq", "cwc_coalesced") == 1
     assert len(mc.wq) + stats.get("wq", "issued") == 4
@@ -185,7 +178,7 @@ def test_adr_flush_persists_everything():
 def test_counter_write_uses_explicit_bank():
     mc, stats = make_mc(wq_entries=8)
     # counter line placed in bank 7 explicitly
-    mc.append_write(0.0, line=10**6, bank=7, row=0, is_counter=True)
+    mc.append_write(0.0, line=10**6, bank=7, is_counter=True)
     entry = next(iter(mc.wq))
     assert entry.bank == 7
 
@@ -205,14 +198,14 @@ def test_xbank_style_parallel_drain_beats_single_bank():
     mc_x, _ = make_mc(wq_entries=16)
     for i in range(4):
         mc_x.append_write(0.0, line=i)  # bank 0
-        mc_x.append_write(0.0, line=10**6 + i, bank=4, row=10**5, is_counter=True)
+        mc_x.append_write(0.0, line=10**6 + i, bank=4, is_counter=True)
     finish_x = mc_x.drain_all()
 
     # counters to the same bank
     mc_s, _ = make_mc(wq_entries=16)
     for i in range(4):
         mc_s.append_write(0.0, line=i)
-        mc_s.append_write(0.0, line=10**6 + i, bank=0, row=10**5, is_counter=True)
+        mc_s.append_write(0.0, line=10**6 + i, bank=0, is_counter=True)
     finish_s = mc_s.drain_all()
 
     # The counter-defer window delays the first counter write slightly, so

@@ -70,7 +70,7 @@ def test_counter_defer_window_delays_counters():
     mc, stats = make_mc(write_queue_entries=4, wq_high_watermark=1, wq_low_watermark=0)
     defer = mc._counter_defer_ns
     assert defer > 0
-    mc.append_write(0.0, line=10**6, bank=4, row=0, is_counter=True)
+    mc.append_write(0.0, line=10**6, bank=4, is_counter=True)
     mc.advance_to(defer * 0.5)
     assert stats.get("wq", "issued") == 0
     mc.advance_to(defer + 1.0)
@@ -103,7 +103,7 @@ def test_frfcfs_issues_counters_eagerly():
         wq_high_watermark=1,
         wq_low_watermark=0,
     )
-    mc.append_write(0.0, line=10**6, bank=4, row=0, is_counter=True)
+    mc.append_write(0.0, line=10**6, bank=4, is_counter=True)
     mc.advance_to(1.0)
     assert stats.get("wq", "issued") == 1
 

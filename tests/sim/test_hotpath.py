@@ -27,6 +27,13 @@ differ, so:
   out-of-order appends from several per-core clocks;
 * the drain scans at most 1.15 times per issued write on a saturated
   Figure 13 cell and an 8-program Figure 14 cell.
+
+The reference controller also appends the way the write path did before
+counter writes coalesced in place: :func:`reference_make_space` looks
+the CWC target up again after every issue instead of carrying it, and
+:func:`reference_append` removes the target and appends a new entry. On
+a saturated SuperMem cell the production path builds one entry per
+inserted write and looks a counter write's target up once.
 """
 
 import collections
@@ -41,8 +48,9 @@ from repro.core.schemes import Scheme
 from repro.experiments import fig13, fig14
 from repro.experiments.common import experiment_base_config, get_scale
 from repro.experiments.runner import run_points
+from repro.memory import write_queue
 from repro.memory.controller import MemoryController
-from repro.memory.write_queue import WQEntry
+from repro.memory.write_queue import CWC_MERGE_IN_PLACE, WriteQueue
 from repro.sim import trace_cache
 from repro.sim.multicore import simulate_multiprogrammed
 from repro.sim.simulator import simulate_workload
@@ -127,11 +135,51 @@ def _reference_pick(mc):
     return start, entry, float("-inf")
 
 
+def reference_make_space(mc, t, slots, core, target=None):
+    """Make space looking the CWC target up again after every issue."""
+    wq = mc.wq
+    line = None if target is None else target.line
+    append_time = t
+    while True:
+        target = None if line is None else wq.cwc_target(line)
+        if wq.n + slots - (target is not None) <= wq.capacity:
+            break
+        start, entry, _ = mc._best_candidate()
+        mc._issue(entry, start)
+        if start > mc.clock:
+            mc.clock = start
+        if start > append_time:
+            append_time = start
+    if append_time > t:
+        mc._stats.inc("wq", "full_stalls")
+        mc._stats.inc("wq", "stall_ns", append_time - t)
+    return append_time, target
+
+
+_production_append = WriteQueue.append
+
+
+def reference_append(wq, line, bank, is_counter, enq_time, payload=None, target=None):
+    """CWC as Section 3.4.3 states it: remove the older entry, then
+    append the new write as a new entry."""
+    if target is None or wq.cwc_policy == CWC_MERGE_IN_PLACE:
+        return _production_append(wq, line, bank, is_counter, enq_time, payload, target)
+    wq.remove(target)
+    wq._vals[wq._k_cwc] += 1
+    _production_append(wq, line, bank, is_counter, enq_time, payload)
+    return True
+
+
 class ReferenceController(MemoryController):
-    """A controller that runs the reference scheduler."""
+    """A controller that runs the reference scheduler and append path."""
 
     advance_to = reference_advance_to
     _best_candidate = _reference_pick
+    _make_space = reference_make_space
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.wq.append = reference_append.__get__(self.wq)
 
 
 def _run(workload, scheme, size, programs=None):
@@ -193,6 +241,8 @@ class TestSimulationEquivalence:
         fast = _run(workload, scheme, size, programs)
         monkeypatch.setattr(MemoryController, "advance_to", reference_advance_to)
         monkeypatch.setattr(MemoryController, "_best_candidate", _reference_pick)
+        monkeypatch.setattr(MemoryController, "_make_space", reference_make_space)
+        monkeypatch.setattr(WriteQueue, "append", reference_append)
         ref = _run(workload, scheme, size, programs)
         assert fast.total_time_ns == ref.total_time_ns
         assert fast.txn_latencies == ref.txn_latencies
@@ -291,23 +341,24 @@ class TestCandidateScan:
                         t,
                         4096 + rng.randrange(16),
                         bank=rng.randrange(n_banks),
-                        row=0,
                         is_counter=True,
                         core=core,
                     )
                 )
             elif action == 2:
                 line = rng.randrange(256)
-                data = WQEntry(line, line % n_banks, 0, False, 0.0, core=core)
-                counter = WQEntry(
-                    4096 + rng.randrange(16),
-                    rng.randrange(n_banks),
-                    0,
-                    True,
-                    0.0,
-                    core=core,
+                enq_times.append(
+                    mc.append_pair(
+                        t,
+                        line,
+                        line % n_banks,
+                        None,
+                        4096 + rng.randrange(16),
+                        rng.randrange(n_banks),
+                        None,
+                        core,
+                    )
                 )
-                enq_times.append(mc.append_pair(t, data, counter))
             elif action == 3:
                 mc.read(t, rng.randrange(256))
             else:
@@ -331,10 +382,7 @@ class TestCandidateScan:
 def _state(mc):
     """Everything a drain step may change, for a lockstep comparison."""
     return (
-        [
-            (e.line, e.bank, e.row, e.is_counter, e.enq_time, e.core, e.seq)
-            for e in mc.wq
-        ],
+        [(e.line, e.bank, e.is_counter, e.enq_time, e.payload, e.seq) for e in mc.wq],
         [(bank.free_at, bank.open_row, bank.last_write_end) for bank in mc.banks],
         tuple(mc.rank._activates),
         list(mc.bus_free_at),
@@ -358,6 +406,8 @@ class TestStartBound:
             ("fifo", "remove-older", {"wq_low_watermark": 0}),
             ("defer-counters", "remove-older", {"n_channels": 2}),
             ("frfcfs", "merge-in-place", {"n_channels": 2, "wq_low_watermark": 0}),
+            ("defer-counters", "remove-older", {"bank_mapping": "line"}),
+            ("fifo", "remove-older", {"bank_mapping": "line"}),
         ],
     )
     def test_lockstep_with_reference(self, policy, cwc_policy, memory):
@@ -369,6 +419,8 @@ class TestStartBound:
         rank, bus, clock, hysteresis flag and stats are equal, and
         ``_hold`` bounds the naive earliest start. Calls that the bound
         lets skip the scan (drain engaged, ``t < _hold``) must occur.
+        Under the ``line`` bank mapping a counter line follows the bank of
+        the data line written, so a coalesced counter write changes bank.
         """
         rng = random.Random(29)
         cfg = SimConfig(cwc_enabled=True, cwc_policy=cwc_policy)
@@ -381,6 +433,7 @@ class TestStartBound:
         mc = MemoryController(cfg, Stats())
         ref = ReferenceController(cfg, Stats())
         n_banks = cfg.memory.n_banks
+        home_banks = cfg.memory.bank_mapping != "line"
         clocks = [0.0, 0.0]
         skipped = late = 0
         for _ in range(2000):
@@ -395,28 +448,30 @@ class TestStartBound:
                 line = rng.randrange(256)
                 calls = [c.append_write(t, line, core=core) for c in (mc, ref)]
             elif action == 1:
-                # A counter line has one home bank, as under every layout.
+                # A counter line has one home bank, as under every layout
+                # of the page mapping.
                 line = 4096 + rng.randrange(16)
+                bank = line % n_banks if home_banks else rng.randrange(n_banks)
                 calls = [
-                    c.append_write(
-                        t,
-                        line,
-                        bank=line % n_banks,
-                        row=0,
-                        is_counter=True,
-                        core=core,
-                    )
+                    c.append_write(t, line, bank=bank, is_counter=True, core=core)
                     for c in (mc, ref)
                 ]
             elif action == 2:
                 line = rng.randrange(256)
                 counter_line = 4096 + rng.randrange(16)
-                counter_bank = counter_line % n_banks
+                counter_bank = (
+                    counter_line % n_banks if home_banks else rng.randrange(n_banks)
+                )
                 calls = [
                     c.append_pair(
                         t,
-                        WQEntry(line, line % n_banks, 0, False, 0.0, core=core),
-                        WQEntry(counter_line, counter_bank, 0, True, 0.0, core=core),
+                        line,
+                        line % n_banks,
+                        None,
+                        counter_line,
+                        counter_bank,
+                        None,
+                        core,
                     )
                     for c in (mc, ref)
                 ]
@@ -451,25 +506,72 @@ class TestStartBound:
         )
         mc = MemoryController(cfg, Stats())
         counter = 1 << 20
-        mc.append_write(0.0, 0, bank=0, row=0)
+        mc.append_write(0.0, 0, bank=0)
         mc.advance_to(0.0)  # bank 0 is now busy for a write service
-        mc.append_write(1.0, counter, bank=0, row=0, is_counter=True)
-        mc.append_write(2.0, 1, bank=1, row=0)
+        mc.append_write(1.0, counter, bank=0, is_counter=True)
+        mc.append_write(2.0, 1, bank=1)
         mc.advance_to(3.0)  # the oldest, the counter, waits for bank 0
         assert mc._hold > 5.0
         # Coalesces with the oldest: the bank-1 write is now the oldest.
         if pair:
             # Its data write waits for busy bank 0 as well.
-            mc.append_pair(
-                4.0,
-                WQEntry(2, 0, 0, False, 0.0),
-                WQEntry(counter, 0, 0, True, 0.0),
-            )
+            mc.append_pair(4.0, 2, 0, None, counter, 0, None)
         else:
-            mc.append_write(4.0, counter, bank=0, row=0, is_counter=True)
+            mc.append_write(4.0, counter, bank=0, is_counter=True)
         assert mc.wq.oldest().bank == 1
         mc.advance_to(5.0)
         assert mc._stats.get("wq", "issued") == 2
+
+    @pytest.mark.parametrize("policy", ["defer-counters", "frfcfs", "fifo"])
+    def test_make_space_issues_the_pairs_own_target(self, policy):
+        """A pair whose CWC target the make-space drain issues needs two slots.
+
+        The queue is full and its oldest entry is a counter write to the
+        pair's counter line, so the pair first counts on one slot. A core
+        arrives behind the controller's clock, so nothing can issue at its
+        own time and the make-space drain picks that oldest entry first.
+        With the target gone nothing coalesces: the drain issues one more
+        write and both halves of the pair are appended as new entries.
+        Production and reference controllers stay in lockstep throughout.
+        """
+        cfg = SimConfig(cwc_enabled=True)
+        cfg = dataclasses.replace(
+            cfg,
+            memory=dataclasses.replace(
+                cfg.memory,
+                drain_policy=policy,
+                write_queue_entries=4,
+                wq_high_watermark=4,
+                wq_low_watermark=2,
+            ),
+        )
+        mc = MemoryController(cfg, Stats())
+        ref = ReferenceController(cfg, Stats())
+        counter = 1 << 20
+        steps = [
+            lambda c: c.append_write(0.0, counter, bank=0, is_counter=True),
+            lambda c: c.append_write(100.0, 1 * 64),
+            lambda c: c.append_write(200.0, 2 * 64),
+            lambda c: c.append_write(300.0, 3 * 64),
+            # A second core, behind the clock: the pair's target is the
+            # oldest entry, the counter written first.
+            lambda c: c.append_pair(50.0, 4 * 64, 4, None, counter, 0, None, 1),
+        ]
+        for step in steps:
+            target = mc.wq.cwc_target(counter)
+            assert step(mc) == step(ref)
+            assert _state(mc) == _state(ref)
+            _assert_same_candidate(mc)
+        stats = mc._stats
+        assert target is not None and target.seq == 0
+        assert stats.get("wq", "issued") == 2
+        assert stats.get("wq", "cwc_coalesced") == 0
+        assert stats.get("wq", "full_stalls") == 1
+        assert len(mc.wq) == 4
+        assert [e.line for e in mc.wq] == [2 * 64, 3 * 64, 4 * 64, counter]
+        assert mc.wq.cwc_target(counter) is not target
+        assert mc.drain_all() == ref.drain_all()
+        assert _state(mc) == _state(ref)
 
 
 class TestScanCount:
@@ -498,3 +600,40 @@ class TestScanCount:
             run_points(specs)
             assert calls["_issue"] > 1000
             assert calls["_best_candidate"] <= 1.15 * calls["_issue"], (cell, calls)
+
+
+class TestAppendCount:
+    def test_one_entry_per_inserted_write(self, monkeypatch):
+        """Only inserted writes build entries; counter writes look up once.
+
+        On the saturated SuperMem cell below, entries built equal the
+        writes the queue inserted (appends minus coalesces), and
+        ``cwc_target`` runs at most once per counter append: 4,175
+        entries and 3,960 lookups for 7,920 appends. Before coalescing
+        moved the queued entry in place, every append built an entry and
+        the lookups came to 14,145.
+        """
+        counts = collections.Counter()
+        real_entry = write_queue.WQEntry
+        lookup = WriteQueue.cwc_target
+
+        def counted_entry(*args):
+            counts["built"] += 1
+            return real_entry(*args)
+
+        def counted_lookup(wq, line):
+            counts["lookups"] += 1
+            return lookup(wq, line)
+
+        monkeypatch.setattr(write_queue, "WQEntry", counted_entry)
+        monkeypatch.setattr(WriteQueue, "cwc_target", counted_lookup)
+        _, specs = narrow(fig13.specs("smoke"), lambda c: c == ("array", 4096))
+        (result,) = run_points(
+            [spec for spec in specs if spec.scheme is Scheme.SUPERMEM]
+        )
+        stats = result.stats
+        coalesced = stats.get("wq", "cwc_coalesced")
+        assert stats.get("wq", "full_stalls") > 100
+        assert coalesced > 1000
+        assert counts["built"] == stats.get("wq", "appends") - coalesced
+        assert counts["lookups"] <= stats.get("wq", "counter_appends")
